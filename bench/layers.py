@@ -134,17 +134,16 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def parallelism(tracer: Tracer, name: str = "verify.uniqueness_multistart",
-                worker: str = "solver.newton_solve") -> float:
-    """Busy time of ``worker`` spans in pool threads over the wall time of ``name``."""
+def parallelism(tracer: Tracer) -> float:
+    """Newton busy time in pool threads over the wall time of the multistart calls."""
     kids = tracer.children()
     wall = busy = 0.0
     for sp in tracer.spans:
-        if sp.name != name:
+        if sp.name != "verify.uniqueness_multistart":
             continue
         wall += sp.duration
         busy += sum(c.duration for c in kids.get(id(sp), ())
-                    if c.name == worker and c.thread != sp.thread)
+                    if c.name == "solver.newton_solve" and c.thread != sp.thread)
     return _ratio(busy, wall)
 
 

@@ -60,7 +60,7 @@ PINNED_ENV = {"CPL_THREADS": "2", **{var: "1" for var in BLAS_THREAD_VARS}}
 END_TO_END = {"wall_s": "s", "setup_s": "s", "cpu_s": "s", "peak_rss_mb": "MB"}
 # Reported and recorded, but not bounded: they exist on some workloads only.
 ACCURACY = {"oracle_linf_rel": "1", "lambda1_ball_rel_err": "1"}
-SETUP_PROBES = 5
+SETUP_PROBES = 8
 CALL_TIMEOUT_S = 160.0
 RUN_LIMIT_S = 170.0  # no call starts that would end a run later than this
 
@@ -107,20 +107,26 @@ def spawn(call_dir: Path, workload: str, seed: int, *flags: str) -> dict:
            "TMPDIR": str(call_dir / "tmp")}
     cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", workload,
            "--seed", str(seed), "--out", str(call_dir), *flags]
-    log = call_dir / "log.txt"
-    with open(log, "w") as fh:
+    with open(call_dir / "log.txt", "w") as fh:
         spawned = time.monotonic()
         try:
             proc = subprocess.run(cmd, cwd=ROOT, env=env, stdout=fh, stderr=fh,
                                   timeout=CALL_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return {"error": f"timed out after {CALL_TIMEOUT_S:g} s"}
+    return collect(call_dir, proc.returncode, spawned)
+
+
+def collect(call_dir: Path, returncode: int, spawned: float) -> dict:
+    """The result a worker that exited with ``returncode`` left in ``call_dir``."""
+    log = (call_dir / "log.txt").read_text()
     result_path = call_dir / "result.json"
-    if proc.returncode != 0 or not result_path.exists():
-        return {"error": f"worker exited {proc.returncode}: {log.read_text()[-2000:]}"}
+    if returncode != 0 or not result_path.exists():
+        return {"error": f"worker exited {returncode}: {log[-2000:]}"}
     result = json.loads(result_path.read_text())
-    result["setup_s"] = result["ready"] - spawned
-    result["fallback_warnings"] = log.read_text().count("pyamg unavailable")
+    if "ready" in result:  # absent when the config did not parse; ``error`` says why
+        result["setup_s"] = result["ready"] - spawned
+    result["fallback_warnings"] = log.count("pyamg unavailable")
     return result
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_counts_from_many_threads_are_not_lost():
     try:
         def bump():
             for _ in range(2000):
-                tr.count("n")
+                tr.count("n", 1)
                 with tr.span("s"):
                     pass
 
@@ -157,9 +158,12 @@ def test_counts_from_many_threads_are_not_lost():
 
 @pytest.fixture
 def tiny_workloads(tmp_path, monkeypatch):
-    """A passing tiny workload and one with an injected failing check."""
+    """A passing tiny workload, one with an injected failing check and one
+    whose config does not parse."""
     (tmp_path / "tiny.cfg").write_text(TINY_CONFIG)
     (tmp_path / "tiny-bad.cfg").write_text(TINY_CONFIG)
+    (tmp_path / "tiny-unparsable.cfg").write_text(
+        TINY_CONFIG.replace("form = constant", "form = no-such-form"))
     monkeypatch.setattr(workloads, "CONFIGS", tmp_path)
     good = workloads.Workload("tiny", "verify", workloads._verify_checks,
                               workloads._verify_scalars)
@@ -168,16 +172,21 @@ def tiny_workloads(tmp_path, monkeypatch):
         return {**workloads._verify_checks(art, call_dir), "injected": False}
 
     bad = dataclasses.replace(good, name="tiny-bad", checks=injected)
-    monkeypatch.setattr(workloads, "WORKLOADS", {"tiny": good, "tiny-bad": bad})
+    unparsable = dataclasses.replace(good, name="tiny-unparsable")
+    monkeypatch.setattr(workloads, "WORKLOADS",
+                        {w.name: w for w in (good, bad, unparsable)})
     monkeypatch.setattr(run, "OUT", tmp_path / "out")
 
     def spawn_in_process(call_dir, workload, seed, *flags):
         call_dir.mkdir(parents=True)
-        worker.main(["--workload", workload, "--seed", str(seed),
-                     "--out", str(call_dir), *flags])
-        result = json.loads((call_dir / "result.json").read_text())
-        result["setup_s"] = 0.25
-        return result
+        (call_dir / "log.txt").touch()
+        spawned = time.monotonic()
+        try:
+            rc = worker.main(["--workload", workload, "--seed", str(seed),
+                              "--out", str(call_dir), *flags])
+        except Exception:  # the exit status of an interpreter that died of it
+            rc = 1
+        return run.collect(call_dir, rc, spawned)
 
     monkeypatch.setattr(run, "spawn", spawn_in_process)
 
@@ -199,7 +208,7 @@ def test_passing_run_reports_every_metric(tiny_workloads, capsys, trace):
         assert line["attempted"] == 2  # one traced and one untraced call
         assert line["metrics"]["verify.uniqueness_multistart.converged_ratio"]["value"] == 1.0
     else:
-        assert line["metrics"]["setup_s"]["value"] == 0.25
+        assert line["metrics"]["setup_s"]["value"] > 0.0
 
 
 def test_injected_failing_check_raises_fail_share(tiny_workloads, capsys):
@@ -209,6 +218,15 @@ def test_injected_failing_check_raises_fail_share(tiny_workloads, capsys):
     assert line["correct"] is False
     assert line["failed"] == line["attempted"] == 1
     assert "fail_share 1 " in out and "injected" in out
+
+
+def test_unparsable_config_counts_as_a_failed_call(tiny_workloads, capsys):
+    assert run.main(["--workload", "tiny-unparsable", "--seed", "3", "--seconds", "0"]) == 0
+    out = capsys.readouterr().out
+    line = json.loads(out.strip().splitlines()[-1])
+    assert line["correct"] is False
+    assert line["failed"] == line["attempted"] == 1
+    assert "failed call: error" in out
 
 
 def test_changed_artifacts_fail_the_determinism_check(tmp_path):

@@ -85,7 +85,7 @@ class Tracer:
     def current(self) -> Span | None:
         return self._current.get()
 
-    def count(self, name: str, value: float = 1.0) -> None:
+    def count(self, name: str, value: float) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0.0) + value
 
@@ -133,16 +133,16 @@ class Tracer:
         self._saved.append((owner, attr, getattr(owner, attr)))
         setattr(owner, attr, new)
 
-    def wrap_function(self, module, attr: str, name: str | None = None,
-                      on_result=None) -> None:
+    def wrap_function(self, module, attr: str, on_result=None) -> None:
         """Wrap ``module.attr`` at every binding of it in the module's package.
 
+        The span is named ``<module>.<attr>`` without the package prefix.
         ``on_result(tracer, result, args, kwargs)`` runs after each call
         that returns, outside the span.
         """
         original = getattr(module, attr)
         package = module.__name__.split(".")[0]
-        name = name or f"{module.__name__.removeprefix(package + '.')}.{attr}"
+        name = f"{module.__name__.removeprefix(package + '.')}.{attr}"
         traced = self._traced(original, name, on_result)
         for mod_name, mod in list(sys.modules.items()):
             if mod is None or not (mod_name == package or mod_name.startswith(package + ".")):
@@ -151,14 +151,14 @@ class Tracer:
                 if value is original:
                     self._replace(mod, key, traced)
 
-    def wrap_method(self, cls, attr: str, name: str, on_result=None) -> None:
+    def wrap_method(self, cls, attr: str, name: str) -> None:
         """Wrap a method on its class, so every instance and caller sees it."""
-        self._replace(cls, attr, self._traced(cls.__dict__[attr], name, on_result))
+        self._replace(cls, attr, self._traced(cls.__dict__[attr], name, None))
 
-    def link_pool(self, module, attr: str = "ThreadPoolExecutor") -> None:
-        """Run tasks submitted to ``module.attr`` pools under the submitting span."""
+    def link_pool(self, module) -> None:
+        """Run tasks of ``module.ThreadPoolExecutor`` pools under the span that submitted them."""
         tracer = self
-        base = getattr(module, attr)
+        base = module.ThreadPoolExecutor
 
         class LinkedExecutor(base):
             def submit(self, fn, /, *args, **kwargs):
@@ -170,7 +170,7 @@ class Tracer:
 
                 return super().submit(linked, *args, **kwargs)
 
-        self._replace(module, attr, LinkedExecutor)
+        self._replace(module, "ThreadPoolExecutor", LinkedExecutor)
 
     def restore(self) -> None:
         """Put back every wrapped attribute, newest first."""

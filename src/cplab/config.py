@@ -1,8 +1,9 @@
 """Run configuration: line-based `key = value` files in `[section]` blocks.
 
-UTF-8, `#` comments, no nesting. Unknown keys or sections, duplicate keys
-and out-of-range values are hard errors with line numbers; missing
-required keys are reported together. Example:
+UTF-8, `#` comments, no nesting. Unknown keys or sections, duplicate keys,
+non-finite numbers and out-of-range values are hard errors with line
+numbers; missing required keys are reported together. Any file either
+parses into a RunConfig or raises ConfigError. Example:
 
     [domain]
     kind = ball
@@ -16,12 +17,13 @@ required keys are reported together. Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import domain as dom
 from . import nonlinearity as nlin
-from .errors import ConfigError
+from .errors import ConfigError, InvalidProfileError
 
 SCHEMA = {
     "domain": {"kind", "a", "b", "coeffs", "file", "n"},
@@ -49,6 +51,16 @@ DEFAULTS = {
     ("run", "uniqueness_seeds"): 5,
 }
 
+# Smallest accepted value of integer keys; grid sizes are checked by
+# grid_shape and [domain] n by build_domain. N matches the 9-node minimum
+# of the meridian grid; a uniqueness check needs at least one start.
+INT_MINIMA = {
+    ("solver", "max_newton"): 1,
+    ("oracle", "N"): 9,
+    ("run", "seed"): 0,
+    ("run", "uniqueness_seeds"): 1,
+}
+
 
 @dataclass
 class RunConfig:
@@ -69,11 +81,12 @@ class RunConfig:
         if val is None:
             return None
         try:
-            return float(val)
+            x = float(val)
         except (TypeError, ValueError):
-            line = self.raw.get((section, key), (None, "?"))[1]
-            raise ConfigError(f"{self.path}:{line}: [{section}] {key} = {val!r} "
-                              "is not a number") from None
+            raise self._error(section, key, f"= {val!r} is not a number") from None
+        if not math.isfinite(x):
+            raise self._error(section, key, f"= {val!r} is not finite")
+        return x
 
     def get_int(self, section, key, default=None):
         val = self.get(section, key, default)
@@ -82,9 +95,7 @@ class RunConfig:
         try:
             return int(str(val))
         except (TypeError, ValueError):
-            line = self.raw.get((section, key), (None, "?"))[1]
-            raise ConfigError(f"{self.path}:{line}: [{section}] {key} = {val!r} "
-                              "is not an integer") from None
+            raise self._error(section, key, f"= {val!r} is not an integer") from None
 
     def get_bool(self, section, key, default=None):
         val = self.get(section, key, default)
@@ -95,85 +106,78 @@ class RunConfig:
             return True
         if text in ("false", "no", "0"):
             return False
-        line = self.raw.get((section, key), (None, "?"))[1]
-        raise ConfigError(f"{self.path}:{line}: [{section}] {key} = {val!r} "
-                          "is not a boolean")
+        raise self._error(section, key, f"= {val!r} is not a boolean")
 
     # -- factories ------------------------------------------------------------
 
     def build_domain(self) -> dom.MeridianDomain:
+        """The configured domain; a profile the parameters cannot make is a ConfigError."""
         kind = str(self.get("domain", "kind"))
         n = self.get_int("domain", "n")
         if n < 2:
-            raise ConfigError(f"{self.path}: [domain] n must be >= 2, got {n}")
-        if kind == "ball":
-            prof = dom.ball(self._require_float("domain", "a"))
-        elif kind == "spheroid":
-            prof = dom.spheroid(self._require_float("domain", "a"),
-                                self._require_float("domain", "b"))
-        elif kind == "bump":
-            coeffs = str(self.get("domain", "coeffs", ""))
-            if not coeffs:
-                raise ConfigError(f"{self.path}: [domain] kind = bump requires coeffs")
-            prof = dom.polynomial_bump([float(tok) for tok in coeffs.split()])
-        elif kind == "tabulated":
-            fname = self.get("domain", "file")
-            if not fname:
-                raise ConfigError(f"{self.path}: [domain] kind = tabulated requires file")
-            base = Path(self.path).parent if self.path else Path(".")
-            fpath = Path(fname)
-            prof = dom.tabulated_from_file(fpath if fpath.is_absolute() else base / fpath)
-        else:
-            raise ConfigError(f"{self.path}: unknown [domain] kind {kind!r}")
+            raise self._error("domain", "n", f"must be >= 2, got {n}")
+        try:
+            if kind == "ball":
+                prof = dom.ball(self._require_float("domain", "a"))
+            elif kind == "spheroid":
+                prof = dom.spheroid(self._require_float("domain", "a"),
+                                    self._require_float("domain", "b"))
+            elif kind == "bump":
+                coeffs = str(self.get("domain", "coeffs", ""))
+                if not coeffs:
+                    raise ConfigError(f"{self.path}: [domain] kind = bump requires coeffs")
+                prof = dom.polynomial_bump([float(tok) for tok in coeffs.split()])
+            elif kind == "tabulated":
+                fname = self.get("domain", "file")
+                if not fname:
+                    raise ConfigError(f"{self.path}: [domain] kind = tabulated requires file")
+                base = Path(self.path).parent if self.path else Path(".")
+                fpath = Path(fname)
+                prof = dom.tabulated_from_file(fpath if fpath.is_absolute() else base / fpath)
+            else:
+                raise self._error("domain", "kind", f"{kind!r} is unknown")
+        except (ValueError, OSError, InvalidProfileError) as exc:
+            raise self._error("domain", "kind", f"= {kind}: {exc}") from None
         return dom.MeridianDomain(n, prof, description=kind)
 
     def build_nonlinearity(self) -> nlin.Nonlinearity:
+        """The configured right-hand side; parameters out of range are a ConfigError."""
         form = str(self.get("nonlinearity", "form"))
-        if form == "constant":
-            return nlin.constant(self._require_float("nonlinearity", "c"))
-        if form == "affine":
-            return nlin.affine(self._require_float("nonlinearity", "lambda"),
-                               self._require_float("nonlinearity", "c"))
-        if form == "gelfand":
-            lam = self._require_float("nonlinearity", "lambda")
-            if lam <= 0:
-                line = self.raw.get(("nonlinearity", "lambda"), (None, "?"))[1]
-                raise ConfigError(f"{self.path}:{line}: gelfand lambda must be "
-                                  f"positive, got {lam:g}")
-            return nlin.gelfand(lam)
-        if form == "power":
-            lam = self._require_float("nonlinearity", "lambda")
-            p = self._require_float("nonlinearity", "p")
-            if lam <= 0 or p < 1:
-                raise ConfigError(f"{self.path}: power form needs lambda > 0 "
-                                  f"and p >= 1 (got {lam:g}, {p:g})")
-            return nlin.power(lam, p)
-        if form == "separable":
-            alpha = self._require_float("nonlinearity", "alpha")
-            beta = self._require_float("nonlinearity", "beta")
-            if alpha < 0 or beta < 0:
-                raise ConfigError(f"{self.path}: separable needs alpha, beta >= 0")
-            lam = self._require_float("nonlinearity", "lambda")
-            if self.get("nonlinearity", "p") is not None:
-                phi = nlin.power(lam, self.get_float("nonlinearity", "p"))
-            else:
-                if lam <= 0:
-                    raise ConfigError(f"{self.path}: separable exponential profile "
-                                      f"needs lambda > 0, got {lam:g}")
-                phi = nlin.gelfand(lam)
-            return nlin.separable(alpha, beta, phi)
-        raise ConfigError(f"{self.path}: unknown [nonlinearity] form {form!r}")
+
+        def num(key):
+            return self._require_float("nonlinearity", key)
+
+        try:
+            if form == "constant":
+                return nlin.constant(num("c"))
+            if form == "affine":
+                return nlin.affine(num("lambda"), num("c"))
+            if form == "gelfand":
+                return nlin.gelfand(num("lambda"))
+            if form == "power":
+                return nlin.power(num("lambda"), num("p"))
+            if form == "separable":
+                alpha, beta, lam = num("alpha"), num("beta"), num("lambda")
+                phi = (nlin.power(lam, num("p")) if self.get("nonlinearity", "p") is not None
+                       else nlin.gelfand(lam))
+                return nlin.separable(alpha, beta, phi)
+        except ValueError as exc:
+            raise self._error("nonlinearity", "form", f"= {form}: {exc}") from None
+        raise self._error("nonlinearity", "form", f"{form!r} is unknown")
 
     def grid_shape(self, d: dom.MeridianDomain):
         """(nr, nz) with nz defaulted to the isotropic hr = hz aspect."""
         nr = self.get_int("grid", "nr")
         nz = self.get_int("grid", "nz")
+        if nr < 9 or (nz is not None and nz < 9):
+            raise ConfigError(f"{self.path}: grid must be at least 9x9, got {nr}x{nz}")
         if nz is None:
             hr = d.profile.R / (nr - 1)
-            half = max(4, int(round(d.profile.a0 / hr)))
-            nz = 2 * half + 1
-        if nr < 9 or nz < 9:
-            raise ConfigError(f"{self.path}: grid must be at least 9x9, got {nr}x{nz}")
+            try:
+                nz = 2 * max(4, int(round(d.profile.a0 / hr))) + 1
+            except (ArithmeticError, ValueError):
+                raise ConfigError(f"{self.path}: no isotropic nz for a domain of "
+                                  f"{d.profile.a0:g} x {d.profile.R:g}; set [grid] nz") from None
         if nz % 2 == 0:
             raise ConfigError(f"{self.path}: nz must be odd, got {nz}")
         return nr, nz
@@ -181,13 +185,15 @@ class RunConfig:
     def validate(self):
         for section, key in (("solver", "tol_pde"), ("solver", "tol_lin"),
                              ("continuation", "t_step0"), ("continuation", "t_step_min")):
-            val = self.get_float(section, key)
-            if val is not None and val <= 0:
-                raise ConfigError(f"{self.path}: [{section}] {key} must be positive")
+            if self.get_float(section, key) <= 0:
+                raise self._error(section, key, "must be positive")
         if self.get_float("continuation", "t_step0") > 0.1:
-            raise ConfigError(f"{self.path}: [continuation] t_step0 must be <= 0.1")
+            raise self._error("continuation", "t_step0", "must be <= 0.1")
+        for (section, key), low in INT_MINIMA.items():
+            if self.get_int(section, key) < low:
+                raise self._error(section, key, f"must be >= {low}")
         if self.get_int("oracle", "N") > 96:
-            raise ConfigError(f"{self.path}: [oracle] N must be <= 96 (desk scale)")
+            raise self._error("oracle", "N", "must be <= 96 (desk scale)")
         self.build_domain()
         self.build_nonlinearity()
 
@@ -197,15 +203,24 @@ class RunConfig:
             raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
         return val
 
+    def _error(self, section, key, message) -> ConfigError:
+        line = self.raw.get((section, key), (None, "?"))[1]
+        return ConfigError(f"{self.path}:{line}: [{section}] {key} {message}")
+
 
 def parse_config(path) -> RunConfig:
     """Parse and validate a configuration file."""
     path = str(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
 
     raw = {}
     section = None

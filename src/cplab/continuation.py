@@ -33,7 +33,7 @@ from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
 from .solver import Field, TOL_PDE_DEFAULT, newton_solve
 from .stability import smallest_eigenvalue, is_stable
-from .verify import check_monotonicity, eps_disc, run_verification
+from .verify import check_monotonicity, eps_disc, monotone, run_verification
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def warm_start_transfer(u_prev: Field, grid_prev: MeridianGrid,
     return Field(grid_next, out, u_prev.n)
 
 
-def _evaluate_gates(grid, n, nl, u, tol_pde, phi0):
+def _evaluate_gates(grid, n, nl, u, phi0):
     """Run the per-step gate set; returns (ok, reason, metrics, eigenfield)."""
     eps = eps_disc(grid)
     try:
@@ -108,15 +108,13 @@ def _evaluate_gates(grid, n, nl, u, tol_pde, phi0):
 
     census = find_critical_points(u)
     metrics["cp_count"] = len(census.points)
-    cp_ok = (census.unique_nondegenerate_max and census.points
-             and census.points[0].on_axis)
-    if not cp_ok:
+    if not census.unique_axis_max:
         kinds = [p.type for p in census.points]
         return False, f"census {kinds} is not one on-axis nondegenerate max", metrics, stab.eigenfield
 
     m_z, m_r, pct_z, pct_r = check_monotonicity(u)
     metrics.update(m_z=m_z, m_r=m_r)
-    if not (m_z <= eps and m_r <= eps and pct_z < 0.0 and pct_r < 0.0):
+    if not (monotone(m_z, pct_z, eps) and monotone(m_r, pct_r, eps)):
         return False, f"monotonicity margins ({m_z:.3g}, {m_r:.3g}) exceed {eps:.3g}", metrics, stab.eigenfield
     return True, "", metrics, stab.eigenfield
 
@@ -150,7 +148,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     u, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde)
     if not rep.converged:
         raise CplabError("homotopy setup failed: the ball solve did not converge")
-    ok, reason, metrics, phi = _evaluate_gates(grid, n, nl, u, tol_pde, None)
+    ok, reason, metrics, phi = _evaluate_gates(grid, n, nl, u, None)
     if not ok:
         raise CplabError(f"homotopy setup failed on the ball: {reason}")
     record.steps.append(StepRecord(0.0, True, metrics["lambda1"],
@@ -188,7 +186,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
                 phi_start = warm_start_transfer(
                     Field(grid, np.abs(phi.values), n), grid, grid_next)
             ok, reason, metrics, phi_next = _evaluate_gates(
-                grid_next, n, nl, u_next, tol_pde, phi_start)
+                grid_next, n, nl, u_next, phi_start)
             if not ok:
                 failure = reason
 
@@ -233,16 +231,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             from . import oracle3d
             try:
                 vox = oracle3d.solve_3d(target, nl, oracle_n, tol=1e-8)
-                linf_rel, offset = oracle3d.compare_with_axisymmetric(vox, u)
-                rot, mir = oracle3d.symmetry_witnesses(vox)
-                vmax = float(np.abs(vox.values[vox.mask]).max())
-                record.oracle_comparison = {
-                    "linf_rel": linf_rel, "cp_offset_cells": offset,
-                    "rotation_witness": rot, "mirror_witness": mir,
-                    "max_value": vmax,
-                }
-                oracle_ok = (linf_rel <= 2e-2 and offset <= 2.0
-                             and rot <= 5e-3 * vmax and mir <= 5e-3 * vmax)
+                record.oracle_comparison, oracle_ok = oracle3d.oracle_verdict(vox, u)
             except CplabError as exc:
                 logger.warning("oracle comparison failed: %s", exc)
                 record.oracle_comparison = {"error": str(exc)}

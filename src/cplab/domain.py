@@ -200,15 +200,6 @@ class HomotopyFamily:
             return R
         return max(self.a, R)
 
-    def domain_at(self, t: float) -> MeridianDomain:
-        """Materialize the intermediate domain Omega_t as a MeridianDomain."""
-        R_t = self.first_zero(t)
-        a0_t = float(self.profile_at(0.0, t))
-        prof = ProfileFunction(
-            "homotopy", (self.target.profile.kind, t),
-            lambda r, _t=t: self.profile_at(r, _t), R_t, a0_t)
-        return MeridianDomain(self.target.n, prof, f"homotopy t={t:g}")
-
 
 def profile_at_t(h: HomotopyFamily, r, t: float):
     """Module-level alias for the interpolated profile evaluation."""
@@ -252,9 +243,6 @@ class MeridianGrid:
 
     def node_count_inside(self) -> int:
         return int(np.count_nonzero(self.inside))
-
-    def mirror_j(self, j):
-        return self.nz - 1 - j
 
 
 def _symmetric_axis(zmax: float, nz: int) -> np.ndarray:

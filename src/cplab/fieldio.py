@@ -13,8 +13,8 @@ import io
 
 import numpy as np
 
-from .domain import MeridianGrid, _symmetric_axis
-from .errors import ConfigError
+from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, _symmetric_axis, build_grid
+from .errors import ConfigError, GeometryViolationError
 from .oracle3d import VoxelField, _symmetric_coords
 from .solver import Field
 
@@ -75,8 +75,9 @@ def read_field(path):
     """Read a CPFIELD file; returns (Field, comments).
 
     The grid is reconstructed from the header and the nan pattern; it has
-    no profile attached, so geometry-free checks work but re-solving needs
-    the original domain description.
+    no profile attached and every cut fraction is 1, so only geometry-free
+    uses (round trips, heat maps) are sound. `on_domain` restores the true
+    grid for checks.
     """
     comments = []
     with open(path) as fh:
@@ -105,6 +106,30 @@ def read_field(path):
     inside = ~np.isnan(vals)
     grid = _bare_grid(nr, nz, rmax, zmax, t, inside)
     return Field(grid, np.where(inside, vals, 0.0), n), comments
+
+
+def on_domain(f: Field, d: MeridianDomain) -> Field:
+    """A field from `read_field` on the grid that domain d gives its header.
+
+    The grid is rebuilt from d (the homotopy family at the file's t when
+    t < 1) with the file's resolution and extent, so cut-arm fractions and
+    the profile are the true ones. A file whose dimension or nan pattern
+    disagrees with that grid raises GeometryViolationError.
+    """
+    g = f.grid
+    if f.n != d.n:
+        raise GeometryViolationError(f"field has n = {f.n}, the domain has n = {d.n}")
+    try:
+        grid = build_grid(d if g.t == 1.0 else HomotopyFamily(d), g.nr, g.nz,
+                          t=g.t, rmax=g.rmax, zmax=g.zmax)
+    except ValueError as exc:
+        raise GeometryViolationError(f"field grid does not fit the domain: {exc}") from None
+    differ = int(np.count_nonzero(grid.inside != g.inside))
+    if differ:
+        raise GeometryViolationError(
+            f"field nan pattern differs from the domain's inside mask at {differ} "
+            f"of {g.nr}x{g.nz} nodes")
+    return Field(grid, f.values, f.n)
 
 
 # -- CPVOX --------------------------------------------------------------------
@@ -201,12 +226,9 @@ def continuation_csv(record) -> str:
     return out.getvalue()
 
 
-def oracle_csv(linf_rel, cp_offset, rot_witness, mirror_witness, max_value) -> str:
-    out = io.StringIO()
-    out.write("linf_rel,cp_offset_cells,rotation_witness,mirror_witness,max_value\n")
-    out.write(",".join(fmt(x) for x in
-                       (linf_rel, cp_offset, rot_witness, mirror_witness, max_value)) + "\n")
-    return out.getvalue()
+def oracle_csv(row: dict) -> str:
+    """One header line of the row's keys, one line of its values."""
+    return ",".join(row) + "\n" + ",".join(fmt(v) for v in row.values()) + "\n"
 
 
 def heatmap_csv(f: Field) -> str:

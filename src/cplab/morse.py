@@ -65,6 +65,11 @@ class Census:
         return (len(self.points) == 1 and self.points[0].type == "max"
                 and self.points[0].nondegenerate)
 
+    @property
+    def unique_axis_max(self) -> bool:
+        """The census the theorems predict: one nondegenerate max, on the axis."""
+        return bool(self.unique_nondegenerate_max and self.points[0].on_axis)
+
 
 def classify(hessian: np.ndarray, tau_h: float):
     """Eigenvalue inertia with zero threshold tau_h.

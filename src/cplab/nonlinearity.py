@@ -77,14 +77,6 @@ class Nonlinearity:
         return float(self.eval(0.0, 0.0, 0.0)) > 0.0
 
 
-def eval(nl: Nonlinearity, r, z, u):
-    return nl.eval(r, z, u)
-
-
-def eval_du(nl: Nonlinearity, r, z, u):
-    return nl.eval_du(r, z, u)
-
-
 def constant(c: float) -> Nonlinearity:
     """Torsion-type source f = c."""
     c = float(c)

@@ -25,6 +25,13 @@ from .nonlinearity import Nonlinearity
 THETA_MIN_VOX = 0.1
 _BISECT = 45
 
+# Verdict of the oracle comparison: relative L-inf gap to the meridian
+# field, critical cluster offset in voxel cells, and both symmetry
+# witnesses relative to the oracle maximum.
+LINF_REL_MAX = 2e-2
+CP_OFFSET_CELLS_MAX = 2.0
+WITNESS_REL_MAX = 5e-3
+
 
 @dataclass
 class VoxelField:
@@ -322,3 +329,15 @@ def compare_with_axisymmetric(v: VoxelField, u) -> tuple:
             best = min(best, float(d))
         offset = max(offset, best)
     return linf_rel, offset
+
+
+def oracle_verdict(v: VoxelField, u) -> tuple[dict, bool]:
+    """Compare the oracle with the meridian field u: (comparison row, agreement)."""
+    linf_rel, offset = compare_with_axisymmetric(v, u)
+    rot, mir = symmetry_witnesses(v)
+    vmax = float(np.abs(v.values[v.mask]).max())
+    row = {"linf_rel": linf_rel, "cp_offset_cells": offset,
+           "rotation_witness": rot, "mirror_witness": mir, "max_value": vmax}
+    agrees = (linf_rel <= LINF_REL_MAX and offset <= CP_OFFSET_CELLS_MAX
+              and rot <= WITNESS_REL_MAX * vmax and mir <= WITNESS_REL_MAX * vmax)
+    return row, agrees

@@ -13,20 +13,20 @@ the cut point.
 
 The discrete operator is self-adjoint under the axisymmetric volume
 weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). Linear systems are solved by conjugate
-gradients on the exactly symmetric part of the weighted operator,
-preconditioned by an AMG V-cycle, inside a defect-correction loop that
-drives the residual of the true Shortley-Weller stencil to tolerance.
-Loss of positive definiteness (p^T A p <= 0, or running out of
-iterations) raises IndefiniteOperatorError — the numerical signature
-of an unstable linearization.
+arms perturb symmetry locally). Linear systems are solved by
+Jacobi-preconditioned conjugate gradients on the exactly symmetric part
+of the weighted operator, inside a defect-correction loop that drives
+the residual of the true Shortley-Weller stencil to tolerance. Loss of
+positive definiteness (p^T A p <= 0, or running out of iterations)
+raises IndefiniteOperatorError — the numerical signature of an unstable
+linearization.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,10 +40,7 @@ logger = logging.getLogger(__name__)
 TOL_PDE_DEFAULT = 1e-9     # discrete L-inf residual of the PDE
 TOL_LIN_DEFAULT = 1e-11    # relative residual of inner linear solves
 MAX_NEWTON_DEFAULT = 30
-MAX_LIN_ITER_DEFAULT = 20000
-
-# Hierarchy setup pins the global numpy RNG; serialize concurrent builds.
-_AMG_SETUP_LOCK = threading.Lock()
+MAX_LIN_ITER_DEFAULT = 20000  # CG iterations shared by one solve's sweeps
 
 
 @dataclass
@@ -108,7 +105,6 @@ class AxisymOperator:
         self.grid = grid
         self.n = int(n)
         self.active = grid.inside if active is None else (grid.inside & active)
-        self._amg = None
         self._build()
 
     def _build(self):
@@ -229,7 +225,7 @@ class AxisymOperator:
         vals = (diag - offsum)[self.active]
         return float(vals.min())
 
-    # -- preconditioning -------------------------------------------------------
+    # -- symmetric part ------------------------------------------------------
 
     def _flat_index(self):
         idx = -np.ones(self.active.shape, dtype=np.int64)
@@ -237,7 +233,7 @@ class AxisymOperator:
         return idx
 
     def weighted_matrix(self) -> sp.csr_matrix:
-        """W * (-Lap) over active nodes, symmetrized, for the preconditioner."""
+        """W * (-Lap) over active nodes, symmetrized: the operator inner CG sees."""
         idx = self._flat_index()
         nun = int(np.count_nonzero(self.active))
         rows, cols, data = [], [], []
@@ -257,65 +253,40 @@ class AxisymOperator:
                           shape=(nun, nun))
         return (B + B.T) * 0.5
 
+    @cached_property
     def _sym_system(self):
-        """Cached symmetric weighted Laplacian, AMG hierarchy and scatter maps."""
-        if self._amg is None:
-            Bs = self.weighted_matrix().tocsr()
-            try:
-                import pyamg
-                # pyamg's setup draws random probe vectors; pin the stream so
-                # identical inputs yield an identical hierarchy (replayable runs).
-                with _AMG_SETUP_LOCK:
-                    state = np.random.get_state()
-                    try:
-                        np.random.seed(0x5EED)
-                        ml = pyamg.smoothed_aggregation_solver(Bs, max_coarse=64)
-                    finally:
-                        np.random.set_state(state)
-                precond = ml.aspreconditioner(cycle="V")
-            except Exception:  # pragma: no cover - exercised only without pyamg
-                logger.warning("pyamg unavailable, falling back to Jacobi preconditioning")
-                dinv = 1.0 / Bs.diagonal()
-                precond = sp.linalg.LinearOperator(Bs.shape, matvec=lambda v: dinv * v)
-            jj, ii = np.nonzero(self.active)
-            self._amg = (Bs, precond, jj, ii)
-        return self._amg
-
-    def _sym_matrix_for(self, c: np.ndarray, shift: float):
-        """Bs + diag(w * (-c + shift)): the symmetric part of W*(-Lap - c + shift)."""
-        Bs, precond, jj, ii = self._sym_system()
-        key = (hash(c.tobytes()), float(shift))
-        cached = getattr(self, "_bc_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1], precond, jj, ii
-        Bc = Bs + sp.diags((self.w * (shift - c))[jj, ii])
-        self._bc_cache = (key, Bc.tocsr())
-        return self._bc_cache[1], precond, jj, ii
+        """Symmetric weighted Laplacian, its inverse diagonal and the active nodes."""
+        Bs = self.weighted_matrix()
+        jj, ii = np.nonzero(self.active)
+        return Bs, 1.0 / Bs.diagonal(), jj, ii
 
     # -- linear solves -----------------------------------------------------------
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, *, shift: float = 0.0,
-              tol_rel: float = TOL_LIN_DEFAULT, max_iter: int = MAX_LIN_ITER_DEFAULT,
+              tol_rel: float = TOL_LIN_DEFAULT,
               x0: np.ndarray | None = None) -> np.ndarray:
         """Solve (-Lap - c + shift) x = rhs with zero Dirichlet data.
 
-        Defect-corrected conjugate gradients: inner CG (AMG-preconditioned)
-        acts on the exactly symmetric part of the weighted operator, and an
-        outer correction loop drives the residual of the true Shortley-Weller
-        operator below tol_rel * ||rhs||_inf. The cut-arm perturbation is
-        small and boundary-local, so the outer loop contracts by orders of
-        magnitude per sweep. Indefiniteness (p^T A p <= 0 in the inner CG,
-        or running out of iterations) raises IndefiniteOperatorError.
+        Defect-corrected conjugate gradients: inner CG, preconditioned by
+        the inverse diagonal of the weighted Laplacian (Jacobi), acts on the
+        exactly symmetric part Bs + diag(w * (shift - c)) of the weighted
+        operator, and an outer correction loop drives the residual of the
+        true Shortley-Weller operator below tol_rel * ||rhs||_inf. The
+        cut-arm perturbation is small and boundary-local, so the outer loop
+        contracts by orders of magnitude per sweep. Indefiniteness
+        (p^T A p <= 0 in the inner CG, or exhausting the shared budget of
+        MAX_LIN_ITER_DEFAULT iterations) raises IndefiniteOperatorError.
         """
         act = self.active
         b = np.where(act, rhs, 0.0)
         bnorm = self.linf(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        Bc, precond, jj, ii = self._sym_matrix_for(np.where(act, c, 0.0), shift)
+        Bs, dinv, jj, ii = self._sym_system
+        Bc = Bs + sp.diags((self.w * (shift - np.where(act, c, 0.0)))[jj, ii])
 
         x = np.where(act, x0, 0.0) if x0 is not None else np.zeros_like(b)
-        budget = [max_iter]
+        budget = [MAX_LIN_ITER_DEFAULT]
         prev = np.inf
         stalled = 0
         for _ in range(40):
@@ -327,7 +298,7 @@ class AxisymOperator:
             if stalled >= 3:
                 break  # rounding floor of the true-operator residual
             prev = rn
-            d = _cg_flat(Bc, (self.w * rtrue)[jj, ii], precond,
+            d = _cg_flat(Bc, (self.w * rtrue)[jj, ii], dinv,
                          tol_rel=1e-6, budget=budget)
             upd = np.zeros_like(x)
             upd[jj, ii] = d
@@ -338,9 +309,9 @@ class AxisymOperator:
             f"target {tol_rel * bnorm:.3g})")
 
 
-def _cg_flat(A: sp.csr_matrix, b: np.ndarray, M, *, tol_rel: float,
-             budget: list) -> np.ndarray:
-    """Plain preconditioned CG on a symmetric positive definite sparse system.
+def _cg_flat(A: sp.csr_matrix, b: np.ndarray, dinv: np.ndarray, *,
+             tol_rel: float, budget: list) -> np.ndarray:
+    """Jacobi-preconditioned CG on a symmetric positive definite sparse system.
 
     `budget` is a single-element mutable iteration allowance shared across
     calls; exhausting it, or detecting p^T A p <= 0, raises
@@ -351,7 +322,7 @@ def _cg_flat(A: sp.csr_matrix, b: np.ndarray, M, *, tol_rel: float,
     if bnorm == 0.0:
         return x
     r = b.copy()
-    z = np.asarray(M @ r)
+    z = dinv * r
     p = z.copy()
     rz = float(r @ z)
     while True:
@@ -368,7 +339,7 @@ def _cg_flat(A: sp.csr_matrix, b: np.ndarray, M, *, tol_rel: float,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = np.asarray(M @ r)
+        z = dinv * r
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
@@ -384,12 +355,10 @@ def apply_axisym_laplacian(grid: MeridianGrid, n: int, u: Field) -> Field:
 
 
 def solve_linear(grid: MeridianGrid, n: int, c: Field, rhs: Field,
-                 tol_lin: float = TOL_LIN_DEFAULT,
-                 max_iter: int = MAX_LIN_ITER_DEFAULT) -> Field:
+                 tol_lin: float = TOL_LIN_DEFAULT) -> Field:
     """Solve (-Lap - c) phi = rhs with zero boundary data."""
     op = AxisymOperator(grid, n)
-    x = op.solve(np.where(grid.inside, c.values, 0.0), rhs.values,
-                 tol_rel=tol_lin, max_iter=max_iter)
+    x = op.solve(np.where(grid.inside, c.values, 0.0), rhs.values, tol_rel=tol_lin)
     return Field(grid, x, n)
 
 

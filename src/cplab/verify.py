@@ -112,6 +112,11 @@ def check_monotonicity(u: Field):
     return m_z, m_r, pct_z, pct_r
 
 
+def monotone(margin: float, pct: float, eps: float) -> bool:
+    """Discrete strict monotonicity: margin within eps_disc, bulk strictly negative."""
+    return margin <= eps and pct < 0.0
+
+
 def moving_plane_check(u: Field, lambdas=None) -> float:
     """Worst margin of w_lambda = u(p) - u(p_lambda) over reflections.
 
@@ -298,9 +303,9 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
     rows.append(CheckRow("axial_symmetry", sym, 10.0 * tol_pde, sym <= 10.0 * tol_pde))
 
     m_z, m_r, pct_z, pct_r = check_monotonicity(u)
-    rows.append(CheckRow("monotone_axial", m_z, eps, m_z <= eps and pct_z < 0.0))
-    rows.append(CheckRow("monotone_transverse", m_r, eps, m_r <= eps and pct_r < 0.0))
-    rows.append(CheckRow("monotone_radial", m_r, eps, m_r <= eps and pct_r < 0.0))
+    rows.append(CheckRow("monotone_axial", m_z, eps, monotone(m_z, pct_z, eps)))
+    rows.append(CheckRow("monotone_transverse", m_r, eps, monotone(m_r, pct_r, eps)))
+    rows.append(CheckRow("monotone_radial", m_r, eps, monotone(m_r, pct_r, eps)))
 
     if census is None:
         try:
@@ -308,12 +313,11 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
         except InternalContradictionError:
             census = None
     if census is not None:
-        cp_ok = (census.unique_nondegenerate_max and census.points
-                 and census.points[0].on_axis)
+        cp_ok = census.unique_axis_max
         cp_margin = abs(len(census.points) - 1) + (0.0 if cp_ok else 1.0)
     else:
         cp_ok, cp_margin = False, 1.0
-    rows.append(CheckRow("critical_point_census", cp_margin, 0.5, bool(cp_ok)))
+    rows.append(CheckRow("critical_point_census", cp_margin, 0.5, cp_ok))
 
     mp = moving_plane_check(u, lambdas)
     rows.append(CheckRow("moving_plane", mp, eps, mp <= eps))

@@ -203,3 +203,74 @@ def test_bad_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "[grid]\nnr = 65\n")
     assert main(["solve", "--config", str(cfg), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_verify_field_is_checked_on_the_config_grid(tmp_path, torsion_ball_65, capsys):
+    grid, _, _, _ = torsion_ball_65
+    bad = sv.Field(grid, np.where(grid.inside, 0.1 + 0.05 * grid.zs[:, None], 0.0), 3)
+    field_path = tmp_path / "bad.cpfield"
+    fieldio.write_field(bad, field_path)
+    cfg = write_config(tmp_path, TORSION_BALL)
+    out = tmp_path / "out"
+    status = main(["verify", "--config", str(cfg), "--out", str(out),
+                   "--field", str(field_path), "--quiet"])
+    assert status == 1
+    rows = {line.split(",")[0]: line.split(",")[-1]
+            for line in (out / "verification.csv").read_text().splitlines()[1:]}
+    assert rows["axial_symmetry"] == "false"
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_field_matches_the_in_memory_verification(tmp_path, torsion_ball_65):
+    from cplab import nonlinearity as nlin
+    from cplab.verify import run_verification
+    grid, u, _, _ = torsion_ball_65
+    field_path = tmp_path / "u.cpfield"
+    fieldio.write_field(u, field_path)
+    text = TORSION_BALL.replace("nr = 49\nnz = 99", "nr = 65\nnz = 129")
+    out = tmp_path / "out"
+    main(["verify", "--config", str(write_config(tmp_path, text)), "--out", str(out),
+          "--field", str(field_path), "--quiet"])
+    expected = run_verification(grid, 3, nlin.constant(1.0), u, with_uniqueness=False)
+    assert (out / "verification.csv").read_text() == fieldio.verification_csv(expected)
+
+
+def test_verify_field_runs_the_moving_plane_geometry_check(tmp_path, capsys):
+    # A profile with a dip: reflecting the far lobe toward the axis leaves
+    # the domain, which a grid without the profile cannot see.
+    (tmp_path / "dip.dat").write_text("0 1\n0.3 0.5\n0.6 0.9\n1 0\n")
+    cfg = write_config(tmp_path, "[domain]\nkind = tabulated\nfile = dip.dat\nn = 3\n"
+                                 "[nonlinearity]\nform = constant\nc = 1.0\n"
+                                 "[grid]\nnr = 33\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    status = main(["verify", "--config", str(cfg), "--out", str(out),
+                   "--field", str(out / "u.cpfield"), "--quiet"])
+    assert status == 1
+    assert "leaves the domain" in capsys.readouterr().err
+
+
+def test_verify_field_on_a_mismatched_domain_exits_1(tmp_path, torsion_ball_65, capsys):
+    _, u, _, _ = torsion_ball_65
+    field_path = tmp_path / "u.cpfield"
+    fieldio.write_field(u, field_path)
+    cfg = write_config(tmp_path, TORSION_BALL.replace("a = 1.0", "a = 0.9"))
+    out = tmp_path / "out"
+    status = main(["verify", "--config", str(cfg), "--out", str(out),
+                   "--field", str(field_path), "--quiet"])
+    assert status == 1
+    assert "nan pattern differs from the domain's inside mask" in capsys.readouterr().err
+    assert not (out / "verification.csv").exists()
+
+
+def test_on_domain_rebuilds_a_homotopy_grid(tmp_path):
+    from cplab import domain as dm
+    d = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
+    grid = dm.build_grid(dm.HomotopyFamily(d), 33, 33, t=0.375, rmax=1.0, zmax=1.0)
+    path = tmp_path / "step.cpfield"
+    fieldio.write_field(sv.Field.zeros(grid, 3), path)
+    stored, _ = fieldio.read_field(path)
+    rebuilt = fieldio.on_domain(stored, d).grid
+    assert rebuilt.t == 0.375 and rebuilt.g is not None
+    for name in ("inside", "interior", "theta_e", "theta_w", "theta_n", "theta_s"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(grid, name)), name

@@ -1,0 +1,100 @@
+"""Configuration parsing: every input yields a RunConfig or a ConfigError."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cplab.config import SCHEMA, parse_config
+from cplab.errors import ConfigError
+
+VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant\nc = 1.0\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (VALID + b"[solver]\ntol_pde = nan\n", r"cfg:9: \[solver\] tol_pde = 'nan' is not finite"),
+    (VALID + b"[continuation]\nt_step0 = nan\n", r"cfg:9: \[continuation\] t_step0 .* not finite"),
+    (VALID + b"[oracle]\nN = -4\n", r"cfg:9: \[oracle\] N must be >= 9"),
+    (VALID + b"[run]\nuniqueness_seeds = -1\n", r"cfg:9: \[run\] uniqueness_seeds must be >= 1"),
+    (VALID + b"[run]\nseed = 1\xff\n", r"cfg:9: not valid UTF-8"),
+    (VALID.replace(b"a = 1.0", b"a = -1"),
+     r"cfg:2: \[domain\] kind = ball: ball radius must be positive"),
+    (VALID.replace(b"a = 1.0", b"a = nan"), r"cfg:3: \[domain\] a = 'nan' is not finite"),
+])
+def test_rejected_values_name_their_line(tmp_path, data, message):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+
+
+# A usable value for every key, so that many examples parse in full.
+GOOD = {
+    "kind": ["ball", "spheroid", "bump", "tabulated"],
+    "form": ["constant", "affine", "gelfand", "power", "separable"],
+    "n": ["3", "2", "4"], "a": ["1", "0.5"], "b": ["0.5", "2"],
+    "coeffs": ["1 0 -2 0 1", "1 -1"], "file": ["profile.dat"],
+    "lambda": ["1", "0.5"], "c": ["1", "0"], "p": ["2", "1"],
+    "alpha": ["0", "1"], "beta": ["1", "0"], "nr": ["9", "33"], "nz": ["9", "33"],
+    "tol_pde": ["1e-9"], "max_newton": ["30"], "tol_lin": ["1e-11"],
+    "t_step0": ["0.05"], "t_step_min": ["1e-3"], "N": ["48", "9"],
+    "directory": ["out"], "emit_fields": ["false", "true"],
+    "seed": ["0", "7"], "uniqueness_seeds": ["5", "1"],
+}
+HOSTILE = st.one_of(
+    st.sampled_from(["0", "-1", "2", "1e-3", "nan", "inf", "-inf", "1e308", "5e-324",
+                     "1e999", "", "abc", "1 abc", "1 nan", "0 1", "run.cfg", "."]),
+    st.floats().map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.text(max_size=8))
+
+
+def value_for(key):
+    """Mostly a usable value, one time in ten a hostile one."""
+    return st.sampled_from([False] * 9 + [True]).flatmap(
+        lambda hostile: HOSTILE if hostile else st.sampled_from(GOOD[key]))
+
+
+@st.composite
+def config_bytes(draw):
+    """Config files built from SCHEMA sections and keys, with hostile values.
+
+    [domain] kind and [nonlinearity] form come first and are usually
+    present, so most examples get past the required-key check.
+    """
+    chunks = []
+
+    def section(name, keys):
+        chunks.append(f"[{name}]\n".encode())
+        for key in keys:
+            value = draw(value_for(key))
+            chunks.append(f"{key} = {value}\n".encode())
+
+    for name, first in (("domain", "kind"), ("nonlinearity", "form")):
+        rest = sorted(SCHEMA[name] - {first})
+        keys = draw(st.lists(st.sampled_from(rest), max_size=len(rest), unique=True))
+        section(name, ([first] if draw(st.sampled_from([True] * 9 + [False])) else [])
+                + keys)
+    others = sorted(SCHEMA.keys() - {"domain", "nonlinearity"})
+    for name in draw(st.lists(st.sampled_from(others), max_size=4, unique=True)):
+        keys = sorted(SCHEMA[name])
+        section(name, draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True)))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        at = draw(st.integers(0, len(chunks)))
+        chunks.insert(at, draw(st.binary(min_size=1, max_size=4)))
+    return b"".join(chunks)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=config_bytes())
+def test_any_config_parses_or_raises_config_error(tmp_path, data):
+    (tmp_path / "profile.dat").write_text("0 1\n0.5 0.8\n1 0\n")
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+    try:
+        cfg = parse_config(path)
+        d = cfg.build_domain()
+        cfg.build_nonlinearity()
+        cfg.grid_shape(d)
+    except ConfigError:
+        pass

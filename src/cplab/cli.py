@@ -234,6 +234,8 @@ def main(argv=None) -> int:
             cfg = RunConfig(raw={}, path="")
         out = Path(args.out) if args.out else Path(str(cfg.get("output", "directory")))
         seed = args.seed if args.seed is not None else cfg.get_int("run", "seed")
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         return run(args.command, cfg, out, seed,
                    field_path=getattr(args, "field", None), quiet=args.quiet)
     except ConfigError as exc:

@@ -257,7 +257,8 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     """Classify nodes and compute cut-arm fractions for a domain.
 
     `d` is a MeridianDomain, or a HomotopyFamily with the parameter `t`.
-    Explicit rmax/zmax let a fixed bounding box cover a whole homotopy run.
+    Explicit rmax/zmax let a fixed bounding box cover a whole homotopy run;
+    the default zmax, the sampled max of g on [0, R], clips no off-axis peak.
     """
     if nr < 9 or nz < 9:
         raise ValueError("nr and nz must be at least 9")
@@ -279,7 +280,8 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     if not np.isfinite(g0) or g0 <= 0:
         raise InvalidProfileError("profile must be positive at r = 0")
     rmax = float(rmax) if rmax is not None else R_t
-    zmax = float(zmax) if zmax is not None else g0
+    zmax = float(zmax) if zmax is not None else max(
+        g0, float(np.max(g(np.linspace(0.0, R_t, 1025)))))
 
     rs = np.linspace(0.0, rmax, nr)
     zs = _symmetric_axis(zmax, nz)

@@ -13,23 +13,26 @@ the cut point.
 
 The discrete operator is self-adjoint under the axisymmetric volume
 weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). Linear systems are solved by
-Jacobi-preconditioned conjugate gradients on the exactly symmetric part
-of the weighted operator, inside a defect-correction loop that drives
-the residual of the true Shortley-Weller stencil to tolerance. Loss of
-positive definiteness (p^T A p <= 0, or running out of iterations)
-raises IndefiniteOperatorError — the numerical signature of an unstable
+arms perturb symmetry locally). The exactly symmetric part of the
+weighted operator is factored once by sparse LU (SuperLU, symmetric
+mode, diagonal pivots); back-solves with the factor are the inner solves
+of a defect-correction loop that drives the residual of the true
+Shortley-Weller stencil to tolerance. By Sylvester's law a nonpositive
+pivot means loss of positive definiteness and raises
+IndefiniteOperatorError — the numerical signature of an unstable
 linearization.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .domain import MeridianGrid
 from .errors import IndefiniteOperatorError
@@ -40,7 +43,10 @@ logger = logging.getLogger(__name__)
 TOL_PDE_DEFAULT = 1e-9     # discrete L-inf residual of the PDE
 TOL_LIN_DEFAULT = 1e-11    # relative residual of inner linear solves
 MAX_NEWTON_DEFAULT = 30
-MAX_LIN_ITER_DEFAULT = 20000  # CG iterations shared by one solve's sweeps
+
+# SuperLU holds the GIL, so concurrent factorizations gain no speed, only
+# memory: AxisymOperator.solve keeps at most one factor resident.
+_FACTOR_LOCK = threading.Lock()
 
 
 @dataclass
@@ -227,15 +233,11 @@ class AxisymOperator:
 
     # -- symmetric part ------------------------------------------------------
 
-    def _flat_index(self):
-        idx = -np.ones(self.active.shape, dtype=np.int64)
-        idx[self.active] = np.arange(np.count_nonzero(self.active))
-        return idx
-
     def weighted_matrix(self) -> sp.csr_matrix:
-        """W * (-Lap) over active nodes, symmetrized: the operator inner CG sees."""
-        idx = self._flat_index()
+        """W * (-Lap) over active nodes, symmetrized: the part that is factored."""
         nun = int(np.count_nonzero(self.active))
+        idx = -np.ones(self.active.shape, dtype=np.int64)
+        idx[self.active] = np.arange(nun)
         rows, cols, data = [], [], []
         jj, ii = np.nonzero(self.active)
         w = self.w[jj, ii]
@@ -255,95 +257,86 @@ class AxisymOperator:
 
     @cached_property
     def _sym_system(self):
-        """Symmetric weighted Laplacian, its inverse diagonal and the active nodes."""
-        Bs = self.weighted_matrix()
-        jj, ii = np.nonzero(self.active)
-        return Bs, 1.0 / Bs.diagonal(), jj, ii
+        """Symmetric weighted Laplacian and the active nodes in its order."""
+        return self.weighted_matrix(), np.nonzero(self.active)
 
     # -- linear solves -----------------------------------------------------------
+
+    def factor(self, c: np.ndarray, shift: float = 0.0) -> "ShiftedFactor":
+        """Factor (-Lap - c + shift) once for any number of solves."""
+        return ShiftedFactor(self, c, shift)
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, *, shift: float = 0.0,
               tol_rel: float = TOL_LIN_DEFAULT,
               x0: np.ndarray | None = None) -> np.ndarray:
         """Solve (-Lap - c + shift) x = rhs with zero Dirichlet data.
 
-        Defect-corrected conjugate gradients: inner CG, preconditioned by
-        the inverse diagonal of the weighted Laplacian (Jacobi), acts on the
-        exactly symmetric part Bs + diag(w * (shift - c)) of the weighted
-        operator, and an outer correction loop drives the residual of the
-        true Shortley-Weller operator below tol_rel * ||rhs||_inf. The
-        cut-arm perturbation is small and boundary-local, so the outer loop
-        contracts by orders of magnitude per sweep. Indefiniteness
-        (p^T A p <= 0 in the inner CG, or exhausting the shared budget of
-        MAX_LIN_ITER_DEFAULT iterations) raises IndefiniteOperatorError.
+        Factor, then solve: see ShiftedFactor, whose IndefiniteOperatorError
+        propagates.
         """
-        act = self.active
-        b = np.where(act, rhs, 0.0)
-        bnorm = self.linf(b)
+        with _FACTOR_LOCK:
+            return self.factor(c, shift).solve(rhs, tol_rel=tol_rel, x0=x0)
+
+
+class ShiftedFactor:
+    """Sparse LU of the symmetric weighted part of (-Lap - c + shift).
+
+    A = Bs + diag(w * (shift - c)) is factored by SuperLU in symmetric mode
+    with diagonal pivots, P A P^T = L D L^T with D the diagonal of U, so by
+    Sylvester's law A is positive definite iff every pivot is positive. A
+    nonpositive pivot, an off-diagonal pivot (perm_r != perm_c) or an
+    exactly singular A raises IndefiniteOperatorError.
+    """
+
+    def __init__(self, op: AxisymOperator, c: np.ndarray, shift: float):
+        self.op, self.shift = op, shift
+        self.c = np.where(op.active, c, 0.0)
+        Bs, self._nodes = op._sym_system
+        A = Bs + sp.diags((op.w * (shift - self.c))[self._nodes])
+        try:
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise IndefiniteOperatorError(f"operator is singular ({exc})") from None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise IndefiniteOperatorError("operator not positive definite (off-diagonal pivot)")
+        pivot = float(lu.U.diagonal().min())
+        if pivot <= 0.0:
+            raise IndefiniteOperatorError(f"operator not positive definite (pivot {pivot:.3g})")
+        self._lu = lu
+
+    def solve(self, rhs: np.ndarray, *, tol_rel: float = TOL_LIN_DEFAULT,
+              x0: np.ndarray | None = None) -> np.ndarray:
+        """Defect-corrected solve of (-Lap - c + shift) x = rhs.
+
+        Each sweep back-solves the factor against the weighted residual of
+        the true Shortley-Weller operator, until that residual is below
+        tol_rel * ||rhs||_inf. The cut-arm asymmetry is small and
+        boundary-local, so the sweeps contract fast; a residual that stalls
+        above the target raises IndefiniteOperatorError.
+        """
+        op, c, shift = self.op, self.c, self.shift
+        b = np.where(op.active, rhs, 0.0)
+        bnorm = op.linf(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        Bs, dinv, jj, ii = self._sym_system
-        Bc = Bs + sp.diags((self.w * (shift - np.where(act, c, 0.0)))[jj, ii])
-
-        x = np.where(act, x0, 0.0) if x0 is not None else np.zeros_like(b)
-        budget = [MAX_LIN_ITER_DEFAULT]
+        x = np.where(op.active, x0, 0.0) if x0 is not None else np.zeros_like(b)
         prev = np.inf
         stalled = 0
         for _ in range(40):
-            rtrue = b - self.apply(x, c, shift)
-            rn = self.linf(rtrue)
+            rtrue = b - op.apply(x, c, shift)
+            rn = op.linf(rtrue)
             if rn <= tol_rel * bnorm:
                 return x
             stalled = stalled + 1 if rn >= 0.5 * prev else 0
             if stalled >= 3:
                 break  # rounding floor of the true-operator residual
             prev = rn
-            d = _cg_flat(Bc, (self.w * rtrue)[jj, ii], dinv,
-                         tol_rel=1e-6, budget=budget)
-            upd = np.zeros_like(x)
-            upd[jj, ii] = d
-            x = x + upd
+            x[self._nodes] += self._lu.solve((op.w * rtrue)[self._nodes])
         raise IndefiniteOperatorError(
             "defect-correction loop failed to reach tolerance "
-            f"(residual {self.linf(b - self.apply(x, c, shift)):.3g}, "
+            f"(residual {op.linf(b - op.apply(x, c, shift)):.3g}, "
             f"target {tol_rel * bnorm:.3g})")
-
-
-def _cg_flat(A: sp.csr_matrix, b: np.ndarray, dinv: np.ndarray, *,
-             tol_rel: float, budget: list) -> np.ndarray:
-    """Jacobi-preconditioned CG on a symmetric positive definite sparse system.
-
-    `budget` is a single-element mutable iteration allowance shared across
-    calls; exhausting it, or detecting p^T A p <= 0, raises
-    IndefiniteOperatorError.
-    """
-    bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x
-    r = b.copy()
-    z = dinv * r
-    p = z.copy()
-    rz = float(r @ z)
-    while True:
-        if np.linalg.norm(r) <= tol_rel * bnorm:
-            return x
-        if budget[0] <= 0:
-            raise IndefiniteOperatorError("linear solver iteration budget exhausted")
-        budget[0] -= 1
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise IndefiniteOperatorError(
-                f"operator not positive definite (p^T A p = {pAp:.3g})")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = dinv * r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
 
 
 def apply_axisym_laplacian(grid: MeridianGrid, n: int, u: Field) -> Field:

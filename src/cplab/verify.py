@@ -31,7 +31,7 @@ from .errors import GeometryViolationError, InternalContradictionError
 from .interp import Bicubic, safe_cells, cell_index
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
-from .solver import (Field, TOL_PDE_DEFAULT, derivative_field, newton_solve)
+from .solver import AxisymOperator, Field, TOL_PDE_DEFAULT, derivative_field, newton_solve
 
 # Calibrated on the torsion ball at the acceptance grids (see
 # tests/test_verify.py): the largest observed derivative error divided by
@@ -222,9 +222,10 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     Newton runs from `seeds` random nonnegative initial fields, uniform in
     [0, 2*max(u_0)] with u_0 the zero-guess solution. Non-converged seeds
     are a basin failure, not a uniqueness failure, and are reported
-    separately.
+    separately. All solves share one operator.
     """
-    base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde)
+    op = AxisymOperator(grid, n)
+    base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde, op=op)
     if not rep.converged:
         raise RuntimeError("baseline zero-guess solve did not converge")
     amp = 2.0 * max(base.max_inside(), 0.0)
@@ -234,7 +235,7 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
 
     def run(u0_vals):
         try:
-            f, r = newton_solve(grid, n, nl, Field(grid, u0_vals, n), tol_pde=tol_pde)
+            f, r = newton_solve(grid, n, nl, Field(grid, u0_vals, n), tol_pde=tol_pde, op=op)
             return f if r.converged else None
         except Exception:
             return None

@@ -250,6 +250,32 @@ def test_verify_field_runs_the_moving_plane_geometry_check(tmp_path, capsys):
     assert "leaves the domain" in capsys.readouterr().err
 
 
+def test_verify_sees_the_whole_off_axis_peak(tmp_path, capsys):
+    # g(0) = 0.5 < g(0.5) = 1.0: on the whole domain the reflection of the
+    # peak toward the axis leaves it, which a grid clipped at g(0) hides.
+    (tmp_path / "peak.dat").write_text("0 0.5\n0.5 1.0\n1 0\n")
+    cfg = write_config(tmp_path, "[domain]\nkind = tabulated\nfile = peak.dat\nn = 3\n"
+                                 "[nonlinearity]\nform = constant\nc = 1.0\n"
+                                 "[grid]\nnr = 33\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    stored, _ = fieldio.read_field(out / "u.cpfield")
+    assert stored.grid.zmax >= 1.0
+    status = main(["verify", "--config", str(cfg), "--out", str(out),
+                   "--field", str(out / "u.cpfield"), "--quiet"])
+    assert status == 1
+    assert "leaves the domain" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, TORSION_BALL.replace("nr = 49\nnz = 99", "nr = 17\nnz = 33"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--seed", "-1", "--quiet"]) == 2
+    assert "config error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (out / "verification.csv").exists()
+
+
 def test_verify_field_on_a_mismatched_domain_exits_1(tmp_path, torsion_ball_65, capsys):
     _, u, _, _ = torsion_ball_65
     field_path = tmp_path / "u.cpfield"

@@ -153,6 +153,16 @@ def test_homotopy_t1_exact_at_tabulated_knots():
     assert np.array_equal(got, np.array(values[:-1]))
 
 
+def test_grid_height_covers_an_off_axis_peak():
+    # g(0) = 0.5 but g(0.5) = 1.0: the default box must not clip the peak.
+    d = dm.MeridianDomain(3, dm.tabulated([0.0, 0.5, 1.0], [0.5, 1.0, 0.0]))
+    grid = dm.build_grid(d, 33, 65)
+    assert grid.zmax >= 1.0
+    assert grid.inside[grid.nz - 2, :].any()
+    # a monotone profile keeps the box of height g(0)
+    assert dm.build_grid(dm.MeridianDomain(3, dm.ball(1.0)), 33, 65).zmax == 1.0
+
+
 def test_build_grid_errors():
     d = dm.MeridianDomain(3, dm.ball(1.0))
     with pytest.raises(ValueError):

@@ -56,6 +56,23 @@ def test_solve_linear_definiteness_threshold(torsion_ball_65):
                         rhs)
 
 
+def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
+    # The discrete lambda1 of the unit ball is ~pi^2: -Lap - 9 is positive
+    # definite, -Lap - 10.5 is not, and the pivots of the factor say so.
+    grid, _, _, _ = torsion_ball_65
+    rhs = sv.Field.from_function(grid, 3, lambda R, Z: np.ones_like(R))
+
+    def const(value):
+        return sv.Field.from_function(grid, 3, lambda R, Z: value * np.ones_like(R))
+
+    # 1e-11 relative is below the rounding floor of the residual of a
+    # solution this large (~2.3), so this solve asks for 1e-10.
+    phi = sv.solve_linear(grid, 3, const(9.0), rhs, tol_lin=1e-10)
+    assert phi.min_inside() > 0.0
+    with pytest.raises(IndefiniteOperatorError, match="pivot"):
+        sv.solve_linear(grid, 3, const(10.5), rhs)
+
+
 def test_torsion_one_newton_step(torsion_ball_65):
     grid, u, rep, _ = torsion_ball_65
     assert rep.newton_iterations == 1

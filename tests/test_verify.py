@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ def test_uniqueness_multistart_gelfand(gelfand_ball_65):
                                                         seeds=3, seed=3)
     assert converged >= 2
     assert worst <= 1e-8
+
+
+def test_uniqueness_multistart_is_independent_of_thread_count(gelfand_ball_65, monkeypatch):
+    # The pool threads share one operator and the factorization lock; with
+    # more threads than cores and frequent switches the result must not move.
+    grid, _, _, _ = gelfand_ball_65
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("CPL_THREADS", threads)
+            results.append(vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0),
+                                                    seeds=4, seed=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0][1:] == (4, 0)
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_uniqueness_multistart_near_fold():

@@ -44,8 +44,7 @@ def _solve_from_config(cfg: RunConfig):
     grid = build_grid(d, nr, nz)
     u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n),
                           tol_pde=cfg.get_float("solver", "tol_pde"),
-                          max_newton=cfg.get_int("solver", "max_newton"),
-                          tol_lin=cfg.get_float("solver", "tol_lin"))
+                          max_newton=cfg.get_int("solver", "max_newton"))
     return d, f, grid, u, rep
 
 

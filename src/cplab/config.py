@@ -29,7 +29,7 @@ SCHEMA = {
     "domain": {"kind", "a", "b", "coeffs", "file", "n"},
     "nonlinearity": {"form", "lambda", "c", "p", "alpha", "beta"},
     "grid": {"nr", "nz"},
-    "solver": {"tol_pde", "max_newton", "tol_lin"},
+    "solver": {"tol_pde", "max_newton"},
     "continuation": {"t_step0", "t_step_min"},
     "oracle": {"N"},
     "output": {"directory", "emit_fields"},
@@ -40,7 +40,6 @@ DEFAULTS = {
     ("domain", "n"): 3,
     ("grid", "nr"): 129,
     ("solver", "tol_pde"): 1e-9,
-    ("solver", "tol_lin"): 1e-11,
     ("solver", "max_newton"): 30,
     ("continuation", "t_step0"): 0.05,
     ("continuation", "t_step_min"): 1e-3,
@@ -183,8 +182,8 @@ class RunConfig:
         return nr, nz
 
     def validate(self):
-        for section, key in (("solver", "tol_pde"), ("solver", "tol_lin"),
-                             ("continuation", "t_step0"), ("continuation", "t_step_min")):
+        for section, key in (("solver", "tol_pde"), ("continuation", "t_step0"),
+                             ("continuation", "t_step_min")):
             if self.get_float(section, key) <= 0:
                 raise self._error(section, key, "must be positive")
         if self.get_float("continuation", "t_step0") > 0.1:

@@ -13,12 +13,10 @@ the cut point.
 
 The discrete operator is self-adjoint under the axisymmetric volume
 weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). The exactly symmetric part of the
-weighted operator is factored once by sparse LU (SuperLU, symmetric
-mode, diagonal pivots); back-solves with the factor are the inner solves
-of a defect-correction loop that drives the residual of the true
-Shortley-Weller stencil to tolerance. By Sylvester's law a nonpositive
-pivot means loss of positive definiteness and raises
+arms perturb symmetry locally). The weighted operator W(-Lap - c + shift),
+cut arms included, is factored once by sparse LU (SuperLU, symmetric
+mode, diagonal pivots), and every solve is one exact back-solve with
+that factor. The same pivots test definiteness: a nonpositive pivot raises
 IndefiniteOperatorError — the numerical signature of an unstable
 linearization.
 """
@@ -41,7 +39,6 @@ from .nonlinearity import Nonlinearity
 logger = logging.getLogger(__name__)
 
 TOL_PDE_DEFAULT = 1e-9     # discrete L-inf residual of the PDE
-TOL_LIN_DEFAULT = 1e-11    # relative residual of inner linear solves
 MAX_NEWTON_DEFAULT = 30
 
 # SuperLU holds the GIL, so concurrent factorizations gain no speed, only
@@ -231,10 +228,10 @@ class AxisymOperator:
         vals = (diag - offsum)[self.active]
         return float(vals.min())
 
-    # -- symmetric part ------------------------------------------------------
+    # -- weighted matrix -------------------------------------------------------
 
     def weighted_matrix(self) -> sp.csr_matrix:
-        """W * (-Lap) over active nodes, symmetrized: the part that is factored."""
+        """W * (-Lap) over active nodes, in the order of np.nonzero(active)."""
         nun = int(np.count_nonzero(self.active))
         idx = -np.ones(self.active.shape, dtype=np.int64)
         idx[self.active] = np.arange(nun)
@@ -250,14 +247,13 @@ class AxisymOperator:
             rows.append(idx[jj_s, ii_s])
             cols.append(idx[jj_s + dj, ii_s + di])
             data.append(-cvals[sel] * w[sel])
-        B = sp.csr_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(nun, nun))
-        return (B + B.T) * 0.5
+        return sp.csr_matrix((np.concatenate(data),
+                              (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(nun, nun))
 
     @cached_property
-    def _sym_system(self):
-        """Symmetric weighted Laplacian and the active nodes in its order."""
+    def _weighted_system(self):
+        """Weighted Laplacian and the active nodes in its order."""
         return self.weighted_matrix(), np.nonzero(self.active)
 
     # -- linear solves -----------------------------------------------------------
@@ -266,33 +262,36 @@ class AxisymOperator:
         """Factor (-Lap - c + shift) once for any number of solves."""
         return ShiftedFactor(self, c, shift)
 
-    def solve(self, c: np.ndarray, rhs: np.ndarray, *, shift: float = 0.0,
-              tol_rel: float = TOL_LIN_DEFAULT,
-              x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, c: np.ndarray, rhs: np.ndarray, *, shift: float = 0.0) -> np.ndarray:
         """Solve (-Lap - c + shift) x = rhs with zero Dirichlet data.
 
         Factor, then solve: see ShiftedFactor, whose IndefiniteOperatorError
         propagates.
         """
         with _FACTOR_LOCK:
-            return self.factor(c, shift).solve(rhs, tol_rel=tol_rel, x0=x0)
+            return self.factor(c, shift).solve(rhs)
 
 
 class ShiftedFactor:
-    """Sparse LU of the symmetric weighted part of (-Lap - c + shift).
+    """Sparse LU of the weighted operator W(-Lap - c + shift).
 
-    A = Bs + diag(w * (shift - c)) is factored by SuperLU in symmetric mode
-    with diagonal pivots, P A P^T = L D L^T with D the diagonal of U, so by
-    Sylvester's law A is positive definite iff every pivot is positive. A
-    nonpositive pivot, an off-diagonal pivot (perm_r != perm_c) or an
-    exactly singular A raises IndefiniteOperatorError.
+    A = B + diag(w * (shift - c)), with B = W(-Lap) the weighted
+    Shortley-Weller matrix, is factored by SuperLU in symmetric mode with
+    diagonal pivots, P A P^T = L U, so every solve is one back-solve of
+    W rhs. The pivots of U are all positive iff every leading principal
+    minor of P A P^T is. For n <= 4, A is a Z-matrix, for which that holds
+    iff A is a nonsingular M-matrix (Berman & Plemmons, ch. 6), i.e. iff
+    the first eigenvalue of -Lap - c + shift is positive. For n >= 5 the
+    radial coupling toward the axis changes sign next to it, and the
+    pivot test is the same criterion without that theorem. A nonpositive pivot, an
+    off-diagonal pivot (perm_r != perm_c) or an exactly singular A raises
+    IndefiniteOperatorError.
     """
 
     def __init__(self, op: AxisymOperator, c: np.ndarray, shift: float):
-        self.op, self.shift = op, shift
-        self.c = np.where(op.active, c, 0.0)
-        Bs, self._nodes = op._sym_system
-        A = Bs + sp.diags((op.w * (shift - self.c))[self._nodes])
+        self.op = op
+        B, self._nodes = op._weighted_system
+        A = B + sp.diags((op.w * (shift - np.where(op.active, c, 0.0)))[self._nodes])
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
@@ -305,38 +304,11 @@ class ShiftedFactor:
             raise IndefiniteOperatorError(f"operator not positive definite (pivot {pivot:.3g})")
         self._lu = lu
 
-    def solve(self, rhs: np.ndarray, *, tol_rel: float = TOL_LIN_DEFAULT,
-              x0: np.ndarray | None = None) -> np.ndarray:
-        """Defect-corrected solve of (-Lap - c + shift) x = rhs.
-
-        Each sweep back-solves the factor against the weighted residual of
-        the true Shortley-Weller operator, until that residual is below
-        tol_rel * ||rhs||_inf. The cut-arm asymmetry is small and
-        boundary-local, so the sweeps contract fast; a residual that stalls
-        above the target raises IndefiniteOperatorError.
-        """
-        op, c, shift = self.op, self.c, self.shift
-        b = np.where(op.active, rhs, 0.0)
-        bnorm = op.linf(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        x = np.where(op.active, x0, 0.0) if x0 is not None else np.zeros_like(b)
-        prev = np.inf
-        stalled = 0
-        for _ in range(40):
-            rtrue = b - op.apply(x, c, shift)
-            rn = op.linf(rtrue)
-            if rn <= tol_rel * bnorm:
-                return x
-            stalled = stalled + 1 if rn >= 0.5 * prev else 0
-            if stalled >= 3:
-                break  # rounding floor of the true-operator residual
-            prev = rn
-            x[self._nodes] += self._lu.solve((op.w * rtrue)[self._nodes])
-        raise IndefiniteOperatorError(
-            "defect-correction loop failed to reach tolerance "
-            f"(residual {op.linf(b - op.apply(x, c, shift)):.3g}, "
-            f"target {tol_rel * bnorm:.3g})")
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Exact solve of (-Lap - c + shift) x = rhs: one back-solve of W rhs."""
+        x = np.zeros_like(self.op.w)
+        x[self._nodes] = self._lu.solve((self.op.w * rhs)[self._nodes])
+        return x
 
 
 def apply_axisym_laplacian(grid: MeridianGrid, n: int, u: Field) -> Field:
@@ -347,11 +319,10 @@ def apply_axisym_laplacian(grid: MeridianGrid, n: int, u: Field) -> Field:
     return Field(grid, op.laplacian(u.values), n)
 
 
-def solve_linear(grid: MeridianGrid, n: int, c: Field, rhs: Field,
-                 tol_lin: float = TOL_LIN_DEFAULT) -> Field:
+def solve_linear(grid: MeridianGrid, n: int, c: Field, rhs: Field) -> Field:
     """Solve (-Lap - c) phi = rhs with zero boundary data."""
     op = AxisymOperator(grid, n)
-    x = op.solve(np.where(grid.inside, c.values, 0.0), rhs.values, tol_rel=tol_lin)
+    x = op.solve(np.where(grid.inside, c.values, 0.0), rhs.values)
     return Field(grid, x, n)
 
 
@@ -370,7 +341,6 @@ def pde_residual(op: AxisymOperator, nl: Nonlinearity, values: np.ndarray) -> np
 def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
                  tol_pde: float = TOL_PDE_DEFAULT,
                  max_newton: int = MAX_NEWTON_DEFAULT,
-                 tol_lin: float = TOL_LIN_DEFAULT,
                  op: AxisymOperator | None = None) -> tuple[Field, SolveReport]:
     """Damped Newton iteration for -Lap u = f(x, u), u = 0 on the boundary.
 
@@ -394,7 +364,7 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
 
     while not converged and iters < max_newton:
         c = np.where(op.active, nl.eval_du(R, Z, u), 0.0)
-        delta = op.solve(c, resvec, tol_rel=tol_lin)
+        delta = op.solve(c, resvec)
         step = 1.0
         accepted = False
         for halving in range(21):

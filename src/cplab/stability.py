@@ -9,9 +9,10 @@ quadratic form
 is positive for every nonzero test function. The quotient is evaluated
 with the axisymmetric volume weight r^(n-2) (the angular measure factor
 cancels). The smallest eigenvalue comes from shifted inverse power
-iteration: the operator, shifted by a Gershgorin bound, is factored once
-and every iteration back-solves with that factor. Pivots that show it is
-not positive definite double the shift for a fresh factorization.
+iteration: the true Shortley-Weller operator, shifted by a Gershgorin
+bound, is factored once and every iteration is one exact back-solve with
+that factor. Pivots that show it is not positive definite double the
+shift for a fresh factorization.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
         try:
             lu = op.factor(c, shift)
             for _ in range(max_iter):
-                x0 = None if lam_op is None else phi / max(lam_op + shift, 1e-30)
-                x = lu.solve(phi, x0=x0)
+                x = lu.solve(phi)
                 nrm = op.norm(x)
                 if not np.isfinite(nrm) or nrm == 0.0:
                     raise IndefiniteOperatorError("inverse iteration produced a null vector")
@@ -132,7 +132,6 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
                 raise EigenFailureError(
                     f"eigen solve failed after shift retries (last shift {shift:.3g})")
             shift = 2.0 * shift + max(1.0, abs(floor))
-            lam_op = None
 
     if residual > tol_eig * max(1.0, abs(lam_op)):
         raise EigenFailureError(

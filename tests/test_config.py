@@ -13,6 +13,7 @@ VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant
 @pytest.mark.parametrize("data, message", [
     (VALID + b"[solver]\ntol_pde = nan\n", r"cfg:9: \[solver\] tol_pde = 'nan' is not finite"),
     (VALID + b"[continuation]\nt_step0 = nan\n", r"cfg:9: \[continuation\] t_step0 .* not finite"),
+    (VALID + b"[solver]\ntol_lin = 1e-11\n", r"cfg:9: unknown key 'tol_lin' in \[solver\]"),
     (VALID + b"[oracle]\nN = -4\n", r"cfg:9: \[oracle\] N must be >= 9"),
     (VALID + b"[run]\nuniqueness_seeds = -1\n", r"cfg:9: \[run\] uniqueness_seeds must be >= 1"),
     (VALID + b"[run]\nseed = 1\xff\n", r"cfg:9: not valid UTF-8"),
@@ -35,7 +36,7 @@ GOOD = {
     "coeffs": ["1 0 -2 0 1", "1 -1"], "file": ["profile.dat"],
     "lambda": ["1", "0.5"], "c": ["1", "0"], "p": ["2", "1"],
     "alpha": ["0", "1"], "beta": ["1", "0"], "nr": ["9", "33"], "nz": ["9", "33"],
-    "tol_pde": ["1e-9"], "max_newton": ["30"], "tol_lin": ["1e-11"],
+    "tol_pde": ["1e-9"], "max_newton": ["30"],
     "t_step0": ["0.05"], "t_step_min": ["1e-3"], "N": ["48", "9"],
     "directory": ["out"], "emit_fields": ["false", "true"],
     "seed": ["0", "7"], "uniqueness_seeds": ["5", "1"],

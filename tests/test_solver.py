@@ -4,6 +4,7 @@ import pytest
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
+from cplab import stability as st
 from cplab.errors import IndefiniteOperatorError
 
 from oracles import (GELFAND1_U0, gelfand_radial_shoot, manufactured_problem,
@@ -65,12 +66,31 @@ def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
     def const(value):
         return sv.Field.from_function(grid, 3, lambda R, Z: value * np.ones_like(R))
 
-    # 1e-11 relative is below the rounding floor of the residual of a
-    # solution this large (~2.3), so this solve asks for 1e-10.
-    phi = sv.solve_linear(grid, 3, const(9.0), rhs, tol_lin=1e-10)
+    phi = sv.solve_linear(grid, 3, const(9.0), rhs)
     assert phi.min_inside() > 0.0
     with pytest.raises(IndefiniteOperatorError, match="pivot"):
         sv.solve_linear(grid, 3, const(10.5), rhs)
+
+
+@pytest.mark.parametrize("n, nr, nz", [(2, 49, 97), (3, 65, 129), (4, 49, 97)])
+def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz):
+    # The pivots test the operator that is solved: -Lap - c solves right
+    # up to its first eigenvalue and raises just past it.
+    grid = dm.build_grid(dm.MeridianDomain(n, dm.ball(1.0)), nr, nz)
+    rep = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0),
+                                 tol_eig=1e-10)
+    op = sv.AxisymOperator(grid, n)
+    phi = rep.eigenfield.values
+    lam = op.dot(phi, op.apply(phi, 0.0)) / op.dot(phi, phi)
+    rhs = sv.Field.from_function(grid, n, lambda R, Z: np.ones_like(R))
+
+    def const(value):
+        return sv.Field.from_function(grid, n, lambda R, Z: value * np.ones_like(R))
+
+    for c in (lam - 1e-4, lam - 0.05):
+        assert sv.solve_linear(grid, n, const(c), rhs).min_inside() > 0.0
+    with pytest.raises(IndefiniteOperatorError, match="pivot"):
+        sv.solve_linear(grid, n, const(lam + 1e-4), rhs)
 
 
 def test_torsion_one_newton_step(torsion_ball_65):
@@ -82,6 +102,17 @@ def test_torsion_one_newton_step(torsion_ball_65):
     Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
     err = np.abs(u.values - np.where(grid.inside, exact(R, Z), 0.0))[grid.inside].max()
     assert err < 5e-4
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_torsion_one_newton_step_in_higher_dimensions(n):
+    grid = dm.build_grid(dm.MeridianDomain(n, dm.ball(1.0)), 33, 65)
+    u, rep = sv.newton_solve(grid, n, nlin.constant(1.0), sv.Field.zeros(grid, n))
+    assert rep.converged
+    assert rep.newton_iterations == 1
+    exact = torsion_ball_exact(1.0, n)
+    Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
+    assert np.abs(u.values - exact(R, Z))[grid.inside].max() < 5e-4
 
 
 def test_affine_one_newton_step(torsion_ball_65):

@@ -10,12 +10,12 @@ written as `nan`.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, _symmetric_axis, build_grid
 from .errors import ConfigError, GeometryViolationError
-from .oracle3d import VoxelField, _symmetric_coords
 from .solver import Field
 
 
@@ -133,6 +133,29 @@ def on_domain(f: Field, d: MeridianDomain) -> Field:
 
 
 # -- CPVOX --------------------------------------------------------------------
+
+
+@dataclass
+class VoxelField:
+    """Values on voxel centers of [-R, R]^2 x [-a0, a0]; outside = 0."""
+
+    N: int
+    xs: np.ndarray
+    ys: np.ndarray
+    zs: np.ndarray
+    mask: np.ndarray    # inside voxels, shape (N, N, N) ordered [z, y, x]
+    values: np.ndarray
+
+    @property
+    def spacings(self):
+        return (self.xs[1] - self.xs[0], self.ys[1] - self.ys[0],
+                self.zs[1] - self.zs[0])
+
+
+def _symmetric_coords(extent: float, N: int) -> np.ndarray:
+    # (i - (N-1)/2) * dx is bitwise antisymmetric under i -> N-1-i.
+    dx = 2.0 * extent / (N - 1)
+    return (np.arange(N) - (N - 1) / 2.0) * dx
 
 
 def write_voxels(v: VoxelField, path, comments=()) -> None:

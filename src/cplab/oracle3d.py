@@ -8,18 +8,23 @@ able to fail independently. Agreement between the two — values, critical
 point count and location, and the symmetry witnesses of the raw voxel
 solution — is what backs the meridian results.
 
+All linear algebra runs on vectors over the inside voxels only: the
+stencil is assembled once as a CSR matrix over them, and Newton, its
+line search and the Jacobi-preconditioned CG all work on those compact
+vectors; the full N^3 box appears only in the returned VoxelField. The
+CG is kept apart from the meridian solver's sparse LU on purpose.
+
 Desk scale only: N <= 96, ambient dimension 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .domain import MeridianDomain
 from .errors import OracleFailureError, OracleMismatchError
+from .fieldio import VoxelField, _symmetric_coords
 from .nonlinearity import Nonlinearity
 
 THETA_MIN_VOX = 0.1
@@ -33,31 +38,16 @@ CP_OFFSET_CELLS_MAX = 2.0
 WITNESS_REL_MAX = 5e-3
 
 
-@dataclass
-class VoxelField:
-    """Values on voxel centers of [-R, R]^2 x [-a0, a0]; outside = 0."""
-
-    N: int
-    xs: np.ndarray
-    ys: np.ndarray
-    zs: np.ndarray
-    mask: np.ndarray    # inside voxels, shape (N, N, N) ordered [z, y, x]
-    values: np.ndarray
-
-    @property
-    def spacings(self):
-        return (self.xs[1] - self.xs[0], self.ys[1] - self.ys[0],
-                self.zs[1] - self.zs[0])
-
-
-def _symmetric_coords(extent: float, N: int) -> np.ndarray:
-    # (i - (N-1)/2) * dx is bitwise antisymmetric under i -> N-1-i.
-    dx = 2.0 * extent / (N - 1)
-    return (np.arange(N) - (N - 1) / 2.0) * dx
-
-
 class _VoxelOperator:
-    """7-point Laplacian with fractional Dirichlet arms on a voxel mask."""
+    """7-point Laplacian with fractional Dirichlet arms, on the inside voxels.
+
+    `L` is the operator as a CSR matrix over the inside voxels, numbered in
+    C order of `mask` (the order of `values[mask]`). Each row holds the
+    diagonal, then the +x, -x, +y, -y, +z, -z arms whose neighbour is
+    inside; a cut arm carries the boundary value 0 and so only enters the
+    diagonal. `r` and `z` are the cylindrical coordinates of the inside
+    voxels in the same order.
+    """
 
     def __init__(self, d: MeridianDomain, N: int):
         R = d.profile.R
@@ -75,80 +65,76 @@ class _VoxelOperator:
         self.X, self.Y, self.Z = X, Y, Z
         self.mask = mask
         self.h = (xs[1] - xs[0], ys[1] - ys[0], zs[1] - zs[0])
+        x_in, y_in, z_in = X[mask], Y[mask], Z[mask]
+        self.r = np.hypot(x_in, y_in)
+        self.z = z_in
 
         def inside_pt(x, y, z):
             return np.abs(z) < np.asarray(d.profile(np.hypot(x, y)), float)
 
-        # Fractional arm lengths per axis and orientation.
-        self.arms = {}
+        # Index of every inside voxel in a box padded by one outside layer,
+        # so that each arm's neighbour index (-1: outside) is one lookup.
+        n_in = z_in.size
+        ids = np.full((N + 2,) * 3, -1, dtype=np.int32)
+        ids[1:-1, 1:-1, 1:-1][mask] = np.arange(n_in, dtype=np.int32)
+        at = [k + 1 for k in np.nonzero(mask)]
+
+        diag = np.zeros(n_in)
+        cols, vals = [], []
         for axis, h in ((2, self.h[0]), (1, self.h[1]), (0, self.h[2])):
+            nbr, theta = {}, {}
             for sgn in (+1, -1):
-                nbr = np.zeros_like(mask)
-                src = [slice(None)] * 3
-                dst = [slice(None)] * 3
-                if sgn > 0:
-                    dst[axis] = slice(None, -1)
-                    src[axis] = slice(1, None)
-                else:
-                    dst[axis] = slice(1, None)
-                    src[axis] = slice(None, -1)
-                nbr[tuple(dst)] = mask[tuple(src)]
-                cut = mask & ~nbr
-                theta = np.ones_like(mask, dtype=float)
-                kk, jj, ii = np.nonzero(cut)
-                if kk.size:
+                shifted = list(at)
+                shifted[axis] = at[axis] + sgn
+                nbr[sgn] = ids[tuple(shifted)]
+                # Fractional arm length where the neighbour is outside.
+                theta[sgn] = np.ones(n_in)
+                cut = nbr[sgn] < 0
+                if cut.any():
                     dx = np.zeros(3)
                     dx[axis] = sgn * h
-                    x0, y0, z0 = self.X[kk, jj, ii], self.Y[kk, jj, ii], self.Z[kk, jj, ii]
-                    lo = np.zeros(kk.size)
-                    hi = np.ones(kk.size)
+                    x0, y0, z0 = x_in[cut], y_in[cut], z_in[cut]
+                    lo = np.zeros(x0.size)
+                    hi = np.ones(x0.size)
                     for _ in range(_BISECT):
                         mid = 0.5 * (lo + hi)
                         ok = inside_pt(x0 + mid * dx[2], y0 + mid * dx[1], z0 + mid * dx[0])
                         lo = np.where(ok, mid, lo)
                         hi = np.where(ok, hi, mid)
-                    theta[kk, jj, ii] = np.clip(0.5 * (lo + hi), THETA_MIN_VOX, 1.0)
-                self.arms[(axis, sgn)] = (nbr, theta)
-
-        # Stencil coefficients for Lap; cut arms carry boundary value 0.
-        self.coeff = {}
-        diag = np.zeros(mask.shape)
-        for axis, h in ((2, self.h[0]), (1, self.h[1]), (0, self.h[2])):
-            nbr_p, th_p = self.arms[(axis, +1)]
-            nbr_m, th_m = self.arms[(axis, -1)]
-            cp = 2.0 / (th_p * (th_p + th_m) * h * h)
-            cm = 2.0 / (th_m * (th_p + th_m) * h * h)
+                    theta[sgn][cut] = np.clip(0.5 * (lo + hi), THETA_MIN_VOX, 1.0)
+            th_p, th_m = theta[+1], theta[-1]
             diag += -2.0 / (th_p * th_m * h * h)
-            self.coeff[(axis, +1)] = np.where(mask & nbr_p, cp, 0.0)
-            self.coeff[(axis, -1)] = np.where(mask & nbr_m, cm, 0.0)
-        self.diag = np.where(mask, diag, 0.0)
+            cols += [nbr[+1], nbr[-1]]
+            vals += [2.0 / (th_p * (th_p + th_m) * h * h),
+                     2.0 / (th_m * (th_p + th_m) * h * h)]
 
-    def laplacian(self, v):
-        u = np.where(self.mask, v, 0.0)
-        out = self.diag * u
-        out[:, :, :-1] += self.coeff[(2, +1)][:, :, :-1] * u[:, :, 1:]
-        out[:, :, 1:] += self.coeff[(2, -1)][:, :, 1:] * u[:, :, :-1]
-        out[:, :-1, :] += self.coeff[(1, +1)][:, :-1, :] * u[:, 1:, :]
-        out[:, 1:, :] += self.coeff[(1, -1)][:, 1:, :] * u[:, :-1, :]
-        out[:-1, :, :] += self.coeff[(0, +1)][:-1, :, :] * u[1:, :, :]
-        out[1:, :, :] += self.coeff[(0, -1)][1:, :, :] * u[:-1, :, :]
-        return np.where(self.mask, out, 0.0)
+        # Rows in the order diagonal, +x, -x, +y, -y, +z, -z: the product
+        # then adds the terms in the order of the slicing stencil.
+        cols = np.stack([np.arange(n_in, dtype=np.int32)] + cols, axis=1)
+        keep = cols >= 0
+        indptr = np.zeros(n_in + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        self.L = sparse.csr_matrix(
+            (np.stack([diag] + vals, axis=1)[keep], cols[keep], indptr), shape=(n_in, n_in))
+        self.diag = diag
 
     def solve_spd(self, c, rhs, tol_rel=1e-10, max_iter=40000):
-        """Jacobi-preconditioned CG for (-Lap - c) x = rhs, restart on stall."""
-        m = self.mask
-        b = np.where(m, rhs, 0.0)
-        bnorm = float(np.abs(b).max(initial=0.0))
+        """Jacobi-preconditioned CG for (-Lap - c) x = rhs, restart on stall.
+
+        c, rhs and the solution are vectors over the inside voxels (c may
+        be a scalar).
+        """
+        bnorm = float(np.abs(rhs).max(initial=0.0))
         if bnorm == 0.0:
-            return np.zeros_like(b)
-        denom = np.where(m, -self.diag - c, 1.0)
-        dinv = np.where(m, 1.0 / denom, 0.0)
+            return np.zeros_like(rhs)
+        dinv = 1.0 / (-self.diag - c)
+        L = self.L
 
         def A(v):
-            return np.where(m, -self.laplacian(v) - c * v, 0.0)
+            return -(L @ v) - c * v
 
-        x = np.zeros_like(b)
-        r = b.copy()
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
         z = dinv * r
         p = z.copy()
         rz = float(np.sum(r * z))
@@ -157,7 +143,7 @@ class _VoxelOperator:
         for _ in range(max_iter):
             rn = float(np.abs(r).max(initial=0.0))
             if rn <= tol_rel * bnorm:
-                r = b - A(x)
+                r = rhs - A(x)
                 if float(np.abs(r).max(initial=0.0)) <= 1.5 * tol_rel * bnorm:
                     return x
                 z = dinv * r
@@ -168,7 +154,7 @@ class _VoxelOperator:
             else:
                 stall += 1
                 if stall >= 60:
-                    r = b - A(x)
+                    r = rhs - A(x)
                     z = dinv * r
                     p = z.copy()
                     rz = float(np.sum(r * z))
@@ -195,22 +181,20 @@ def solve_3d(d: MeridianDomain, nl: Nonlinearity, N: int, tol: float = 1e-8) -> 
     if N > 96:
         raise ValueError("desk scale only: N <= 96")
     op = _VoxelOperator(d, N)
-    m = op.mask
-    rr = np.hypot(op.X, op.Y)
+    r, z = op.r, op.z
 
-    u = np.zeros(m.shape)
-    resv = np.where(m, op.laplacian(u) + nl.eval(rr, op.Z, u), 0.0)
+    u = np.zeros(r.size)
+    resv = op.L @ u + nl.eval(r, z, u)
     res = float(np.abs(resv).max(initial=0.0))
     for _ in range(30):
         if res <= tol:
             break
-        c = np.where(m, nl.eval_du(rr, op.Z, u), 0.0)
-        delta = op.solve_spd(c, resv, tol_rel=min(1e-10, tol * 1e-2))
+        delta = op.solve_spd(nl.eval_du(r, z, u), resv, tol_rel=min(1e-10, tol * 1e-2))
         step = 1.0
         accepted = False
         for _ in range(21):
             u_try = u + step * delta
-            res_try_v = np.where(m, op.laplacian(u_try) + nl.eval(rr, op.Z, u_try), 0.0)
+            res_try_v = op.L @ u_try + nl.eval(r, z, u_try)
             res_try = float(np.abs(res_try_v).max(initial=0.0))
             if np.isfinite(res_try) and res_try < res:
                 accepted = True
@@ -221,7 +205,9 @@ def solve_3d(d: MeridianDomain, nl: Nonlinearity, N: int, tol: float = 1e-8) -> 
         u, resv, res = u_try, res_try_v, res_try
     if res > tol:
         raise OracleFailureError(f"voxel Newton did not reach tolerance ({res:.3g})")
-    return VoxelField(N, op.xs, op.ys, op.zs, m, np.where(m, u, 0.0))
+    values = np.zeros(op.mask.shape)
+    values[op.mask] = u
+    return VoxelField(N, op.xs, op.ys, op.zs, op.mask, values)
 
 
 def scan_critical_voxels(v: VoxelField):

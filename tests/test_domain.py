@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cplab import domain as dm
 from cplab.errors import InvalidProfileError, ResolutionTooCoarseError
@@ -186,3 +188,35 @@ def test_homotopy_first_zero_cases():
     hw = dm.HomotopyFamily(wide)
     assert hw.first_zero(0.0) == 0.5
     assert hw.first_zero(0.7) == 1.0
+
+
+@st.composite
+def monotone_tabulated(draw):
+    """A tabulated profile through nonincreasing knots ending at g(R) = 0."""
+    k = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=k - 1, max_size=k - 1))
+    drops = draw(st.lists(st.floats(0.0, 1.0), min_size=k - 2, max_size=k - 2))
+    R = draw(st.floats(0.2, 5.0))
+    a0 = draw(st.floats(0.2, 5.0))
+    knots = np.concatenate([[0.0], np.cumsum(steps)])
+    knots *= R / knots[-1]
+    # Each inner value keeps a share of the one before it, the last is 0.
+    values = a0 * np.cumprod([1.0] + [1.0 - 0.9 * f for f in drops])
+    return dm.tabulated(knots, np.append(values, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monotone_tabulated(), st.integers(9, 40), st.integers(4, 40))
+def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half):
+    g = dm.build_grid(dm.MeridianDomain(3, prof), nr, 2 * half + 1)
+    # The mirror z -> -z is bit-exact: coordinates, classes and arms.
+    assert np.array_equal(g.zs[::-1], -g.zs)
+    for a in (g.inside, g.interior, g.boundary_adjacent, g.theta_e, g.theta_w):
+        assert np.array_equal(a, a[::-1, :])
+    assert np.array_equal(g.theta_n, g.theta_s[::-1, :])
+    # Every cut fraction lies in [THETA_MIN, 1].
+    for th in (g.theta_e, g.theta_w, g.theta_n, g.theta_s):
+        assert np.all((th >= dm.THETA_MIN) & (th <= 1.0))
+    # Interior and boundary-adjacent nodes partition the inside nodes.
+    assert not (g.interior & g.boundary_adjacent).any()
+    assert np.array_equal(g.interior | g.boundary_adjacent, g.inside)

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from cplab import domain as dm
 from cplab import fieldio
 from cplab import solver as sv
-from cplab.oracle3d import VoxelField, _symmetric_coords
+from cplab.fieldio import VoxelField, _symmetric_coords
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -4,7 +4,7 @@ import pytest
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
 from cplab import oracle3d as o3
-from cplab.errors import OracleMismatchError
+from cplab.errors import OracleFailureError, OracleMismatchError
 
 from oracles import GELFAND1_U0
 
@@ -125,3 +125,91 @@ def test_guards():
     d3 = dm.MeridianDomain(3, dm.ball(1.0))
     with pytest.raises(ValueError):
         o3.solve_3d(d3, nlin.constant(1.0), 128)
+
+
+def slicing_stencil(d, op):
+    """Reference: the 7-point embedded-boundary stencil on the full box.
+
+    Cut arms are bisected on whole-box arrays and the product is formed
+    from shifted slices, adding the diagonal, then the +x, -x, +y, -y,
+    +z, -z arms. Returns v -> Lap v on (N, N, N) fields, 0 outside.
+    """
+    mask = op.mask
+    coeff = {}
+    diag = np.zeros(mask.shape)
+    for axis, h in ((2, op.h[0]), (1, op.h[1]), (0, op.h[2])):
+        arms = {}
+        for sgn in (+1, -1):
+            nbr = np.zeros_like(mask)
+            src = [slice(None)] * 3
+            dst = [slice(None)] * 3
+            dst[axis] = slice(None, -1) if sgn > 0 else slice(1, None)
+            src[axis] = slice(1, None) if sgn > 0 else slice(None, -1)
+            nbr[tuple(dst)] = mask[tuple(src)]
+            theta = np.ones(mask.shape)
+            kk, jj, ii = np.nonzero(mask & ~nbr)
+            dx = np.zeros(3)
+            dx[axis] = sgn * h
+            x0, y0, z0 = op.X[kk, jj, ii], op.Y[kk, jj, ii], op.Z[kk, jj, ii]
+            lo, hi = np.zeros(kk.size), np.ones(kk.size)
+            for _ in range(o3._BISECT):
+                mid = 0.5 * (lo + hi)
+                x, y, z = x0 + mid * dx[2], y0 + mid * dx[1], z0 + mid * dx[0]
+                ok = np.abs(z) < d.profile(np.hypot(x, y))
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            theta[kk, jj, ii] = np.clip(0.5 * (lo + hi), o3.THETA_MIN_VOX, 1.0)
+            arms[sgn] = (nbr, theta)
+        (nbr_p, th_p), (nbr_m, th_m) = arms[+1], arms[-1]
+        diag += -2.0 / (th_p * th_m * h * h)
+        coeff[(axis, +1)] = np.where(mask & nbr_p, 2.0 / (th_p * (th_p + th_m) * h * h), 0.0)
+        coeff[(axis, -1)] = np.where(mask & nbr_m, 2.0 / (th_m * (th_p + th_m) * h * h), 0.0)
+
+    def lap(v):
+        u = np.where(mask, v, 0.0)
+        out = diag * u
+        out[:, :, :-1] += coeff[(2, +1)][:, :, :-1] * u[:, :, 1:]
+        out[:, :, 1:] += coeff[(2, -1)][:, :, 1:] * u[:, :, :-1]
+        out[:, :-1, :] += coeff[(1, +1)][:, :-1, :] * u[:, 1:, :]
+        out[:, 1:, :] += coeff[(1, -1)][:, 1:, :] * u[:, :-1, :]
+        out[:-1, :, :] += coeff[(0, +1)][:-1, :, :] * u[1:, :, :]
+        out[1:, :, :] += coeff[(0, -1)][1:, :, :] * u[:-1, :, :]
+        return np.where(mask, out, 0.0)
+
+    return lap
+
+
+STENCIL_DOMAINS = {"ball": dm.ball(1.0), "spheroid": dm.spheroid(1.0, 0.5),
+                   "spindle": dm.polynomial_bump([1, 0, -2, 0, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))
+def test_csr_operator_is_the_slicing_stencil(name):
+    d = dm.MeridianDomain(3, STENCIL_DOMAINS[name])
+    op = o3._VoxelOperator(d, 24)
+    lap = slicing_stencil(d, op)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        v = rng.standard_normal(op.mask.shape)
+        assert np.array_equal(op.L @ v[op.mask], lap(v)[op.mask])
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))
+def test_negated_operator_rows_are_weakly_diagonally_dominant(name):
+    op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS[name]), 24)
+    A = (-op.L).tocoo()
+    on = A.row == A.col
+    diag = np.zeros(A.shape[0])
+    diag[A.row[on]] = A.data[on]
+    assert np.count_nonzero(on) == A.shape[0]
+    assert np.all(diag > 0.0)
+    assert np.all(A.data[~on] <= 0.0)
+    off = np.bincount(A.row[~on], weights=-A.data[~on], minlength=A.shape[0])
+    # A full row sums to zero exactly; allow its few roundings.
+    assert np.all(off <= diag * (1.0 + 8 * np.finfo(float).eps))
+
+
+def test_indefinite_solve_raises_typed_failure():
+    # c = 12 lies above the discrete first eigenvalue (~ pi^2) of the ball.
+    op = o3._VoxelOperator(dm.MeridianDomain(3, dm.ball(1.0)), 16)
+    with pytest.raises(OracleFailureError):
+        op.solve_spd(12.0, np.ones(op.r.size))

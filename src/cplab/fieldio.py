@@ -5,6 +5,13 @@ per z level, values printed with 17 significant digits so that
 write -> read -> write round-trips byte-identically and runs with the
 same configuration produce byte-identical artifacts. Exterior nodes are
 written as `nan`.
+
+Writers format a whole block of rows with one %-format call and readers
+parse the data block with one `np.loadtxt`; the bytes are those of
+`fmt` applied value by value, and the parsed values are those of
+`float` applied token by token. A data line with the wrong number of
+values or a token that is not a number raises ConfigError naming the
+file and the line's 1-based number (header and comment lines counted).
 """
 
 from __future__ import annotations
@@ -28,6 +35,41 @@ def fmt_bool(b) -> str:
     return "true" if b else "false"
 
 
+def _format_rows(block: np.ndarray, sep: str = " ") -> str:
+    """A 2-D array as text, one line per row, each value as `fmt` prints it.
+
+    "%.17g" % x and f"{x:.17g}" give the same bytes for every double, so
+    one %-format call per block replaces one Python call per value.
+    """
+    nrows, ncols = block.shape
+    return ((sep.join(["%.17g"] * ncols) + "\n") * nrows) % tuple(block.ravel().tolist())
+
+
+def _parse_rows(path, rows: list[str], first_line: int, ncols: int) -> np.ndarray:
+    """The data lines `rows` as a (len(rows), ncols) array.
+
+    `first_line` is the 1-based line number of rows[0] in the file. A
+    line with the wrong number of values or a token that is not a number
+    raises ConfigError naming that line.
+    """
+    try:
+        vals = np.loadtxt(rows, dtype=float, ndmin=2, comments=None)
+        if vals.shape == (len(rows), ncols):
+            return vals
+    except ValueError:
+        pass
+    # Only a malformed block gets here: find its first bad line.
+    for line, row in enumerate(rows, start=first_line):
+        found = len(row.split())
+        if found != ncols:
+            raise ConfigError(f"{path}:{line}: expected {ncols} values, found {found}")
+        try:
+            np.loadtxt([row], dtype=float, comments=None)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line}: {exc}") from None
+    raise ConfigError(f"{path}: malformed data block")
+
+
 # -- CPFIELD ------------------------------------------------------------------
 
 
@@ -43,8 +85,7 @@ def write_field(f: Field, path, comments=()) -> None:
         fh.write(f"extent {fmt(g.rmax)} {fmt(-g.zmax)} {fmt(g.zmax)}\n")
         fh.write(f"t {fmt(g.t)}\n")
         fh.write("data\n")
-        for j in range(g.nz):
-            fh.write(" ".join(fmt(v) for v in vals[j, :]) + "\n")
+        fh.write(_format_rows(vals))
 
 
 def _bare_grid(nr, nz, rmax, zmax, t, inside) -> MeridianGrid:
@@ -100,9 +141,7 @@ def read_field(path):
     rows = lines[k + 6:k + 6 + nz]
     if len(rows) != nz:
         raise ConfigError(f"{path}: expected {nz} data lines")
-    vals = np.array([[float(tok) for tok in row.split()] for row in rows])
-    if vals.shape != (nz, nr):
-        raise ConfigError(f"{path}: data shape {vals.shape} != ({nz}, {nr})")
+    vals = _parse_rows(path, rows, k + 7, nr)
     inside = ~np.isnan(vals)
     grid = _bare_grid(nr, nz, rmax, zmax, t, inside)
     return Field(grid, np.where(inside, vals, 0.0), n), comments
@@ -169,9 +208,8 @@ def write_voxels(v: VoxelField, path, comments=()) -> None:
         fh.write(f"N {v.N}\n")
         fh.write(f"extent {fmt(R)} {fmt(a0)}\n")
         fh.write("data\n")
-        for k in range(v.N):
-            for j in range(v.N):
-                fh.write(" ".join(fmt(x) for x in vals[k, j, :]) + "\n")
+        for slab in vals:
+            fh.write(_format_rows(slab))
 
 
 def read_voxels(path) -> VoxelField:
@@ -192,8 +230,7 @@ def read_voxels(path) -> VoxelField:
     rows = lines[k + 4:k + 4 + N * N]
     if len(rows) != N * N:
         raise ConfigError(f"{path}: expected {N * N} data lines")
-    flat = np.array([[float(tok) for tok in row.split()] for row in rows])
-    vals = flat.reshape(N, N, N)
+    vals = _parse_rows(path, rows, k + 5, N).reshape(N, N, N)
     mask = ~np.isnan(vals)
     return VoxelField(N, _symmetric_coords(R, N), _symmetric_coords(R, N),
                       _symmetric_coords(a0, N), mask, np.where(mask, vals, 0.0))
@@ -257,10 +294,6 @@ def oracle_csv(row: dict) -> str:
 def heatmap_csv(f: Field) -> str:
     """Meridian samples as r,z,u triplets (exterior nodes as nan)."""
     g = f.grid
-    out = io.StringIO()
-    out.write("r,z,u\n")
-    vals = np.where(g.inside, f.values, np.nan)
-    for j in range(g.nz):
-        for i in range(g.nr):
-            out.write(f"{fmt(g.rs[i])},{fmt(g.zs[j])},{fmt(vals[j, i])}\n")
-    return out.getvalue()
+    r, z = np.meshgrid(g.rs, g.zs)
+    u = np.where(g.inside, f.values, np.nan)
+    return "r,z,u\n" + _format_rows(np.column_stack([r.ravel(), z.ravel(), u.ravel()]), sep=",")

@@ -129,48 +129,55 @@ class _VoxelOperator:
             return np.zeros_like(rhs)
         dinv = 1.0 / (-self.diag - c)
         L = self.L
+        # A = -L - diag(c) on L's sparsity pattern: the diagonal is the
+        # first entry of every row, so one product per iteration.
+        A = sparse.csr_matrix((-L.data, L.indices, L.indptr), shape=L.shape)
+        A.data[L.indptr[:-1]] -= c
 
-        def A(v):
-            return -(L @ v) - c * v
+        def dot(a, b):
+            # Not a @ b: BLAS splits that sum by its thread count, which
+            # would make the artifacts depend on it. Neither forms a temporary.
+            return float(np.einsum("i,i", a, b))
 
         x = np.zeros_like(rhs)
         r = rhs.copy()
         z = dinv * r
         p = z.copy()
-        rz = float(np.sum(r * z))
+        rz = dot(r, z)
         best = np.inf
         stall = 0
         for _ in range(max_iter):
             rn = float(np.abs(r).max(initial=0.0))
             if rn <= tol_rel * bnorm:
-                r = rhs - A(x)
+                r = rhs - A @ x
                 if float(np.abs(r).max(initial=0.0)) <= 1.5 * tol_rel * bnorm:
                     return x
                 z = dinv * r
                 p = z.copy()
-                rz = float(np.sum(r * z))
+                rz = dot(r, z)
             if rn < 0.999 * best:
                 best, stall = rn, 0
             else:
                 stall += 1
                 if stall >= 60:
-                    r = rhs - A(x)
+                    r = rhs - A @ x
                     z = dinv * r
                     p = z.copy()
-                    rz = float(np.sum(r * z))
+                    rz = dot(r, z)
                     best, stall = float(np.abs(r).max(initial=0.0)), 0
-            Ap = A(p)
-            pAp = float(np.sum(p * Ap))
+            Ap = A @ p
+            pAp = dot(p, Ap)
             if pAp <= 0.0:
                 raise OracleFailureError("voxel operator is not positive definite")
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
-            z = dinv * r
-            rz_new = float(np.sum(r * z))
+            np.multiply(dinv, r, out=z)
+            rz_new = dot(r, z)
             beta = rz_new / rz
             rz = rz_new
-            p = z + beta * p
+            p *= beta
+            p += z
         raise OracleFailureError("voxel linear solve did not converge")
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -6,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from cplab import domain as dm
 from cplab import fieldio
 from cplab import solver as sv
+from cplab.errors import ConfigError
 from cplab.fieldio import VoxelField, _symmetric_coords
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -57,3 +59,156 @@ def test_cpvox_round_trip_is_byte_identical(tmp_path_factory, v):
     assert (d / "a.cpvox").read_bytes() == (d / "b.cpvox").read_bytes()
     assert np.array_equal(w.mask, v.mask)
     assert np.array_equal(w.values, v.values)
+
+
+# -- Reference writers: one f-string per value; the block formatter must match their bytes.
+
+
+def fmt(x):
+    return f"{float(x):.17g}"
+
+
+def reference_write_field(f, path, comments=()):
+    g = f.grid
+    vals = np.where(g.inside, f.values, np.nan)
+    with open(path, "w") as fh:
+        for line in comments:
+            fh.write(line.rstrip("\n") + "\n")
+        fh.write("CPFIELD 1\n")
+        fh.write(f"n {f.n}\n")
+        fh.write(f"grid {g.nr} {g.nz}\n")
+        fh.write(f"extent {fmt(g.rmax)} {fmt(-g.zmax)} {fmt(g.zmax)}\n")
+        fh.write(f"t {fmt(g.t)}\n")
+        fh.write("data\n")
+        for j in range(g.nz):
+            fh.write(" ".join(fmt(v) for v in vals[j, :]) + "\n")
+
+
+def reference_write_voxels(v, path, comments=()):
+    vals = np.where(v.mask, v.values, np.nan)
+    with open(path, "w") as fh:
+        for line in comments:
+            fh.write(line.rstrip("\n") + "\n")
+        fh.write("CPVOX 1\n")
+        fh.write(f"N {v.N}\n")
+        fh.write(f"extent {fmt(float(v.xs[-1]))} {fmt(float(v.zs[-1]))}\n")
+        fh.write("data\n")
+        for k in range(v.N):
+            for j in range(v.N):
+                fh.write(" ".join(fmt(x) for x in vals[k, j, :]) + "\n")
+
+
+def reference_heatmap_csv(f):
+    g = f.grid
+    vals = np.where(g.inside, f.values, np.nan)
+    lines = ["r,z,u\n"]
+    for j in range(g.nz):
+        for i in range(g.nr):
+            lines.append(f"{fmt(g.rs[i])},{fmt(g.zs[j])},{fmt(vals[j, i])}\n")
+    return "".join(lines)
+
+
+# Signed zeros, the smallest and largest subnormals, the largest doubles
+# and the non-finite values, mixed with arbitrary doubles.
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf]
+ANY_DOUBLE = st.one_of(st.sampled_from(EDGE), st.floats(width=64))
+COMMENTS = st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\r\n"))
+                    .map(lambda s: "#" + s), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(meridian_fields(), st.data())
+def test_write_field_bytes_equal_the_per_value_writer(tmp_path_factory, f, data):
+    # Exterior entries are arbitrary too: the writer must print them as nan.
+    f = sv.Field(f.grid, data.draw(arrays(float, f.values.shape, elements=ANY_DOUBLE)), f.n)
+    comments = data.draw(COMMENTS)
+    d = tmp_path_factory.mktemp("golden")
+    fieldio.write_field(f, d / "new.cpfield", comments=comments)
+    reference_write_field(f, d / "ref.cpfield", comments=comments)
+    assert (d / "new.cpfield").read_bytes() == (d / "ref.cpfield").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(voxel_fields(), st.data())
+def test_write_voxels_bytes_equal_the_per_value_writer(tmp_path_factory, v, data):
+    v = VoxelField(v.N, v.xs, v.ys, v.zs, v.mask,
+                   data.draw(arrays(float, v.values.shape, elements=ANY_DOUBLE)))
+    comments = data.draw(COMMENTS)
+    d = tmp_path_factory.mktemp("golden")
+    fieldio.write_voxels(v, d / "new.cpvox", comments=comments)
+    reference_write_voxels(v, d / "ref.cpvox", comments=comments)
+    assert (d / "new.cpvox").read_bytes() == (d / "ref.cpvox").read_bytes()
+
+
+def ball_field(nr, nz):
+    """The exact torsion solution (1 - r^2 - z^2) / 6 on an nr x nz unit-ball grid."""
+    grid = dm.build_grid(dm.MeridianDomain(3, dm.ball(1.0)), nr, nz)
+    r, z = np.meshgrid(grid.rs, grid.zs)
+    return sv.Field(grid, np.where(grid.inside, (1.0 - r * r - z * z) / 6.0, 0.0), 3)
+
+
+def test_heatmap_csv_bytes_equal_the_per_value_loop():
+    f = ball_field(33, 65)
+    assert fieldio.heatmap_csv(f) == reference_heatmap_csv(f)
+
+
+# -- Malformed data lines: ConfigError with the file and its 1-based line.
+
+DEFECTS = {"short row": (lambda toks: toks[:-1], "expected {n} values, found {m}"),
+           "extra token": (lambda toks: toks + ["1"], "expected {n} values, found {m}"),
+           "non-numeric token": (lambda toks: toks[:1] + ["abc"] + toks[2:], "'abc'")}
+
+
+def write_with_comments(kind, path):
+    """A small valid file with two comment lines; returns (data rows, first data line)."""
+    comments = ["# first", "# second"]
+    if kind == "cpfield":
+        fieldio.write_field(ball_field(9, 17), path, comments=comments)
+        return 17, 2 + 6 + 1
+    xs = _symmetric_coords(1.0, 4)
+    mask = np.ones((4, 4, 4), dtype=bool)
+    fieldio.write_voxels(VoxelField(4, xs, xs, xs, mask, np.arange(64.0).reshape(4, 4, 4)),
+                         path, comments=comments)
+    return 16, 2 + 4 + 1
+
+
+def corrupt(path, line, defect):
+    lines = path.read_text().splitlines()
+    toks = lines[line - 1].split()
+    bad = DEFECTS[defect][0](toks)
+    lines[line - 1] = " ".join(bad)
+    path.write_text("\n".join(lines) + "\n")
+    return DEFECTS[defect][1].format(n=len(toks), m=len(bad))
+
+
+READERS = {"cpfield": fieldio.read_field, "cpvox": fieldio.read_voxels}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_malformed_data_line_is_a_config_error_naming_its_line(tmp_path, kind, which, defect):
+    path = tmp_path / f"f.{kind}"
+    rows, first = write_with_comments(kind, path)
+    line = first if which == "first" else first + rows - 1
+    detail = corrupt(path, line, defect)
+    with pytest.raises(ConfigError) as err:
+        READERS[kind](path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert detail in str(err.value)
+
+
+def test_verify_field_with_a_short_row_is_a_config_error(tmp_path, capsys):
+    from cplab.cli import main
+    path = tmp_path / "u.cpfield"
+    rows, first = write_with_comments("cpfield", path)
+    corrupt(path, first + 3, "short row")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\nkind = ball\na = 1.0\nn = 3\n"
+                   "[nonlinearity]\nform = constant\nc = 1.0\n[grid]\nnr = 9\nnz = 17\n")
+    status = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--field", str(path), "--quiet"])
+    assert status == 2
+    assert (capsys.readouterr().err
+            == f"config error: {path}:{first + 3}: expected 9 values, found 8\n")

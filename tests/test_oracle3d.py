@@ -213,3 +213,18 @@ def test_indefinite_solve_raises_typed_failure():
     op = o3._VoxelOperator(dm.MeridianDomain(3, dm.ball(1.0)), 16)
     with pytest.raises(OracleFailureError):
         op.solve_spd(12.0, np.ones(op.r.size))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_cg_solution_has_its_true_residual(kind):
+    # The residual is measured with -(L @ x) - c*x, not with the matrix the
+    # CG iterates on, so a fused diagonal with the wrong sign or without c
+    # fails here.
+    op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS["spindle"]), 24)
+    rng = np.random.default_rng(24)
+    rhs = rng.uniform(0.5, 1.5, op.r.size)
+    c = 4.0 if kind == "scalar" else rng.uniform(0.0, 8.0, op.r.size)
+    tol_rel = 1e-10
+    x = op.solve_spd(c, rhs, tol_rel=tol_rel)
+    residual = -(op.L @ x) - c * x - rhs
+    assert np.abs(residual).max() <= 1.5 * tol_rel * np.abs(rhs).max()

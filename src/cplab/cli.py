@@ -7,7 +7,8 @@ Each writes its artifacts into the output directory and exits 0 iff all
 executed checks pass; module errors exit nonzero with a message on
 stderr. `verify --field <file>` checks a stored CPFIELD (e.g. an
 injected field) instead of solving, on the grid that the config's domain
-gives the file's header. CPL_THREADS caps worker parallelism.
+gives the file's header. CPL_THREADS caps the threads of the uniqueness
+multi-start.
 """
 
 from __future__ import annotations

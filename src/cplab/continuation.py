@@ -31,7 +31,7 @@ from .errors import CplabError, IndefiniteOperatorError, EigenFailureError
 from .interp import Bicubic
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
-from .solver import Field, TOL_PDE_DEFAULT, newton_solve
+from .solver import AxisymOperator, Field, TOL_PDE_DEFAULT, newton_solve
 from .stability import smallest_eigenvalue, is_stable
 from .verify import check_monotonicity, eps_disc, monotone, run_verification
 
@@ -95,28 +95,41 @@ def warm_start_transfer(u_prev: Field, grid_prev: MeridianGrid,
     return Field(grid_next, out, u_prev.n)
 
 
-def _evaluate_gates(grid, n, nl, u, phi0):
-    """Run the per-step gate set; returns (ok, reason, metrics, eigenfield)."""
-    eps = eps_disc(grid)
-    try:
-        stab = smallest_eigenvalue(grid, n, u, nl, phi0=phi0)
-    except (IndefiniteOperatorError, EigenFailureError) as exc:
-        return False, f"eigen failure: {exc}", {"lambda1": np.nan}, None
+def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
+    """Newton from u0 on one grid, then the per-step gate set.
+
+    Returns (failure, u, metrics, eigenfield), failure None when every gate
+    passed. One operator serves the grid and keeps its factor from Newton
+    into the eigen gate, so the two share it when they factor the same
+    matrix. An indefinite Newton linearization raises
+    IndefiniteOperatorError.
+    """
+    op = AxisymOperator(grid, n)
+    with op.keep_factor():
+        u, rep = newton_solve(grid, n, nl, u0, tol_pde=tol_pde, op=op)
+        if not rep.converged:
+            return f"Newton stalled at residual {rep.final_residual:.3g}", u, {}, None
+        try:
+            stab = smallest_eigenvalue(grid, n, u, nl, phi0=phi0, op=op)
+        except (IndefiniteOperatorError, EigenFailureError) as exc:
+            return f"eigen failure: {exc}", u, {"lambda1": np.nan}, None
     metrics = {"lambda1": stab.lambda1}
+    phi = stab.eigenfield
     if not is_stable(stab):
-        return False, f"lambda1 {stab.lambda1:.3g} below margin", metrics, stab.eigenfield
+        return f"lambda1 {stab.lambda1:.3g} below margin", u, metrics, phi
 
     census = find_critical_points(u)
     metrics["cp_count"] = len(census.points)
     if not census.unique_axis_max:
         kinds = [p.type for p in census.points]
-        return False, f"census {kinds} is not one on-axis nondegenerate max", metrics, stab.eigenfield
+        return f"census {kinds} is not one on-axis nondegenerate max", u, metrics, phi
 
+    eps = eps_disc(grid)
     m_z, m_r, pct_z, pct_r = check_monotonicity(u)
     metrics.update(m_z=m_z, m_r=m_r)
     if not (monotone(m_z, pct_z, eps) and monotone(m_r, pct_r, eps)):
-        return False, f"monotonicity margins ({m_z:.3g}, {m_r:.3g}) exceed {eps:.3g}", metrics, stab.eigenfield
-    return True, "", metrics, stab.eigenfield
+        return f"monotonicity margins ({m_z:.3g}, {m_r:.3g}) exceed {eps:.3g}", u, metrics, phi
+    return None, u, metrics, phi
 
 
 def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
@@ -131,6 +144,10 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     meaningful for n = 3). The t = 0 solve must succeed for a conforming
     nonlinearity; its failure is a setup error, not a recorded one.
     `field_sink(t, field)` is called for every accepted step when given.
+
+    Each tried grid gets one operator, which keeps its factor across the
+    Newton solve and the eigen gate, so a matrix that both factor (f_u
+    independent of u, eigen shift 0) is factored once per grid.
     """
     if t_step0 > 0.1:
         raise ValueError("t_step0 must not exceed 0.1")
@@ -145,12 +162,9 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
 
     t0 = time.perf_counter()
     grid = grid_at(0.0)
-    u, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde)
-    if not rep.converged:
-        raise CplabError("homotopy setup failed: the ball solve did not converge")
-    ok, reason, metrics, phi = _evaluate_gates(grid, n, nl, u, None)
-    if not ok:
-        raise CplabError(f"homotopy setup failed on the ball: {reason}")
+    failure, u, metrics, phi = _solve_and_gate(grid, n, nl, Field.zeros(grid, n), None, tol_pde)
+    if failure is not None:
+        raise CplabError(f"homotopy setup failed on the ball: {failure}")
     record.steps.append(StepRecord(0.0, True, metrics["lambda1"],
                                    metrics["cp_count"], metrics["m_z"],
                                    metrics["m_r"], time.perf_counter() - t0))
@@ -171,24 +185,12 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         t_try0 = time.perf_counter()
         grid_next = grid_at(t_next)
         u_start = warm_start_transfer(u, grid, grid_next)
-        failure = None
+        phi_start = warm_start_transfer(Field(grid, np.abs(phi.values), n), grid, grid_next)
         try:
-            u_next, rep = newton_solve(grid_next, n, nl, u_start, tol_pde=tol_pde)
-            if not rep.converged:
-                failure = f"Newton stalled at residual {rep.final_residual:.3g}"
+            failure, u_next, metrics, phi_next = _solve_and_gate(
+                grid_next, n, nl, u_start, phi_start, tol_pde)
         except IndefiniteOperatorError as exc:
             failure = f"indefinite linearization: {exc}"
-
-        metrics = {}
-        if failure is None:
-            phi_start = None
-            if phi is not None:
-                phi_start = warm_start_transfer(
-                    Field(grid, np.abs(phi.values), n), grid, grid_next)
-            ok, reason, metrics, phi_next = _evaluate_gates(
-                grid_next, n, nl, u_next, phi_start)
-            if not ok:
-                failure = reason
 
         if failure is None and len(jumps) >= 3:
             jump = abs(metrics["lambda1"] - record.steps[-1].lambda1)

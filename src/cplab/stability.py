@@ -12,7 +12,10 @@ cancels). The smallest eigenvalue comes from shifted inverse power
 iteration: the true Shortley-Weller operator, shifted by a Gershgorin
 bound, is factored once and every iteration is one exact back-solve with
 that factor. Pivots that show it is not positive definite double the
-shift for a fresh factorization.
+shift for a fresh factorization. A caller that passes its own operator
+inside `AxisymOperator.keep_factor` shares that factorization: when the
+Newton solve that produced u factored the same matrix (f_u independent
+of u, and a zero shift), the eigen solve factors nothing.
 """
 
 from __future__ import annotations
@@ -52,13 +55,15 @@ def _fprime_field(grid: MeridianGrid, nl: Nonlinearity, u: Field) -> np.ndarray:
 
 
 def rayleigh_quotient(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
-                      phi: Field) -> float:
+                      phi: Field, op: AxisymOperator | None = None) -> float:
     """(sum w |grad phi|^2 - sum w f_u phi^2) / (sum w phi^2).
 
     Gradients are the node-sampled derivative fields (zero-extended outside
     the domain), w the axisymmetric volume weight. Raises for phi == 0.
+    `op`, when given, is the full-domain operator of (grid, n), whose
+    weight is used instead of building one.
     """
-    op = AxisymOperator(grid, n)
+    op = op or AxisymOperator(grid, n)
     pv = np.where(grid.inside, phi.values, 0.0)
     denom = op.dot(pv, pv)
     if denom == 0.0:
@@ -75,14 +80,17 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
                         max_iter: int = MAX_EIG_ITER_DEFAULT,
                         subdomain: str | None = None,
                         phi0: Field | None = None,
-                        shift: float | None = None) -> StabilityReport:
+                        shift: float | None = None,
+                        op: AxisymOperator | None = None) -> StabilityReport:
     """Shifted inverse power iteration for the first eigenvalue of -Lap - f_u.
 
     `subdomain` of 'z>0' or 'z<0' masks the grid at the equatorial plane
     with a Dirichlet line (reusing all stencils), which is how eigenvalues
     on the reflection half-domains are estimated. Residual control uses the
     operator Rayleigh quotient; the reported lambda1 is the variational
-    quotient of the converged eigenfunction.
+    quotient of the converged eigenfunction. `op`, when given, is the
+    full-domain operator of (grid, n) to factor and to weigh with; it
+    cannot be combined with a subdomain.
     """
     active = None
     if subdomain == "z>0":
@@ -91,8 +99,10 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
         active = np.broadcast_to((grid.zs < 0.0)[:, None], grid.inside.shape)
     elif subdomain is not None:
         raise ValueError("subdomain must be None, 'z>0' or 'z<0'")
+    if op is not None and subdomain is not None:
+        raise ValueError("op is a full-domain operator; a subdomain builds its own")
 
-    op = AxisymOperator(grid, n, active=active)
+    op = op or AxisymOperator(grid, n, active=active)
     c = np.where(op.active, _fprime_field(grid, nl, u), 0.0)
 
     floor = op.gershgorin_floor(c)
@@ -144,7 +154,10 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     single_signed = bool(vals.min() * vals.max() > 0.0)
 
     eigenfield = Field(grid, np.where(op.active, phi, 0.0), n)
-    lam_var = rayleigh_quotient(grid, n, u, nl, eigenfield)
+    # A subdomain quotient weighs with the full-domain operator: its
+    # gradients cross the cut line.
+    lam_var = rayleigh_quotient(grid, n, u, nl, eigenfield,
+                                op=op if subdomain is None else None)
     report = StabilityReport(
         lambda1=lam_var, eigenfield=eigenfield, iterations=iterations,
         residual=residual, stable=False, shift=shift, single_signed=single_signed)

@@ -216,18 +216,24 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
 
 def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
                           seeds: int = 5, seed: int = 0,
-                          tol_pde: float = TOL_PDE_DEFAULT):
+                          tol_pde: float = TOL_PDE_DEFAULT,
+                          base: Field | None = None):
     """Max pairwise L-inf distance of converged multi-start solutions.
 
     Newton runs from `seeds` random nonnegative initial fields, uniform in
-    [0, 2*max(u_0)] with u_0 the zero-guess solution. Non-converged seeds
-    are a basin failure, not a uniqueness failure, and are reported
-    separately. All solves share one operator.
+    [0, 2*max(u_0)], and each converged solution is compared with the
+    others and with the baseline u_0. The baseline is `base`, a solution
+    the caller already holds, or else the zero-guess solution, which costs
+    one more Newton solve. Non-converged seeds are a basin failure, not a
+    uniqueness failure, and are reported separately. All solves share one
+    operator, whose factors are not kept: the pool threads would free each
+    other's.
     """
     op = AxisymOperator(grid, n)
-    base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde, op=op)
-    if not rep.converged:
-        raise RuntimeError("baseline zero-guess solve did not converge")
+    if base is None:
+        base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde, op=op)
+        if not rep.converged:
+            raise RuntimeError("baseline zero-guess solve did not converge")
     amp = 2.0 * max(base.max_inside(), 0.0)
     rng = np.random.default_rng(seed)
     starts = [np.where(grid.inside, rng.uniform(0.0, amp, base.values.shape), 0.0)
@@ -330,6 +336,6 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
 
     if with_uniqueness:
         worst, _, _ = uniqueness_multistart(grid, n, nl, seeds=seeds, seed=seed,
-                                            tol_pde=tol_pde)
+                                            tol_pde=tol_pde, base=u)
         rows.append(CheckRow("uniqueness", worst, 10.0 * tol_pde, worst <= 10.0 * tol_pde))
     return VerificationReport(rows)

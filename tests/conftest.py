@@ -69,3 +69,19 @@ def spindle_torsion_129(spindle_domain):
     grid, u, rep, dt = timed_solve(spindle_domain, nlin.constant(1.0), 129, 257)
     assert rep.converged
     return spindle_domain, grid, u, rep, dt
+
+
+@pytest.fixture
+def factor_count(monkeypatch):
+    """A list that grows by one for every ShiftedFactor constructed."""
+    from cplab import solver
+
+    made = []
+    init = solver.ShiftedFactor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.ShiftedFactor, "__init__", counted)
+    return made

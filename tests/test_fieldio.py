@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,56 @@ def test_verify_field_with_a_short_row_is_a_config_error(tmp_path, capsys):
     assert status == 2
     assert (capsys.readouterr().err
             == f"config error: {path}:{first + 3}: expected 9 values, found 8\n")
+
+
+# -- Impossible header sizes: ConfigError naming the header line.
+
+
+def cpfield_text(nr, nz):
+    rows = "".join(" ".join(["0"] * max(nr, 0)) + "\n" for _ in range(max(nz, 0)))
+    return f"# sizes\nCPFIELD 1\nn 3\ngrid {nr} {nz}\nextent 1 -1 1\nt 1\ndata\n" + rows
+
+
+def cpvox_text(N):
+    rows = "".join(" ".join(["0"] * max(N, 0)) + "\n" for _ in range(max(N, 0) ** 2))
+    return f"# sizes\nCPVOX 1\nN {N}\nextent 1 1\ndata\n" + rows
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("cpfield", cpfield_text(1, 3), 4),
+    ("cpfield", cpfield_text(3, 1), 4),
+    ("cpfield", cpfield_text(0, 0), 4),
+    ("cpfield", cpfield_text(3, 4), 4),
+    ("cpvox", cpvox_text(1), 3),
+    ("cpvox", cpvox_text(0), 3),
+    ("cpvox", cpvox_text(-2), 3),
+])
+def test_impossible_header_size_is_a_config_error_naming_its_line(tmp_path, kind, text, line):
+    path = tmp_path / f"f.{kind}"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            READERS[kind](path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize("kind, text", [("cpfield", cpfield_text(2, 3)),
+                                        ("cpvox", cpvox_text(2))])
+def test_header_size_two_reads(tmp_path, kind, text):
+    path = tmp_path / f"f.{kind}"
+    path.write_text(text)
+    READERS[kind](path)
+
+
+def test_verify_field_with_a_one_column_grid_is_a_config_error(tmp_path, capsys):
+    from cplab.cli import main
+    path = tmp_path / "u.cpfield"
+    path.write_text(cpfield_text(1, 3))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\nkind = ball\na = 1.0\nn = 3\n"
+                   "[nonlinearity]\nform = constant\nc = 1.0\n[grid]\nnr = 9\nnz = 17\n")
+    status = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--field", str(path), "--quiet"])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:4: ")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,3 +207,57 @@ def test_field_io_shape_contract(torsion_ball_65):
     assert u.values.shape == (grid.nz, grid.nr)
     assert u.min_inside() > 0.0
     assert u.t == grid.t == 1.0
+
+
+# -- Factor reuse inside AxisymOperator.keep_factor.
+
+
+def test_factor_outside_keep_factor_is_fresh(torsion_ball_65):
+    grid, _, _, _ = torsion_ball_65
+    op = sv.AxisymOperator(grid, 3)
+    c = np.zeros(grid.inside.shape)
+    assert op.factor(c) is not op.factor(c)
+    with op.keep_factor():
+        kept = op.factor(c)
+    assert op.factor(c) is not kept
+
+
+def test_kept_factor_is_reused_for_an_equal_system_only(torsion_ball_65):
+    grid, _, _, _ = torsion_ball_65
+    op = sv.AxisymOperator(grid, 3)
+    c = np.zeros(grid.inside.shape)
+    with op.keep_factor():
+        kept = op.factor(c)
+        # Values outside the active nodes are not part of the system.
+        assert op.factor(np.where(grid.inside, c, 7.0)) is kept
+        assert op.factor(c, 0.0) is kept
+        shifted = op.factor(c, 1.0)
+        assert shifted is not kept
+        assert op.factor(c, 1.0) is shifted
+        other = op.factor(np.where(grid.inside, 1.0, 0.0), 1.0)
+        assert other is not shifted
+
+
+def test_dropping_an_operator_frees_its_kept_factor(torsion_ball_65):
+    grid, _, _, _ = torsion_ball_65
+    c = np.zeros(grid.inside.shape)
+    rhs = np.where(grid.inside, 1.0, 0.0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        op = sv.AxisymOperator(grid, 3)
+        keep = op.keep_factor()
+        keep.__enter__()
+        factor_ref = weakref.ref(op.factor(c))
+        # The factor does not hold its operator: it outlives it and still solves.
+        held = op.factor(c)
+        op_ref = weakref.ref(op)
+        del op, keep
+        assert op_ref() is None
+        x = held.solve(rhs)
+        del held
+        assert factor_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert np.array_equal(x, sv.AxisymOperator(grid, 3).solve(c, rhs))

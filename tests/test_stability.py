@@ -103,3 +103,46 @@ def test_shift_invariance(torsion_ball_65):
     a = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), shift=0.0)
     b = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), shift=25.0)
     assert abs(a.lambda1 - b.lambda1) <= st.TOL_EIG_DEFAULT * max(1.0, abs(a.lambda1))
+
+
+def assert_same_report(a, b):
+    assert a.lambda1 == b.lambda1
+    assert a.iterations == b.iterations
+    assert a.residual == b.residual and a.shift == b.shift
+    assert np.array_equal(a.eigenfield.values, b.eigenfield.values)
+
+
+def test_eigen_solve_reuses_newtons_factor_bitwise(torsion_ball_65, factor_count):
+    grid, u, _, _ = torsion_ball_65
+    nl = nlin.constant(1.0)
+    plain = st.smallest_eigenvalue(grid, 3, u, nl)
+    op = sv.AxisymOperator(grid, 3)
+    with op.keep_factor():
+        start = len(factor_count)
+        solved, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
+        assert rep.newton_iterations >= 1 and len(factor_count) == start + 1
+        kept = st.smallest_eigenvalue(grid, 3, solved, nl, op=op)
+        assert len(factor_count) == start + 1  # torsion: f_u = 0, shift 0
+    assert np.array_equal(solved.values, u.values)
+    assert_same_report(kept, plain)
+
+
+def test_gelfand_eigen_solve_in_keep_factor_makes_a_fresh_factor(gelfand_ball_65, factor_count):
+    grid, u, _, _ = gelfand_ball_65
+    nl = nlin.gelfand(1.0)
+    plain = st.smallest_eigenvalue(grid, 3, u, nl)
+    op = sv.AxisymOperator(grid, 3)
+    with op.keep_factor():
+        solved, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
+        start = len(factor_count)
+        kept = st.smallest_eigenvalue(grid, 3, solved, nl, op=op)
+        assert len(factor_count) == start + 1  # f_u moved with u, and the shift is > 0
+    assert kept.shift > 0.0
+    assert_same_report(kept, plain)
+
+
+def test_subdomain_eigen_solve_refuses_a_full_domain_operator(torsion_ball_65):
+    grid, u, _, _ = torsion_ball_65
+    with pytest.raises(ValueError):
+        st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), subdomain="z>0",
+                               op=sv.AxisymOperator(grid, 3))

@@ -182,3 +182,23 @@ def test_worker_count_env(monkeypatch):
     assert vf.worker_count() >= 1
     monkeypatch.delenv("CPL_THREADS")
     assert vf.worker_count() >= 1
+
+
+def test_run_verification_reuses_the_field_as_the_multistart_baseline(gelfand_ball_65,
+                                                                       monkeypatch):
+    grid, u, _, _ = gelfand_ball_65
+    nl = nlin.gelfand(1.0)
+    zero_guess = vf.uniqueness_multistart(grid, 3, nl, seeds=3, seed=5)
+    calls = []
+    newton = vf.newton_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(vf, "newton_solve", counted)
+    report = vf.run_verification(grid, 3, nl, u, seeds=3, seed=5)
+    assert len(calls) == 3
+    assert all(start.linf() > 0.0 for start in calls)  # no zero-guess solve
+    assert report.row("uniqueness").margin == zero_guess[0]
+    assert vf.uniqueness_multistart(grid, 3, nl, seeds=3, seed=5, base=u) == zero_guess

@@ -137,11 +137,11 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if rec.completed else 1
 
     if subcommand == "oracle3d":
+        if cfg.get_int("domain", "n") != 3:
+            raise CplabError("oracle3d requires n = 3")
         d, f, grid, u, rep = _solve_from_config(cfg)
         if not rep.converged:
             raise CplabError("oracle3d: the meridian solve did not converge")
-        if d.n != 3:
-            raise CplabError("oracle3d requires n = 3")
         vox = oracle3d.solve_3d(d, f, cfg.get_int("oracle", "N"), tol=1e-8)
         fieldio.write_voxels(vox, out / "oracle.cpvox")
         oc, ok = oracle3d.oracle_verdict(vox, u)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import oracle3d
 from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, build_grid
 from .errors import CplabError, IndefiniteOperatorError, EigenFailureError
 from .interp import Bicubic
@@ -230,7 +231,6 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         record.final_verification = report
         oracle_ok = True
         if oracle_n > 0 and n == 3:
-            from . import oracle3d
             try:
                 vox = oracle3d.solve_3d(target, nl, oracle_n, tol=1e-8)
                 record.oracle_comparison, oracle_ok = oracle3d.oracle_verdict(vox, u)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import InvalidProfileError, ResolutionTooCoarseError
 
@@ -103,6 +101,9 @@ def tabulated(knots, values) -> ProfileFunction:
         raise InvalidProfileError("tabulated profile must start at r = 0")
     if not np.all(np.isfinite(values)):
         raise InvalidProfileError("tabulated profile values must be finite")
+    # Imported here, the one use: keeps scipy.interpolate off the import path.
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(knots, values, extrapolate=False)
     a0 = float(values[0])
 
@@ -145,6 +146,8 @@ def _first_zero_of(f, hi: float | None = None) -> float:
             k = nonpos[0]
             if vals[k] == 0.0:
                 return float(rs[k])
+            from scipy.optimize import brentq  # only when no grid node is an exact zero
+
             return float(brentq(lambda r: float(f(r)), rs[k - 1], rs[k], xtol=1e-14))
         if hi is not None:
             return r_hi

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 EXP_CAP = 500.0
 
@@ -163,6 +162,9 @@ def tabulated_phi(u_knots, phi_values) -> Nonlinearity:
     """
     u_knots = np.asarray(u_knots, float)
     phi_values = np.asarray(phi_values, float)
+    # Imported here, the one use: keeps scipy.interpolate off the import path.
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(u_knots, phi_values, extrapolate=True)
     dinterp = interp.derivative()
     return Nonlinearity(

@@ -20,7 +20,8 @@ Desk scale only: N <= 96, ambient dimension 3.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .domain import MeridianDomain
 from .errors import OracleFailureError, OracleMismatchError
@@ -36,6 +37,19 @@ _BISECT = 45
 LINF_REL_MAX = 2e-2
 CP_OFFSET_CELLS_MAX = 2.0
 WITNESS_REL_MAX = 5e-3
+
+
+def _padded_index(mask: np.ndarray):
+    """(ids, at) for the True voxels of `mask`, in a box padded by one False layer.
+
+    `ids` holds each True voxel's C-order number and -1 elsewhere, and `at`
+    the padded coordinates of the True voxels, so that the number of the
+    neighbour at any offset of at most one cell is one lookup.
+    """
+    ids = np.full(tuple(s + 2 for s in mask.shape), -1, dtype=np.int32)
+    at = np.nonzero(mask)
+    ids[1:-1, 1:-1, 1:-1][mask] = np.arange(at[0].size, dtype=np.int32)
+    return ids, [k + 1 for k in at]
 
 
 class _VoxelOperator:
@@ -72,12 +86,8 @@ class _VoxelOperator:
         def inside_pt(x, y, z):
             return np.abs(z) < np.asarray(d.profile(np.hypot(x, y)), float)
 
-        # Index of every inside voxel in a box padded by one outside layer,
-        # so that each arm's neighbour index (-1: outside) is one lookup.
         n_in = z_in.size
-        ids = np.full((N + 2,) * 3, -1, dtype=np.int32)
-        ids[1:-1, 1:-1, 1:-1][mask] = np.arange(n_in, dtype=np.int32)
-        at = [k + 1 for k in np.nonzero(mask)]
+        ids, at = _padded_index(mask)
 
         diag = np.zeros(n_in)
         cols, vals = [], []
@@ -245,18 +255,48 @@ def scan_critical_voxels(v: VoxelField):
         crit = (dplus * dminus <= 0.0) | (np.abs(centered) <= h * h * scale)
         mark &= crit
 
-    labels, count = ndimage.label(mark, structure=np.ones((3, 3, 3), dtype=int))
     clusters = []
-    if count:
-        centroids = ndimage.center_of_mass(mark, labels, range(1, count + 1))
-        sizes = ndimage.sum_labels(mark.astype(int), labels, range(1, count + 1))
-        for (ck, cj, ci), size in zip(centroids, sizes):
-            x = np.interp(ci, np.arange(v.N), v.xs)
-            y = np.interp(cj, np.arange(v.N), v.ys)
-            z = np.interp(ck, np.arange(v.N), v.zs)
-            clusters.append({"centroid": (float(x), float(y), float(z)),
-                             "size": int(size)})
+    for (ck, cj, ci), size in _clusters(mark):
+        x = np.interp(ci, np.arange(v.N), v.xs)
+        y = np.interp(cj, np.arange(v.N), v.ys)
+        z = np.interp(ck, np.arange(v.N), v.zs)
+        clusters.append({"centroid": (float(x), float(y), float(z)),
+                         "size": int(size)})
     return clusters
+
+
+# The 13 of the 26 neighbour offsets that follow a voxel in C order; each
+# 26-connected pair of voxels is one such offset apart, in one direction.
+_FORWARD = [(dk, dj, di) for dk in (-1, 0, 1) for dj in (-1, 0, 1) for di in (-1, 0, 1)
+            if (dk, dj, di) > (0, 0, 0)]
+
+
+def _clusters(mark: np.ndarray) -> list:
+    """26-connected clusters of `mark` as ((k, j, i) centroid, size) pairs.
+
+    Clusters are ordered by their first voxel in C order, as
+    `scipy.ndimage.label` numbers them, and each centroid coordinate is
+    the C-order sum of its voxels' indices over their count, as
+    `scipy.ndimage.center_of_mass` computes it.
+    """
+    ids, at = _padded_index(mark)
+    n = at[0].size
+    if n == 0:
+        return []
+    src, dst = [], []
+    for off in _FORWARD:
+        nbr = ids[tuple(a + o for a, o in zip(at, off))]
+        linked = nbr >= 0
+        src.append(np.nonzero(linked)[0])
+        dst.append(nbr[linked])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    # Labels follow each component's smallest node, i.e. its first voxel.
+    count, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels, minlength=count)
+    centroids = np.stack([np.bincount(labels, weights=a - 1.0, minlength=count) / sizes
+                          for a in at], axis=1)
+    return list(zip(map(tuple, centroids), sizes))
 
 
 def symmetry_witnesses(v: VoxelField):

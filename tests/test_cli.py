@@ -191,6 +191,24 @@ def test_oracle3d_subcommand(tmp_path):
     assert head[0] == "linf_rel,cp_offset_cells,rotation_witness,mirror_witness,max_value"
 
 
+def test_oracle3d_refuses_n_other_than_3_before_solving(tmp_path, capsys, monkeypatch):
+    from cplab import cli
+
+    calls = []
+
+    def counting_solve(*args, **kw):
+        calls.append(args)
+        return sv.newton_solve(*args, **kw)
+
+    monkeypatch.setattr(cli, "newton_solve", counting_solve)
+    text = TORSION_BALL.replace("n = 3", "n = 4").replace("nr = 49\nnz = 99", "nr = 33\nnz = 65")
+    cfg = write_config(tmp_path, text)
+    status = main(["oracle3d", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert status == 1
+    assert "oracle3d requires n = 3" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_report_with_no_artifacts_errors(tmp_path, capsys):
     out = tmp_path / "empty"
     out.mkdir()

@@ -1,0 +1,73 @@
+"""Import budget: the SciPy subpackages that no default pipeline uses stay unloaded.
+
+Each check runs in a fresh interpreter, because the test process has
+imported them already.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import cplab
+
+SRC = Path(cplab.__file__).resolve().parent.parent
+
+SCRIPT = textwrap.dedent('''
+    import sys
+    from pathlib import Path
+
+    UNUSED = ("scipy.interpolate", "scipy.optimize", "scipy.ndimage", "scipy.special")
+
+    def loaded():
+        return [name for name in UNUSED if name in sys.modules]
+
+    from cplab import cli, config, fieldio
+
+    TEMPLATE = """
+    [domain]
+    {domain}
+    n = 3
+    [nonlinearity]
+    {nonlinearity}
+    [grid]
+    nr = 17
+    nz = 33
+    [oracle]
+    N = 16
+    [run]
+    uniqueness_seeds = 2
+    """
+    TORSION = "form = constant\\nc = 1.0"
+    CONFIGS = {
+        "ball": ("kind = ball\\na = 1.0", "form = gelfand\\nlambda = 1.0"),
+        "spheroid": ("kind = spheroid\\na = 1.0\\nb = 0.5", TORSION),
+        "bump": ("kind = bump\\ncoeffs = 1 0 -2 0 1", TORSION),
+    }
+    cfgs = {}
+    for name, (domain, nonlinearity) in CONFIGS.items():
+        path = Path(name + ".cfg")
+        path.write_text(TEMPLATE.format(domain=domain, nonlinearity=nonlinearity))
+        cfgs[name] = config.parse_config(path)
+    assert loaded() == [], f"set-up loaded {loaded()}"
+
+    before = set(sys.modules)
+    assert cli.run("verify", cfgs["ball"], Path("verify"), 0, quiet=True) == 0
+    assert cli.run("oracle3d", cfgs["bump"], Path("oracle"), 0, quiet=True) == 0
+    assert loaded() == [], f"the pipelines loaded {loaded()}"
+    late = sorted(name for name in set(sys.modules) - before if name.startswith("scipy"))
+    assert late == [], f"the pipelines imported {late} after set-up"
+
+    from cplab import domain
+    domain.tabulated([0.0, 0.5, 1.0], [0.5, 0.4, 0.0])
+    assert "scipy.interpolate" in loaded(), "a tabulated profile did not load scipy.interpolate"
+''')
+
+
+def test_default_pipelines_load_no_unused_scipy_subpackage(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]

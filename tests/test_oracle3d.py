@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
@@ -87,6 +91,53 @@ def test_scan_double_bump_two_clusters(ball_torsion_vox):
     _, v = ball_torsion_vox
     clusters = o3.scan_critical_voxels(double_bump(v))
     assert len(clusters) == 2
+
+
+def reference_clusters(mark):
+    """Reference: 26-connected clusters by scipy.ndimage, as ((k, j, i) centroid, size)."""
+    labels, count = ndimage.label(mark, structure=np.ones((3, 3, 3), dtype=int))
+    if not count:
+        return []
+    centroids = ndimage.center_of_mass(mark, labels, range(1, count + 1))
+    sizes = ndimage.sum_labels(mark.astype(int), labels, range(1, count + 1))
+    return list(zip(centroids, sizes))
+
+
+def assert_same_clusters(got, ref):
+    assert len(got) == len(ref)
+    for (c, size), (c_ref, size_ref) in zip(got, ref):
+        assert int(size) == int(size_ref)
+        assert np.array(c, float).tobytes() == np.array(c_ref, float).tobytes()
+
+
+@st.composite
+def masks_3d(draw):
+    """Boolean boxes up to 9^3, mostly one value with scattered flips."""
+    shape = draw(array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9))
+    return draw(arrays(bool, shape, elements=st.booleans(), fill=st.just(draw(st.booleans()))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_3d())
+@example(np.zeros((4, 5, 6), bool))
+@example(np.ones((4, 5, 6), bool))
+@example(np.eye(5, dtype=bool)[None].repeat(3, axis=0))
+def test_clusters_equal_ndimage_labels(mark):
+    """Same cluster order, sizes and centroid bits as ndimage.label / center_of_mass."""
+    assert_same_clusters(o3._clusters(mark), reference_clusters(mark))
+
+
+@pytest.mark.parametrize("field", ["spindle", "double_bump"])
+def test_scan_equals_the_ndimage_scan(field, ball_torsion_vox, monkeypatch):
+    if field == "spindle":
+        d = dm.MeridianDomain(3, dm.polynomial_bump([1, 0, -2, 0, 1]))
+        v = o3.solve_3d(d, nlin.constant(1.0), 24, tol=1e-8)
+    else:
+        v = double_bump(ball_torsion_vox[1])
+    clusters = o3.scan_critical_voxels(v)
+    monkeypatch.setattr(o3, "_clusters", reference_clusters)
+    assert repr(clusters) == repr(o3.scan_critical_voxels(v))
+    assert len(clusters) == (1 if field == "spindle" else 2)
 
 
 def test_compare_with_meridian(ball_torsion_vox, torsion_ball_65):

@@ -1,7 +1,12 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
@@ -202,3 +207,19 @@ def test_run_verification_reuses_the_field_as_the_multistart_baseline(gelfand_ba
     assert all(start.linf() > 0.0 for start in calls)  # no zero-guess solve
     assert report.row("uniqueness").margin == zero_guess[0]
     assert vf.uniqueness_multistart(grid, 3, nl, seeds=3, seed=5, base=u) == zero_guess
+
+
+@st.composite
+def masks_2d(draw):
+    """Boolean masks up to 14x14, mostly one value with scattered flips."""
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=14))
+    return draw(arrays(bool, shape, elements=st.booleans(), fill=st.just(draw(st.booleans()))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_2d())
+def test_bulk_mask_equals_the_ndimage_erosion(m):
+    ref = ndimage.binary_erosion(m, structure=ndimage.generate_binary_structure(2, 1),
+                                 iterations=3, border_value=0)
+    bulk = vf._bulk_mask(SimpleNamespace(inside=m), 3)
+    assert bulk.dtype == ref.dtype and np.array_equal(bulk, ref)

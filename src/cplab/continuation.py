@@ -112,7 +112,7 @@ def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
             return f"Newton stalled at residual {rep.final_residual:.3g}", u, {}, None
         try:
             stab = smallest_eigenvalue(grid, n, u, nl, phi0=phi0, op=op)
-        except (IndefiniteOperatorError, EigenFailureError) as exc:
+        except EigenFailureError as exc:
             return f"eigen failure: {exc}", u, {"lambda1": np.nan}, None
     metrics = {"lambda1": stab.lambda1}
     phi = stab.eigenfield
@@ -148,7 +148,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
 
     Each tried grid gets one operator, which keeps its factor across the
     Newton solve and the eigen gate, so a matrix that both factor (f_u
-    independent of u, eigen shift 0) is factored once per grid.
+    independent of u) is factored once per grid.
     """
     if t_step0 > 0.1:
         raise ValueError("t_step0 must not exceed 0.1")

@@ -27,7 +27,7 @@ class IndefiniteOperatorError(CplabError):
 
 
 class EigenFailureError(CplabError):
-    """Inverse iteration failed even after shift retries."""
+    """Inverse iteration failed: no definite factor, a null vector or no convergence."""
 
 
 class UndefinedQuotientError(CplabError):

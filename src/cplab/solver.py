@@ -13,10 +13,10 @@ the cut point.
 
 The discrete operator is self-adjoint under the axisymmetric volume
 weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). The weighted operator W(-Lap - c + shift),
-cut arms included, is factored once by sparse LU (SuperLU, symmetric
-mode, diagonal pivots), and every solve is one exact back-solve with
-that factor. The same pivots test definiteness: a nonpositive pivot raises
+arms perturb symmetry locally). The weighted operator W(-Lap - c), cut
+arms included, is factored once by sparse LU (SuperLU, symmetric mode,
+diagonal pivots), and every solve is one exact back-solve with that
+factor. The same pivots test definiteness: a nonpositive pivot raises
 IndefiniteOperatorError — the numerical signature of an unstable
 linearization.
 """
@@ -193,9 +193,9 @@ class AxisymOperator:
         out[1:, :] += self.cS[1:, :] * u[:-1, :]
         return np.where(self.active, out, 0.0)
 
-    def apply(self, values: np.ndarray, c: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """(-Lap - c + shift) applied to values."""
-        out = -self.laplacian(values) - c * values + shift * values
+    def apply(self, values: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """(-Lap - c) applied to values."""
+        out = -self.laplacian(values) - c * values
         return np.where(self.active, out, 0.0)
 
     def dirichlet_rhs(self, gfun) -> np.ndarray:
@@ -232,13 +232,6 @@ class AxisymOperator:
     def linf(self, a: np.ndarray) -> float:
         return float(np.abs(a[self.active]).max(initial=0.0))
 
-    def gershgorin_floor(self, c: np.ndarray) -> float:
-        """Lower bound for eigenvalues of (-Lap - c) from row sums."""
-        diag = -self.cP - c
-        offsum = np.abs(self.cE) + np.abs(self.cW) + np.abs(self.cN) + np.abs(self.cS)
-        vals = (diag - offsum)[self.active]
-        return float(vals.min())
-
     # -- weighted matrix -------------------------------------------------------
 
     def weighted_matrix(self) -> sp.csr_matrix:
@@ -268,12 +261,11 @@ class AxisymOperator:
     def keep_factor(self):
         """Within the block, `factor` returns its last factor for an equal system.
 
-        The factor is reused when `shift` is equal and `c` is equal on the
-        active nodes, so a Newton solve and an eigen solve of the same
-        matrix share one factorization. A different system drops the kept
-        factor before it factors, and leaving the block drops it, so at
-        most one kept factor is resident. Not for operators shared between
-        threads.
+        The factor is reused when `c` is equal on the active nodes, so a
+        Newton solve and an eigen solve of the same matrix share one
+        factorization. A different system drops the kept factor before it
+        factors, and leaving the block drops it, so at most one kept factor
+        is resident. Not for operators shared between threads.
         """
         self._keeping = True
         try:
@@ -282,52 +274,52 @@ class AxisymOperator:
             self._keeping = False
             self._kept = None
 
-    def factor(self, c: np.ndarray, shift: float = 0.0) -> "ShiftedFactor":
-        """Factor (-Lap - c + shift) once for any number of solves."""
+    def factor(self, c: np.ndarray) -> "ShiftedFactor":
+        """Factor (-Lap - c) once for any number of solves."""
         if not self._keeping:
-            return ShiftedFactor(self, c, shift)
+            return ShiftedFactor(self, c)
         kept = self._kept
-        if kept is not None and kept.matches(c, shift):
+        if kept is not None and kept.matches(c):
             return kept
         self._kept = None  # free the old factor before the new one is made
-        self._kept = ShiftedFactor(self, c, shift)
+        self._kept = ShiftedFactor(self, c)
         return self._kept
 
-    def solve(self, c: np.ndarray, rhs: np.ndarray, *, shift: float = 0.0) -> np.ndarray:
-        """Solve (-Lap - c + shift) x = rhs with zero Dirichlet data.
+    def solve(self, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (-Lap - c) x = rhs with zero Dirichlet data.
 
         Factor, then solve: see ShiftedFactor, whose IndefiniteOperatorError
         propagates.
         """
         with _FACTOR_LOCK:
-            return self.factor(c, shift).solve(rhs)
+            return self.factor(c).solve(rhs)
 
 
 class ShiftedFactor:
-    """Sparse LU of the weighted operator W(-Lap - c + shift).
+    """Sparse LU of the weighted operator W(-Lap - c).
 
-    A = B + diag(w * (shift - c)), with B = W(-Lap) the weighted
-    Shortley-Weller matrix, is factored by SuperLU in symmetric mode with
-    diagonal pivots, P A P^T = L U, so every solve is one back-solve of
-    W rhs. The pivots of U are all positive iff every leading principal
-    minor of P A P^T is. For n <= 4, A is a Z-matrix, for which that holds
-    iff A is a nonsingular M-matrix (Berman & Plemmons, ch. 6), i.e. iff
-    the first eigenvalue of -Lap - c + shift is positive. For n >= 5 the
-    radial coupling toward the axis changes sign next to it, and the
-    pivot test is the same criterion without that theorem. A nonpositive pivot, an
-    off-diagonal pivot (perm_r != perm_c) or an exactly singular A raises
-    IndefiniteOperatorError.
+    A = B - diag(w * c), with B = W(-Lap) the weighted Shortley-Weller
+    matrix, is factored by SuperLU in symmetric mode with diagonal pivots,
+    P A P^T = L U, so every solve is one back-solve of W rhs. A shifted
+    operator -Lap - c + s is the same factor of c - s. The pivots of U are
+    all positive iff every leading principal minor of P A P^T is. For
+    n <= 4, A is a Z-matrix, for which that holds iff A is a nonsingular
+    M-matrix (Berman & Plemmons, ch. 6), i.e. iff the first eigenvalue of
+    -Lap - c is positive. For n >= 5 the radial coupling toward the axis
+    changes sign next to it, and the pivot test is the same criterion
+    without that theorem (checked against the eigenvalue in the tests). A
+    nonpositive pivot, an off-diagonal pivot (perm_r != perm_c) or an
+    exactly singular A raises IndefiniteOperatorError.
 
     The factor keeps the weight and the node index, not the operator, so
     an operator that keeps its factor forms no reference cycle with it.
     """
 
-    def __init__(self, op: AxisymOperator, c: np.ndarray, shift: float):
+    def __init__(self, op: AxisymOperator, c: np.ndarray):
         B, self._nodes = op._weighted_system
         self._w = op.w
         self._c = np.broadcast_to(c, op.w.shape)[self._nodes]
-        self._shift = shift
-        A = B + sp.diags(self._w[self._nodes] * (shift - self._c))
+        A = B - sp.diags(self._w[self._nodes] * self._c)
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
@@ -340,13 +332,12 @@ class ShiftedFactor:
             raise IndefiniteOperatorError(f"operator not positive definite (pivot {pivot:.3g})")
         self._lu = lu
 
-    def matches(self, c: np.ndarray, shift: float) -> bool:
-        """Whether this factors (-Lap - c + shift): equal shift, equal c on the active nodes."""
-        return shift == self._shift and np.array_equal(
-            np.broadcast_to(c, self._w.shape)[self._nodes], self._c)
+    def matches(self, c: np.ndarray) -> bool:
+        """Whether this factors (-Lap - c): equal c on the active nodes."""
+        return np.array_equal(np.broadcast_to(c, self._w.shape)[self._nodes], self._c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Exact solve of (-Lap - c + shift) x = rhs: one back-solve of W rhs."""
+        """Exact solve of (-Lap - c) x = rhs: one back-solve of W rhs."""
         x = np.zeros_like(self._w)
         x[self._nodes] = self._lu.solve((self._w * rhs)[self._nodes])
         return x

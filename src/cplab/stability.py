@@ -8,14 +8,17 @@ quadratic form
 
 is positive for every nonzero test function. The quotient is evaluated
 with the axisymmetric volume weight r^(n-2) (the angular measure factor
-cancels). The smallest eigenvalue comes from shifted inverse power
-iteration: the true Shortley-Weller operator, shifted by a Gershgorin
-bound, is factored once and every iteration is one exact back-solve with
-that factor. Pivots that show it is not positive definite double the
-shift for a fresh factorization. A caller that passes its own operator
-inside `AxisymOperator.keep_factor` shares that factorization: when the
-Newton solve that produced u factored the same matrix (f_u independent
-of u, and a zero shift), the eigen solve factors nothing.
+cancels). The smallest eigenvalue comes from inverse power iteration:
+the true Shortley-Weller operator -Lap - f_u is factored once and every
+iteration is one exact back-solve with that factor. The factor's pivots
+decide the shift: all positive, and the shift is 0. Otherwise the
+linearization is not stable, and the operator is factored once more at
+s = max f_u, where it is -Lap plus a nonnegative diagonal (for n <= 4 a
+nonsingular M-matrix), so that a lambda1 <= 0 is still reported. A
+caller that passes its own operator inside `AxisymOperator.keep_factor`
+shares that factorization: when the Newton solve that produced u
+factored the same matrix (f_u independent of u), the eigen solve factors
+nothing.
 """
 
 from __future__ import annotations
@@ -80,9 +83,8 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
                         max_iter: int = MAX_EIG_ITER_DEFAULT,
                         subdomain: str | None = None,
                         phi0: Field | None = None,
-                        shift: float | None = None,
                         op: AxisymOperator | None = None) -> StabilityReport:
-    """Shifted inverse power iteration for the first eigenvalue of -Lap - f_u.
+    """Inverse power iteration for the first eigenvalue of -Lap - f_u.
 
     `subdomain` of 'z>0' or 'z<0' masks the grid at the equatorial plane
     with a Dirichlet line (reusing all stencils), which is how eigenvalues
@@ -90,7 +92,8 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     operator Rayleigh quotient; the reported lambda1 is the variational
     quotient of the converged eigenfunction. `op`, when given, is the
     full-domain operator of (grid, n) to factor and to weigh with; it
-    cannot be combined with a subdomain.
+    cannot be combined with a subdomain. The shift rule is the module's;
+    when its fallback factor fails too, EigenFailureError names the shift.
     """
     active = None
     if subdomain == "z>0":
@@ -105,43 +108,38 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     op = op or AxisymOperator(grid, n, active=active)
     c = np.where(op.active, _fprime_field(grid, nl, u), 0.0)
 
-    floor = op.gershgorin_floor(c)
-    if shift is None:
-        shift = max(0.0, -floor)
-    elif shift < -floor:
-        raise ValueError(f"requested shift {shift:g} does not make the "
-                         f"operator provably positive definite (need >= {-floor:g})")
-
     phi = np.where(op.active, 1.0, 0.0) if phi0 is None else np.where(op.active, phi0.values, 0.0)
     nrm = op.norm(phi)
     if nrm == 0.0:
         raise UndefinedQuotientError("empty active set for eigen iteration")
     phi = phi / nrm
 
+    shift = 0.0
+    try:
+        lu = op.factor(c)
+    except IndefiniteOperatorError:
+        shift = float(c[op.active].max())
+        try:
+            lu = op.factor(c - shift)
+        except IndefiniteOperatorError as exc:
+            raise EigenFailureError(f"eigen solve failed at shift {shift:.6g}: {exc}") from None
+
     lam_op = None
     residual = np.inf
     iterations = 0
-    for attempt in range(3):
-        try:
-            lu = op.factor(c, shift)
-            for _ in range(max_iter):
-                x = lu.solve(phi)
-                nrm = op.norm(x)
-                if not np.isfinite(nrm) or nrm == 0.0:
-                    raise IndefiniteOperatorError("inverse iteration produced a null vector")
-                phi = x / nrm
-                Lphi = op.apply(phi, c, 0.0)
-                lam_op = op.dot(phi, Lphi)
-                residual = op.norm(Lphi - lam_op * phi)
-                iterations += 1
-                if residual <= tol_eig * max(1.0, abs(lam_op)):
-                    break
+    for _ in range(max_iter):
+        x = lu.solve(phi)
+        nrm = op.norm(x)
+        if not np.isfinite(nrm) or nrm == 0.0:
+            raise EigenFailureError(
+                f"inverse iteration produced a null vector at shift {shift:.6g}")
+        phi = x / nrm
+        Lphi = op.apply(phi, c)
+        lam_op = op.dot(phi, Lphi)
+        residual = op.norm(Lphi - lam_op * phi)
+        iterations += 1
+        if residual <= tol_eig * max(1.0, abs(lam_op)):
             break
-        except IndefiniteOperatorError:
-            if attempt == 2:
-                raise EigenFailureError(
-                    f"eigen solve failed after shift retries (last shift {shift:.3g})")
-            shift = 2.0 * shift + max(1.0, abs(floor))
 
     if residual > tol_eig * max(1.0, abs(lam_op)):
         raise EigenFailureError(

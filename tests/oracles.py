@@ -10,6 +10,7 @@ so a regression in the oracle itself is caught.
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import jv
 
 # Frozen outputs of gelfand_radial_shoot(1.0) (minimal branch, unit ball, n=3).
 GELFAND1_U0 = 0.19026604075919906
@@ -39,6 +40,20 @@ def gelfand_radial_shoot(lam: float, n: int = 3, alpha_hi: float = 2.0):
 
     alpha = brentq(boundary_value, 0.0, alpha_hi, xtol=1e-13)
     return alpha, -lam * np.exp(alpha) / n
+
+
+def ball_lambda1(n: int, a: float = 1.0) -> float:
+    """First Dirichlet eigenvalue of -Lap on the ball of radius a in R^n.
+
+    (j_{n/2-1,1} / a)^2 (Courant & Hilbert, vol. 1, ch. V). The first zero
+    of J_nu lies past nu; it is bracketed by the first sign change on a
+    0.05 grid and refined with brentq.
+    """
+    nu = n / 2.0 - 1.0
+    xs = np.arange(nu + 0.05, nu + 10.0, 0.05)
+    vals = jv(nu, xs)
+    i = int(np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0][0])
+    return (brentq(lambda x: jv(nu, x), xs[i], xs[i + 1], xtol=1e-14) / a) ** 2
 
 
 def torsion_ball_exact(a: float, n: int):

@@ -23,7 +23,7 @@ from cplab.cli import main
 from cplab.continuation import run_homotopy
 from cplab.errors import IndefiniteOperatorError, OracleMismatchError
 
-from oracles import BALL_LAMBDA1, manufactured_problem
+from oracles import BALL_LAMBDA1, ball_lambda1, manufactured_problem
 
 
 def note(num, ok, msg):
@@ -210,6 +210,54 @@ def test_criterion_08_homotopy_completion(homotopy_runs):
              f"target ({key}): t=1 reached in {len(rec.steps)} steps, "
              f"all gates green, first_failure_t={rec.first_failure_t}, "
              f"runtime {elapsed:.0f}s (<300s)")
+
+
+SPHEROID_N5 = """
+[domain]
+kind = spheroid
+a = 1.0
+b = 0.5
+n = 5
+
+[nonlinearity]
+form = constant
+c = 1.0
+
+[grid]
+nr = 49
+nz = 65
+
+[run]
+uniqueness_seeds = 2
+"""
+
+
+def test_criterion_08_homotopy_completion_in_dimension_5(tmp_path):
+    # The theorem holds for every n >= 3. At n = 5 the weighted operator is
+    # not a Z-matrix, and the eigen gate still certifies every step.
+    cfg = tmp_path / "n5.cfg"
+    cfg.write_text(SPHEROID_N5)
+    eigen_status = main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "eigen"),
+                         "--quiet"])
+    continue_status = main(["continue", "--config", str(cfg), "--out",
+                            str(tmp_path / "continue"), "--quiet"])
+    eig_head = (tmp_path / "eigen" / "eigenfield.cpfield").read_text().splitlines()[0]
+    lam_target = float(eig_head.split("=")[1])
+    rows = (tmp_path / "continue" / "continuation.csv").read_text().splitlines()[1:]
+    lam_ball, lam_end = float(rows[0].split(",")[2]), float(rows[-1].split(",")[2])
+    # t = 0 is the inscribed ball, radius b; the spheroid lies between the
+    # balls of radius b and a, so its lambda1 lies between theirs.
+    exact_ball = ball_lambda1(5, 0.5)
+    ball_rel = abs(lam_ball / exact_ball - 1.0)
+    ok = (eigen_status == 0 and continue_status == 0
+          and ball_rel <= 2e-2
+          and ball_lambda1(5, 1.0) < lam_target < exact_ball
+          and lam_end == pytest.approx(lam_target, rel=1e-6))
+    note(8, ok,
+         f"n = 5 spheroid b = 0.5, 49x65: eigen exits {eigen_status}, continue exits "
+         f"{continue_status} in {len(rows)} steps; lambda1 at t=0 {lam_ball:.4f} vs "
+         f"j^2/b^2 = {exact_ball:.4f} (rel {ball_rel:.2e} <= 2%), at t=1 {lam_end:.4f} "
+         f"vs eigen {lam_target:.4f}")
 
 
 def test_criterion_09_oracle_agreement(homotopy_runs):

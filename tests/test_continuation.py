@@ -93,23 +93,16 @@ def test_field_sink_receives_steps(tmp_path):
 @pytest.mark.parametrize("b", [0.5, 0.6])
 def test_homotopy_never_factors_one_system_twice_on_a_grid(b, factor_count):
     # Torsion: f_u = 0, so Newton and the eigen gate factor the same matrix
-    # on a grid whenever the eigen shift is 0. The final multistart factors
-    # once per seed.
+    # on a grid, and the eigen shift is 0 because that factor is definite.
+    # The final multistart factors once per seed.
     target = dm.MeridianDomain(3, dm.spheroid(1.0, b))
     rec = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1,
                        uniqueness_seeds=2, seed=4)
     assert rec.completed
     homotopy, seeds = factor_count[:-2], factor_count[-2:]
-    assert all(f._shift == 0.0 and not f._c.any() for f in seeds)
+    assert all(not f._c.any() for f in seeds)
     per_grid = {}
     for f in homotopy:  # the factors keep their operator's weight array alive
-        per_grid.setdefault(id(f._w), []).append((f._shift, f._c.tobytes()))
+        per_grid.setdefault(id(f._w), []).append(f._c.tobytes())
     assert len(per_grid) == len(rec.steps) + len(rec.rejections)
-    assert all(len(set(systems)) == len(systems) for systems in per_grid.values())
-    if b == 0.5:
-        assert all(len(systems) == 1 for systems in per_grid.values())
-    else:
-        # On this grid the Gershgorin floor of -Lap rounds to -1.8e-12, so the
-        # eigen shift is not 0 and the eigen gate factors a second matrix.
-        shifts = {shift for systems in per_grid.values() for shift, _ in systems}
-        assert shifts == {0.0, 2.0 ** -39}
+    assert all(len(systems) == 1 for systems in per_grid.values())

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
@@ -75,16 +77,32 @@ def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
         sv.solve_linear(grid, 3, const(10.5), rhs)
 
 
-@pytest.mark.parametrize("n, nr, nz", [(2, 49, 97), (3, 65, 129), (4, 49, 97)])
-def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz):
+THRESHOLD_CASES = [(2, 49, 97, None), (3, 65, 129, None), (4, 49, 97, None),
+                   (5, 33, 65, None), (6, 33, 65, None), (8, 33, 65, None),
+                   (5, 49, 49, 0.5)]
+
+
+@pytest.mark.parametrize("n, nr, nz, b", THRESHOLD_CASES, ids=[
+    f"{n}-{nr}-{nz}" + ("" if b is None else f"-spheroid{b}") for n, nr, nz, b in THRESHOLD_CASES])
+def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
     # The pivots test the operator that is solved: -Lap - c solves right
-    # up to its first eigenvalue and raises just past it.
-    grid = dm.build_grid(dm.MeridianDomain(n, dm.ball(1.0)), nr, nz)
+    # up to its first eigenvalue and raises just past it. For n >= 5 the
+    # weighted operator is not a Z-matrix, so no M-matrix theorem backs
+    # this there; the first eigenvalue of the true operator W^-1 B (by
+    # shift-invert Arnoldi) pins it instead.
+    profile = dm.ball(1.0) if b is None else dm.spheroid(1.0, b)
+    grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
     rep = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0),
                                  tol_eig=1e-10)
+    assert rep.shift == 0.0
     op = sv.AxisymOperator(grid, n)
     phi = rep.eigenfield.values
     lam = op.dot(phi, op.apply(phi, 0.0)) / op.dot(phi, phi)
+    W_inv = sp.diags(1.0 / op.w[op.active])
+    arnoldi = spla.eigs((W_inv @ op.weighted_matrix()).tocsc(), k=1, sigma=0.0,
+                        return_eigenvectors=False)[0]
+    assert abs(arnoldi.imag) <= 1e-9 * lam
+    assert lam == pytest.approx(arnoldi.real, rel=1e-9)
     rhs = sv.Field.from_function(grid, n, lambda R, Z: np.ones_like(R))
 
     def const(value):
@@ -230,11 +248,11 @@ def test_kept_factor_is_reused_for_an_equal_system_only(torsion_ball_65):
         kept = op.factor(c)
         # Values outside the active nodes are not part of the system.
         assert op.factor(np.where(grid.inside, c, 7.0)) is kept
-        assert op.factor(c, 0.0) is kept
-        shifted = op.factor(c, 1.0)
+        assert op.factor(c - 0.0) is kept
+        shifted = op.factor(c - 1.0)
         assert shifted is not kept
-        assert op.factor(c, 1.0) is shifted
-        other = op.factor(np.where(grid.inside, 1.0, 0.0), 1.0)
+        assert op.factor(c - 1.0) is shifted
+        other = op.factor(np.where(grid.inside, 1.0, 0.0) - 1.0)
         assert other is not shifted
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from cplab import domain as dm
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
 from cplab import stability as st
 from cplab.errors import UndefinedQuotientError
 
-from oracles import BALL_LAMBDA1
+from oracles import BALL_LAMBDA1, ball_lambda1
 
 
 def first_ball_mode(grid):
@@ -60,11 +61,38 @@ def test_smallest_eigenvalue_ball(torsion_ball_65):
     assert op.norm(rep.eigenfield.values) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_affine_shift_identity(torsion_ball_65):
+@pytest.mark.parametrize("a", [5.0, 25.0])
+def test_affine_shift_identity(torsion_ball_65, a):
+    # lambda1(-Lap - a) = lambda1(-Lap) - a. Past pi^2 the factor at shift 0
+    # is indefinite, and the eigen solve falls back to the shift max f_u = a,
+    # so the unstable linearization is still measured and reported.
     grid, u, _, _ = torsion_ball_65
     r0 = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), tol_eig=1e-9)
-    r5 = st.smallest_eigenvalue(grid, 3, u, nlin.affine(5.0, 1.0), tol_eig=1e-9)
-    assert abs(r5.lambda1 - (r0.lambda1 - 5.0)) <= 1e-10
+    ra = st.smallest_eigenvalue(grid, 3, u, nlin.affine(a, 1.0), tol_eig=1e-9)
+    assert abs(ra.lambda1 - (r0.lambda1 - a)) <= 1e-10
+    unstable = a > BALL_LAMBDA1
+    assert ra.shift == (a if unstable else 0.0)
+    assert ra.stable is not unstable
+    assert ra.single_signed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_unit_ball_lambda1_is_the_squared_bessel_zero(n):
+    # Against j_{n/2-1,1}^2; for n >= 5 the weighted operator is not a
+    # Z-matrix, and the shift-0 factor still converges.
+    exact = ball_lambda1(n)
+    if n == 3:
+        assert exact == pytest.approx(BALL_LAMBDA1, rel=1e-13)  # j_{1/2,1} = pi
+    errors = []
+    for nr, nz in ((33, 65), (65, 129)):
+        grid = dm.build_grid(dm.MeridianDomain(n, dm.ball(1.0)), nr, nz)
+        rep = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0))
+        assert rep.stable and rep.shift == 0.0
+        errors.append(abs(rep.lambda1 / exact - 1.0))
+    print(f"n={n}: lambda1 rel err {errors[0]:.2e} -> {errors[1]:.2e}, "
+          f"observed order {np.log2(errors[0] / errors[1]):.2f}")
+    assert errors[1] <= 1e-2
+    assert errors[1] < errors[0]
 
 
 def test_torsion_always_stable(spheroid_torsion_129):
@@ -98,13 +126,6 @@ def test_gelfand_stability(gelfand_ball_65):
     assert rep.lambda1 < BALL_LAMBDA1 - 0.5
 
 
-def test_shift_invariance(torsion_ball_65):
-    grid, u, _, _ = torsion_ball_65
-    a = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), shift=0.0)
-    b = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), shift=25.0)
-    assert abs(a.lambda1 - b.lambda1) <= st.TOL_EIG_DEFAULT * max(1.0, abs(a.lambda1))
-
-
 def assert_same_report(a, b):
     assert a.lambda1 == b.lambda1
     assert a.iterations == b.iterations
@@ -122,7 +143,7 @@ def test_eigen_solve_reuses_newtons_factor_bitwise(torsion_ball_65, factor_count
         solved, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
         assert rep.newton_iterations >= 1 and len(factor_count) == start + 1
         kept = st.smallest_eigenvalue(grid, 3, solved, nl, op=op)
-        assert len(factor_count) == start + 1  # torsion: f_u = 0, shift 0
+        assert len(factor_count) == start + 1  # torsion: f_u = 0
     assert np.array_equal(solved.values, u.values)
     assert_same_report(kept, plain)
 
@@ -136,8 +157,8 @@ def test_gelfand_eigen_solve_in_keep_factor_makes_a_fresh_factor(gelfand_ball_65
         solved, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
         start = len(factor_count)
         kept = st.smallest_eigenvalue(grid, 3, solved, nl, op=op)
-        assert len(factor_count) == start + 1  # f_u moved with u, and the shift is > 0
-    assert kept.shift > 0.0
+        assert len(factor_count) == start + 1  # f_u moved with u
+    assert kept.shift == 0.0
     assert_same_report(kept, plain)
 
 

@@ -84,7 +84,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         (out / "census.csv").write_text(fieldio.census_csv(census, d.n))
         ok = census.unique_axis_max
         _say(quiet, f"census: {len(census.points)} point(s), "
-                    f"unique nondegenerate max: {census.unique_nondegenerate_max}")
+                    f"unique nondegenerate max on the axis: {ok}")
         return 0 if ok else 1
 
     if subcommand == "verify":

@@ -214,11 +214,14 @@ class MeridianGrid:
     """Uniform embedded-boundary grid on [0, rmax] x [-zmax, zmax].
 
     Arrays are indexed [j, i] with j the z index (ascending) and i the
-    r index. `theta_*` hold the fractional arm lengths toward E(+r),
-    W(-r), N(+z), S(-z); they are 1.0 on full arms and in [THETA_MIN, 1]
-    where the arm crosses the boundary. Mirror symmetry in z is exact by
-    construction. x_n stays on the vertical axis of the plot plane: the
-    node (i=0, j=mid) is the origin o.
+    r index. `theta_*` are the arm lengths, as fractions of the spacing,
+    toward E(+r), W(-r), N(+z), S(-z): exactly 1.0 on every full arm (see
+    `full_arms`) and in [THETA_MIN, 1] where the arm crosses the
+    boundary. The solver's operator and derivatives take their arm
+    lengths from them as they are, for any active set within `inside`.
+    `interior` and `boundary_adjacent` come from `classify_nodes`. Mirror
+    symmetry in z is exact by construction. x_n stays on the vertical
+    axis of the plot plane: the node (i=0, j=mid) is the origin o.
     """
 
     nr: int
@@ -253,6 +256,43 @@ def _symmetric_axis(zmax: float, nz: int) -> np.ndarray:
     half = (nz + 1) // 2
     zpos = np.linspace(0.0, zmax, half)
     return np.concatenate([-zpos[:0:-1], zpos])
+
+
+def neighbours(a: np.ndarray):
+    """The E(+r), W(-r), N(+z), S(-z) neighbours of every node of a [j, i] array.
+
+    Each result holds, at a node, the entry of `a` at that neighbour; off
+    the array it holds zero (False for a mask: off the array is outside).
+    """
+    e = np.zeros_like(a); e[:, :-1] = a[:, 1:]
+    w = np.zeros_like(a); w[:, 1:] = a[:, :-1]
+    n = np.zeros_like(a); n[:-1, :] = a[1:, :]
+    s = np.zeros_like(a); s[1:, :] = a[:-1, :]
+    return e, w, n, s
+
+
+def full_arms(inside: np.ndarray):
+    """Masks (E, W, N, S) of the nodes whose arm in that direction is full.
+
+    An arm is full when its neighbour is in `inside`; the west arm of the
+    axis column is the even reflection r -> -r, which is always full.
+    Every other arm is cut by the boundary.
+    """
+    e, w, n, s = neighbours(inside)
+    w[:, 0] = True
+    return e, w, n, s
+
+
+def classify_nodes(inside: np.ndarray):
+    """(interior, boundary_adjacent) of an inside mask: all four arms full, or not.
+
+    A cut fraction below 1 lies only on an arm that is not full, so the
+    masks alone decide; an arm whose cut falls on the neighbour node
+    (theta = 1) still makes its node boundary-adjacent.
+    """
+    e, w, n, s = full_arms(inside)
+    interior = inside & e & w & n & s
+    return interior, inside & ~interior
 
 
 def build_grid(d, nr: int, nz: int, *, t: float | None = None,
@@ -332,27 +372,10 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     upper = np.zeros_like(inside)
     upper[jmid:, :] = inside[jmid:, :]
 
-    # East arms: neighbor outside the domain or off the grid edge.
-    nbr_in = np.zeros_like(inside)
-    nbr_in[:, :-1] = inside[:, 1:]
-    cut_fraction(theta_e, upper & ~nbr_in, hr, 0.0)
-
-    # West arms (not at the axis column, where even reflection applies).
-    nbr_in = np.zeros_like(inside)
-    nbr_in[:, 1:] = inside[:, :-1]
-    mask = upper & ~nbr_in
-    mask[:, 0] = False
-    cut_fraction(theta_w, mask, -hr, 0.0)
-
-    # North arms.
-    nbr_in = np.zeros_like(inside)
-    nbr_in[:-1, :] = inside[1:, :]
-    cut_fraction(theta_n, upper & ~nbr_in, 0.0, hz)
-
-    # South arms.
-    nbr_in = np.zeros_like(inside)
-    nbr_in[1:, :] = inside[:-1, :]
-    cut_fraction(theta_s, upper & ~nbr_in, 0.0, -hz)
+    # Bisect the arms that are not full, in the upper half.
+    for target, full, dr, dz in zip((theta_e, theta_w, theta_n, theta_s), full_arms(inside),
+                                    (hr, -hr, 0.0, 0.0), (0.0, 0.0, hz, -hz)):
+        cut_fraction(target, upper & ~full, dr, dz)
 
     # Mirror the upper half onto the lower half: N and S swap.
     theta_e[:jmid, :] = theta_e[nz - 1:jmid:-1, :]
@@ -360,19 +383,7 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     theta_n[:jmid, :] = theta_s[nz - 1:jmid:-1, :]
     theta_s[:jmid, :] = theta_n[nz - 1:jmid:-1, :]
 
-    cut_any = ((theta_e < 1.0) | (theta_w < 1.0) | (theta_n < 1.0) | (theta_s < 1.0))
-    # Arms toward off-grid or outside neighbors that were classified with
-    # theta = 1 (boundary exactly on the neighbor node) still make the node
-    # boundary-adjacent for bookkeeping purposes.
-    e_in = np.zeros_like(inside); e_in[:, :-1] = inside[:, 1:]
-    w_in = np.zeros_like(inside); w_in[:, 1:] = inside[:, :-1]
-    w_in[:, 0] = True  # axis reflection arm counts as full
-    n_in = np.zeros_like(inside); n_in[:-1, :] = inside[1:, :]
-    s_in = np.zeros_like(inside); s_in[1:, :] = inside[:-1, :]
-    open_arm = ~(e_in & w_in & n_in & s_in)
-
-    boundary_adjacent = inside & (cut_any | open_arm)
-    interior = inside & ~boundary_adjacent
+    interior, boundary_adjacent = classify_nodes(inside)
 
     return MeridianGrid(
         nr=nr, nz=nz, rs=rs, zs=zs, hr=float(hr), hz=float(hz),

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, _symmetric_axis, build_grid
+from .domain import (HomotopyFamily, MeridianDomain, MeridianGrid, _symmetric_axis, build_grid,
+                     classify_nodes)
 from .errors import ConfigError, GeometryViolationError
 from .solver import Field
 
@@ -95,20 +96,11 @@ def _bare_grid(nr, nz, rmax, zmax, t, inside) -> MeridianGrid:
     rs = np.linspace(0.0, rmax, nr)
     zs = _symmetric_axis(zmax, nz)
     ones = np.ones_like(inside, dtype=float)
-    nbr_all = np.ones_like(inside)
-    for arr, sl_dst, sl_src in (
-            (inside, np.s_[:, :-1], np.s_[:, 1:]),
-            (inside, np.s_[:, 1:], np.s_[:, :-1]),
-            (inside, np.s_[:-1, :], np.s_[1:, :]),
-            (inside, np.s_[1:, :], np.s_[:-1, :])):
-        shifted = np.zeros_like(inside)
-        shifted[sl_dst] = arr[sl_src]
-        nbr_all = nbr_all & shifted
-    interior = inside & nbr_all
+    interior, boundary_adjacent = classify_nodes(inside)
     return MeridianGrid(
         nr=nr, nz=nz, rs=rs, zs=zs, hr=float(rs[1] - rs[0]),
         hz=float(zs[(nz + 1) // 2] - zs[(nz - 1) // 2]),
-        inside=inside, interior=interior, boundary_adjacent=inside & ~interior,
+        inside=inside, interior=interior, boundary_adjacent=boundary_adjacent,
         theta_e=ones, theta_w=ones.copy(), theta_n=ones.copy(), theta_s=ones.copy(),
         rmax=float(rmax), zmax=float(zmax), t=float(t), g=None,
         j_equator=(nz - 1) // 2)
@@ -117,10 +109,13 @@ def _bare_grid(nr, nz, rmax, zmax, t, inside) -> MeridianGrid:
 def read_field(path):
     """Read a CPFIELD file; returns (Field, comments).
 
-    The grid is reconstructed from the header and the nan pattern; it has
-    no profile attached and every cut fraction is 1, so only geometry-free
-    uses (round trips, heat maps) are sound. `on_domain` restores the true
-    grid for checks.
+    The grid is reconstructed from the header and the nan pattern, and its
+    nodes are classified as `build_grid` classifies them (`classify_nodes`,
+    the axis column's reflected west arm included), so its `interior` and
+    `boundary_adjacent` are those of the grid the field was solved on. It
+    has no profile attached and every cut fraction is 1, so only
+    geometry-free uses (round trips, heat maps, the census) are sound.
+    `on_domain` restores the true grid for checks.
     """
     comments = []
     with open(path) as fh:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import neighbours
 from .errors import InternalContradictionError, TooCloseToBoundaryError
 from .interp import Bicubic, CubicLine, safe_cells
 from .solver import Field, derivative_field
@@ -104,20 +105,16 @@ def _second_difference_arrays(u: Field):
     uzz = np.full_like(v, np.nan)
     urz = np.full_like(v, np.nan)
 
-    ok_r = act.copy()
-    ok_r[:, 1:-1] &= act[:, 2:] & act[:, :-2]
-    ok_r[:, 0] = False
-    ok_r[:, -1] = False
+    # A leg off the array leaves the domain; the axis column gets its own rule below.
+    e, w, n, s = neighbours(act)
+    ok_r = act & e & w
     urr[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (hr * hr)
     urr[~ok_r] = np.nan
     # Axis column: even reflection u(-hr, z) = u(hr, z).
-    ax_ok = act[:, 0] & act[:, 1]
+    ax_ok = act[:, 0] & e[:, 0]
     urr[ax_ok, 0] = 2.0 * (v[ax_ok, 1] - v[ax_ok, 0]) / (hr * hr)
 
-    ok_z = act.copy()
-    ok_z[1:-1, :] &= act[2:, :] & act[:-2, :]
-    ok_z[0, :] = False
-    ok_z[-1, :] = False
+    ok_z = act & n & s
     uzz[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / (hz * hz)
     uzz[~ok_z] = np.nan
 
@@ -300,8 +297,7 @@ def find_critical_points(u: Field, tol_cp: float = TOL_CP_DEFAULT) -> Census:
     for r, z, res in kept:
         on_axis = r == 0.0
         try:
-            H = hessian_at(u, (r, z) if not on_axis else CriticalPoint(
-                0.0, z, True, res, None, (0, 0, 0), ""))
+            H = hessian_at(u, (r, z))
         except TooCloseToBoundaryError:
             # Boundary critical points are out of scope; a zero of the
             # interpolated gradient hugging the boundary is discarded.

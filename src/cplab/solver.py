@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import MeridianGrid
+from .domain import MeridianGrid, full_arms, neighbours
 from .errors import IndefiniteOperatorError
 from .nonlinearity import Nonlinearity
 
@@ -119,24 +119,15 @@ class AxisymOperator:
         g, n = self.grid, self.n
         hr, hz = g.hr, g.hz
         act = self.active
-        thE, thW = g.theta_e, g.theta_w
-        thN, thS = g.theta_n, g.theta_s
-
-        nbrE = np.zeros_like(act); nbrE[:, :-1] = act[:, 1:]
-        nbrW = np.zeros_like(act); nbrW[:, 1:] = act[:, :-1]
-        nbrN = np.zeros_like(act); nbrN[:-1, :] = act[1:, :]
-        nbrS = np.zeros_like(act); nbrS[1:, :] = act[:-1, :]
+        # Arm lengths as fractions of h: the grid's, which are 1 on every
+        # arm toward an active neighbour. A coupling runs along a full arm
+        # of the active set; the other arms carry the boundary value.
+        aE, aW, aN, aS = g.theta_e, g.theta_w, g.theta_n, g.theta_s
+        fullE, fullW, fullN, fullS = full_arms(act)
 
         R = np.broadcast_to(g.rs[None, :], act.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             mu = np.where(R > 0, (n - 2) / np.where(R > 0, R, 1.0), 0.0)
-
-        # Arm lengths as fractions of h. Arms toward active neighbors are
-        # full; the rest use the stored cut fraction.
-        aE = np.where(nbrE, 1.0, thE)
-        aW = np.where(nbrW, 1.0, thW)
-        aN = np.where(nbrN, 1.0, thN)
-        aS = np.where(nbrS, 1.0, thS)
 
         # Radial direction: second plus weighted first derivative.
         cE = 2.0 / (aE * (aE + aW) * hr * hr) + mu * aW / (aE * (aE + aW) * hr)
@@ -155,15 +146,15 @@ class AxisymOperator:
 
         # Keep the raw arm coefficients for inhomogeneous boundary data,
         # then zero couplings into non-active nodes (their value is 0).
-        self.cE_cut = np.where(act & ~nbrE, cE, 0.0)
-        self.cW_cut = np.where(act & ~nbrW & ~axis, cW, 0.0)
-        self.cN_cut = np.where(act & ~nbrN, cN, 0.0)
-        self.cS_cut = np.where(act & ~nbrS, cS, 0.0)
+        self.cE_cut = np.where(act & ~fullE, cE, 0.0)
+        self.cW_cut = np.where(act & ~fullW, cW, 0.0)
+        self.cN_cut = np.where(act & ~fullN, cN, 0.0)
+        self.cS_cut = np.where(act & ~fullS, cS, 0.0)
 
-        self.cE = np.where(act & nbrE, cE, 0.0)
-        self.cW = np.where(act & nbrW, cW, 0.0)
-        self.cN = np.where(act & nbrN, cN, 0.0)
-        self.cS = np.where(act & nbrS, cS, 0.0)
+        self.cE = np.where(act & fullE, cE, 0.0)
+        self.cW = np.where(act & fullW, cW, 0.0)
+        self.cN = np.where(act & fullN, cN, 0.0)
+        self.cS = np.where(act & fullS, cS, 0.0)
         self.cP = np.where(act, cPr + cPz, 0.0)
         self.arm = {"E": aE, "W": aW, "N": aN, "S": aS}
 
@@ -435,24 +426,15 @@ def derivative_field(u: Field, direction: str) -> Field:
     g = u.grid
     act = g.inside
     vals = np.where(act, u.values, 0.0)
+    uE, uW, uN, uS = neighbours(vals)
 
     if direction == "r":
-        thP, thM, h = g.theta_e, g.theta_w, g.hr
-        nbrP = np.zeros_like(act); nbrP[:, :-1] = act[:, 1:]
-        nbrM = np.zeros_like(act); nbrM[:, 1:] = act[:, :-1]
-        uP = np.zeros_like(vals); uP[:, :-1] = vals[:, 1:]
-        uM = np.zeros_like(vals); uM[:, 1:] = vals[:, :-1]
+        aP, aM, uP, uM, h = g.theta_e, g.theta_w, uE, uW, g.hr
     elif direction == "z":
-        thP, thM, h = g.theta_n, g.theta_s, g.hz
-        nbrP = np.zeros_like(act); nbrP[:-1, :] = act[1:, :]
-        nbrM = np.zeros_like(act); nbrM[1:, :] = act[:-1, :]
-        uP = np.zeros_like(vals); uP[:-1, :] = vals[1:, :]
-        uM = np.zeros_like(vals); uM[1:, :] = vals[:-1, :]
+        aP, aM, uP, uM, h = g.theta_n, g.theta_s, uN, uS, g.hz
     else:
         raise ValueError("direction must be 'r' or 'z'")
 
-    aP = np.where(nbrP, 1.0, thP)
-    aM = np.where(nbrM, 1.0, thM)
     d = (aM * aM * uP - aP * aP * uM + (aP * aP - aM * aM) * vals) / (
         h * aP * aM * (aP + aM))
     if direction == "r":

@@ -33,7 +33,7 @@ from .nonlinearity import Nonlinearity
 from .solver import AxisymOperator, Field, derivative_field
 
 TOL_EIG_DEFAULT = 1e-8
-MAX_EIG_ITER_DEFAULT = 200
+MAX_EIG_ITER = 200
 
 
 @dataclass
@@ -80,7 +80,6 @@ def rayleigh_quotient(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
 
 def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
                         tol_eig: float = TOL_EIG_DEFAULT,
-                        max_iter: int = MAX_EIG_ITER_DEFAULT,
                         subdomain: str | None = None,
                         phi0: Field | None = None,
                         op: AxisymOperator | None = None) -> StabilityReport:
@@ -89,10 +88,11 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     `subdomain` of 'z>0' or 'z<0' masks the grid at the equatorial plane
     with a Dirichlet line (reusing all stencils), which is how eigenvalues
     on the reflection half-domains are estimated. Residual control uses the
-    operator Rayleigh quotient; the reported lambda1 is the variational
-    quotient of the converged eigenfunction. `op`, when given, is the
-    full-domain operator of (grid, n) to factor and to weigh with; it
-    cannot be combined with a subdomain. The shift rule is the module's;
+    operator Rayleigh quotient, and a residual still above `tol_eig` after
+    MAX_EIG_ITER steps raises EigenFailureError; the reported lambda1 is
+    the variational quotient of the converged eigenfunction. `op`, when
+    given, is the full-domain operator of (grid, n) to factor and to weigh
+    with; it cannot be combined with a subdomain. The shift rule is the module's;
     when its fallback factor fails too, EigenFailureError names the shift.
     """
     active = None
@@ -127,7 +127,7 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     lam_op = None
     residual = np.inf
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_EIG_ITER):
         x = lu.solve(phi)
         nrm = op.norm(x)
         if not np.isfinite(nrm) or nrm == 0.0:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MeridianGrid
-from .errors import GeometryViolationError, InternalContradictionError
+from .domain import MeridianGrid, neighbours
+from .errors import GeometryViolationError, IndefiniteOperatorError, InternalContradictionError
 from .interp import Bicubic, safe_cells, cell_index
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
@@ -79,15 +79,14 @@ def check_axial_symmetry(u: Field) -> float:
 def _bulk_mask(grid: MeridianGrid, cells: int = 3) -> np.ndarray:
     """Inside nodes at least `cells` stencil steps from the boundary.
 
-    `cells` erosions by the 4-neighbour cross; nodes on the array's frame
-    count as boundary (a node off the array is outside).
+    `cells` erosions by the 4-neighbour cross; a node off the array is
+    outside, so the array's frame, the axis column included, erodes too
+    and no bulk node lies in the first `cells` columns.
     """
     m = grid.inside
     for _ in range(cells):
-        core = np.zeros_like(m)
-        core[1:-1, 1:-1] = (m[1:-1, 1:-1] & m[2:, 1:-1] & m[:-2, 1:-1]
-                            & m[1:-1, 2:] & m[1:-1, :-2])
-        m = core
+        e, w, n, s = neighbours(m)
+        m = m & e & w & n & s
     return m
 
 
@@ -179,9 +178,10 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
     with the axisymmetric Laplacian acting on v. The radial direction uses
     w = du/dr, which is the first azimuthal mode of the transverse
     derivative field, so its Laplacian carries the extra -(n-2)/r^2 term.
-    The scan covers interior nodes at least 3 cells from the boundary
-    (and r >= 3hr for the radial direction, where the mode equation
-    degenerates on the axis).
+    The scan covers the nodes at least 3 cells from the boundary and from
+    the array's frame (`_bulk_mask`), so every scanned node has r >= 3hr:
+    the axis, where v is even in r and the radial mode equation
+    degenerates, is never scanned.
     """
     g = u.grid
     n = u.n
@@ -202,23 +202,18 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
         fdir = nl.eval_dz(R, Z, u.values)
         with np.errstate(divide="ignore", invalid="ignore"):
             lap = vrr + np.where(R > 0, (n - 2) / np.where(R > 0, R, 1.0) * vr, 0.0) + vzz
-        # Axis column: v is even in r, Lap v = (n-1) v_rr + v_zz.
-        ax = bulk[:, 0]
-        lap[ax, 0] = 2.0 * (n - 1) * (v[ax, 1] - v[ax, 0]) / (hr * hr) + vzz[ax, 0]
-        scan = bulk
     elif direction == "r":
         fdir = nl.eval_dr(R, Z, u.values)
         with np.errstate(divide="ignore", invalid="ignore"):
             rr = np.where(R > 0, R, 1.0)
             lap = vrr + (n - 2) / rr * vr + vzz - (n - 2) / (rr * rr) * v
-        scan = bulk & (g.rs[None, :] >= 3.0 * hr)
     else:
         raise ValueError("direction must be 'r' or 'z'")
 
     resid = lap + fu * v + fdir
-    if not scan.any():
+    if not bulk.any():
         return np.nan
-    return float(np.abs(resid[scan]).max())
+    return float(np.abs(resid[bulk]).max())
 
 
 def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
@@ -231,10 +226,11 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     [0, 2*max(u_0)], and each converged solution is compared with the
     others and with the baseline u_0. The baseline is `base`, a solution
     the caller already holds, or else the zero-guess solution, which costs
-    one more Newton solve. Non-converged seeds are a basin failure, not a
-    uniqueness failure, and are reported separately. All solves share one
-    operator, whose factors are not kept: the pool threads would free each
-    other's.
+    one more Newton solve. A seed whose Newton solve does not converge, or
+    meets an indefinite linearization (IndefiniteOperatorError), is a
+    basin failure, not a uniqueness failure, and is reported separately;
+    any other error propagates. All solves share one operator, whose
+    factors are not kept: the pool threads would free each other's.
     """
     op = AxisymOperator(grid, n)
     if base is None:
@@ -249,9 +245,9 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     def run(u0_vals):
         try:
             f, r = newton_solve(grid, n, nl, Field(grid, u0_vals, n), tol_pde=tol_pde, op=op)
-            return f if r.converged else None
-        except Exception:
+        except IndefiniteOperatorError:
             return None
+        return f if r.converged else None
 
     workers = max(1, min(worker_count(), seeds))
     if workers > 1:
@@ -301,8 +297,7 @@ class VerificationReport:
 def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
                      tol_pde: float = TOL_PDE_DEFAULT, seeds: int = 5,
                      seed: int = 0, lambdas=None,
-                     with_uniqueness: bool = True,
-                     census=None) -> VerificationReport:
+                     with_uniqueness: bool = True) -> VerificationReport:
     """Full theorem-conclusion report on a solved field.
 
     Five conclusion lines (symmetry, axial monotonicity, transverse
@@ -321,11 +316,10 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
     rows.append(CheckRow("monotone_transverse", m_r, eps, monotone(m_r, pct_r, eps)))
     rows.append(CheckRow("monotone_radial", m_r, eps, monotone(m_r, pct_r, eps)))
 
-    if census is None:
-        try:
-            census = find_critical_points(u)
-        except InternalContradictionError:
-            census = None
+    try:
+        census = find_critical_points(u)
+    except InternalContradictionError:
+        census = None
     if census is not None:
         cp_ok = census.unique_axis_max
         cp_margin = abs(len(census.points) - 1) + (0.0 if cp_ok else 1.0)

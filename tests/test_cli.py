@@ -111,10 +111,12 @@ def test_solve_subcommand_artifacts(tmp_path):
     assert "true" in body
 
 
-def test_census_eigen_verify_subcommands(tmp_path):
+def test_census_eigen_verify_subcommands(tmp_path, capsys):
     cfg = write_config(tmp_path, TORSION_BALL)
     out = tmp_path / "out"
-    assert main(["census", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["census", "--config", str(cfg), "--out", str(out)]) == 0
+    # The printed rule is the one that decides the exit status.
+    assert "unique nondegenerate max on the axis: True" in capsys.readouterr().out
     assert main(["eigen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert (out / "census.csv").read_text().startswith("r,z,on_axis,type,grad_residual,eig1,eig2,eig3")

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplab import domain as dm
+from cplab import fieldio
 from cplab.errors import InvalidProfileError, ResolutionTooCoarseError
+from cplab.solver import Field
 
 
 def test_ball_profile_validates():
@@ -220,3 +222,39 @@ def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half):
     # Interior and boundary-adjacent nodes partition the inside nodes.
     assert not (g.interior & g.boundary_adjacent).any()
     assert np.array_equal(g.interior | g.boundary_adjacent, g.inside)
+
+
+@st.composite
+def spheroid_or_bump_grids(draw):
+    """build_grid of a random spheroid or monotone bump, 17x33 up to 97x97."""
+    a0 = draw(st.floats(0.3, 2.0))
+    if draw(st.booleans()):
+        prof = dm.spheroid(draw(st.floats(0.3, 2.0)), a0)
+    else:
+        c2, c4 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        prof = dm.polynomial_bump([a0, 0.0, -c2 - 0.1, 0.0, -c4])
+    nr = draw(st.integers(17, 97))
+    nz = 2 * draw(st.integers(16, 48)) + 1
+    return dm.build_grid(dm.MeridianDomain(3, prof), nr, nz)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spheroid_or_bump_grids())
+def test_arm_lengths_are_one_toward_every_neighbour_in_the_mask(g):
+    # The operator and the derivatives read theta as the arm length toward
+    # an active neighbour, for the inside mask and both half-domain masks.
+    for mask in (g.inside, g.inside & (g.zs > 0.0)[:, None], g.inside & (g.zs < 0.0)[:, None]):
+        padded = np.pad(mask, 1)
+        nbrs = (padded[1:-1, 2:], padded[1:-1, :-2], padded[2:, 1:-1], padded[:-2, 1:-1])
+        for theta, nbr in zip((g.theta_e, g.theta_w, g.theta_n, g.theta_s), nbrs):
+            assert np.array_equal(theta, np.where(nbr, 1.0, theta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spheroid_or_bump_grids())
+def test_a_stored_field_gets_the_classes_of_build_grid(tmp_path_factory, g):
+    path = tmp_path_factory.mktemp("cpfield") / "u.cpfield"
+    fieldio.write_field(Field(g, np.where(g.inside, 1.0, 0.0), 3), path)
+    stored = fieldio.read_field(path)[0].grid
+    assert np.array_equal(stored.interior, g.interior)
+    assert np.array_equal(stored.boundary_adjacent, g.boundary_adjacent)

@@ -12,6 +12,7 @@ from cplab import domain as dm
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
 from cplab import verify as vf
+from cplab.errors import IndefiniteOperatorError
 
 from oracles import manufactured_problem
 
@@ -128,6 +129,23 @@ def test_uniqueness_multistart_near_fold():
     assert worst <= 1e-8
 
 
+def test_uniqueness_multistart_counts_only_indefinite_seeds_as_failed(gelfand_ball_65,
+                                                                       monkeypatch):
+    grid, u, _, _ = gelfand_ball_65
+
+    def raising(exc):
+        def newton(*args, **kwargs):
+            raise exc
+        return newton
+
+    monkeypatch.setattr(vf, "newton_solve", raising(IndefiniteOperatorError("pivot -1")))
+    assert vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2, base=u) == (0.0, 0, 2)
+    # Anything else is a programming error and propagates.
+    monkeypatch.setattr(vf, "newton_solve", raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2, base=u)
+
+
 def test_full_report_shape_and_pass(gelfand_ball_65):
     grid, u, _, _ = gelfand_ball_65
     report = vf.run_verification(grid, 3, nlin.gelfand(1.0), u, seeds=2, seed=1)
@@ -223,3 +241,6 @@ def test_bulk_mask_equals_the_ndimage_erosion(m):
                                  iterations=3, border_value=0)
     bulk = vf._bulk_mask(SimpleNamespace(inside=m), 3)
     assert bulk.dtype == ref.dtype and np.array_equal(bulk, ref)
+    # The axis column and the next two are never bulk, so every node the
+    # derivative-PDE residual scans has r >= 3hr and needs no axis rule.
+    assert not bulk[:, :3].any()

@@ -4,7 +4,8 @@ A domain is described by its meridian profile g(r): the body of revolution
 { |x_n| < g(r), r = |x'| < R } with g continuous, nonincreasing, g(R) = 0.
 The half-plane (r, z) with z = x_n is discretized on a uniform grid; nodes
 are classified inside/outside and cut stencil arms carry fractional
-boundary distances theta in (0, 1] for Shortley-Weller stencils.
+boundary distances theta in (0, 1) for Shortley-Weller stencils: each is
+the bisected distance to the boundary as it is, with no floor.
 
 The homotopy family interpolates the profile between the ball of radius
 a = g(0) (t = 0) and the target profile (t = 1):
@@ -21,8 +22,7 @@ import numpy as np
 
 from .errors import InvalidProfileError, ResolutionTooCoarseError
 
-THETA_MIN = 0.1  # conditioning clamp for tiny cut fractions
-_BISECT_STEPS = 45  # 2^-45 < 1e-13 relative arm tolerance
+_BISECT_STEPS = 45  # 2^-45 < 1e-13 relative arm tolerance; theta in [2^-46, 1 - 2^-46]
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,8 @@ def tabulated(knots, values) -> ProfileFunction:
     a0 = float(values[0])
 
     def raw(r):
-        r = np.asarray(r, dtype=float)
-        vals = interp(np.clip(r, knots[0], knots[-1]))
-        vals = np.where(r > knots[-1], 0.0, vals)
-        return vals
+        r = np.abs(np.asarray(r, dtype=float))  # even in r, as ball() and spheroid() are
+        return np.where(r > knots[-1], 0.0, interp(r))
 
     R = _first_zero_of(raw, hi=float(knots[-1]))
 
@@ -204,11 +202,6 @@ class HomotopyFamily:
         return max(self.a, R)
 
 
-def profile_at_t(h: HomotopyFamily, r, t: float):
-    """Module-level alias for the interpolated profile evaluation."""
-    return h.profile_at(r, t)
-
-
 @dataclass(frozen=True)
 class MeridianGrid:
     """Uniform embedded-boundary grid on [0, rmax] x [-zmax, zmax].
@@ -216,9 +209,10 @@ class MeridianGrid:
     Arrays are indexed [j, i] with j the z index (ascending) and i the
     r index. `theta_*` are the arm lengths, as fractions of the spacing,
     toward E(+r), W(-r), N(+z), S(-z): exactly 1.0 on every full arm (see
-    `full_arms`) and in [THETA_MIN, 1] where the arm crosses the
-    boundary. The solver's operator and derivatives take their arm
-    lengths from them as they are, for any active set within `inside`.
+    `full_arms`) and the bisected boundary distance, in (0, 1), where the
+    arm crosses the boundary. The solver's operator and derivatives take
+    their arm lengths from them as they are, for any active set within
+    `inside`.
     `interior` and `boundary_adjacent` come from `classify_nodes`. Mirror
     symmetry in z is exact by construction. x_n stays on the vertical
     axis of the plot plane: the node (i=0, j=mid) is the origin o.
@@ -288,7 +282,7 @@ def classify_nodes(inside: np.ndarray):
 
     A cut fraction below 1 lies only on an arm that is not full, so the
     masks alone decide; an arm whose cut falls on the neighbour node
-    (theta = 1) still makes its node boundary-adjacent.
+    (theta = 1 - 2^-46) still makes its node boundary-adjacent.
     """
     e, w, n, s = full_arms(inside)
     interior = inside & e & w & n & s
@@ -367,7 +361,7 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
             ok = inside_pt(r0 + mid * dr, z0 + mid * dz)
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
-        target[jj, ii] = np.clip(0.5 * (lo + hi), THETA_MIN, 1.0)
+        target[jj, ii] = 0.5 * (lo + hi)
 
     upper = np.zeros_like(inside)
     upper[jmid:, :] = inside[jmid:, :]

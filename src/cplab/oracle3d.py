@@ -28,7 +28,6 @@ from .errors import OracleFailureError, OracleMismatchError
 from .fieldio import VoxelField, _symmetric_coords
 from .nonlinearity import Nonlinearity
 
-THETA_MIN_VOX = 0.1
 _BISECT = 45
 
 # Verdict of the oracle comparison: relative L-inf gap to the meridian
@@ -111,7 +110,7 @@ class _VoxelOperator:
                         ok = inside_pt(x0 + mid * dx[2], y0 + mid * dx[1], z0 + mid * dx[0])
                         lo = np.where(ok, mid, lo)
                         hi = np.where(ok, hi, mid)
-                    theta[sgn][cut] = np.clip(0.5 * (lo + hi), THETA_MIN_VOX, 1.0)
+                    theta[sgn][cut] = 0.5 * (lo + hi)
             th_p, th_m = theta[+1], theta[-1]
             diag += -2.0 / (th_p * th_m * h * h)
             cols += [nbr[+1], nbr[-1]]

@@ -1,24 +1,25 @@
 """Stability certification: first eigenvalue of the linearized operator.
 
 A solution u is stable when the first Dirichlet eigenvalue of
--Lap - f_u(., u) on the domain is positive, equivalently when the
-quadratic form
+-Lap - f_u(., u) on the domain is positive. The smallest eigenvalue comes
+from inverse power iteration: the true Shortley-Weller operator
+-Lap - f_u is factored once and every iteration is one exact back-solve
+with that factor. The reported lambda1 is the operator Rayleigh quotient
+(phi, (-Lap - f_u) phi) / (phi, phi), with the axisymmetric volume weight
+r^(n-2) (the angular measure factor cancels): the same quotient whose
+eigen residual the iteration drives below its tolerance, so the residual
+certifies the number that is reported. `rayleigh_quotient` evaluates the
+variational form of the quotient with node-sampled gradients; it is a
+cross-check, not part of the certificate.
 
-    (integral |grad phi|^2 - integral f_u(., u) phi^2) / integral phi^2
-
-is positive for every nonzero test function. The quotient is evaluated
-with the axisymmetric volume weight r^(n-2) (the angular measure factor
-cancels). The smallest eigenvalue comes from inverse power iteration:
-the true Shortley-Weller operator -Lap - f_u is factored once and every
-iteration is one exact back-solve with that factor. The factor's pivots
-decide the shift: all positive, and the shift is 0. Otherwise the
-linearization is not stable, and the operator is factored once more at
-s = max f_u, where it is -Lap plus a nonnegative diagonal (for n <= 4 a
-nonsingular M-matrix), so that a lambda1 <= 0 is still reported. A
-caller that passes its own operator inside `AxisymOperator.keep_factor`
-shares that factorization: when the Newton solve that produced u
-factored the same matrix (f_u independent of u), the eigen solve factors
-nothing.
+The factor's pivots decide the shift: all positive, and the shift is 0.
+Otherwise the linearization is not stable, and the operator is factored
+once more at s = max f_u, where it is -Lap plus a nonnegative diagonal
+(for n <= 4 a nonsingular M-matrix), so that a lambda1 <= 0 is still
+reported. A caller that passes its own operator inside
+`AxisymOperator.keep_factor` shares that factorization: when the Newton
+solve that produced u factored the same matrix (f_u independent of u),
+the eigen solve factors nothing.
 """
 
 from __future__ import annotations
@@ -58,15 +59,13 @@ def _fprime_field(grid: MeridianGrid, nl: Nonlinearity, u: Field) -> np.ndarray:
 
 
 def rayleigh_quotient(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
-                      phi: Field, op: AxisymOperator | None = None) -> float:
+                      phi: Field) -> float:
     """(sum w |grad phi|^2 - sum w f_u phi^2) / (sum w phi^2).
 
     Gradients are the node-sampled derivative fields (zero-extended outside
     the domain), w the axisymmetric volume weight. Raises for phi == 0.
-    `op`, when given, is the full-domain operator of (grid, n), whose
-    weight is used instead of building one.
     """
-    op = op or AxisymOperator(grid, n)
+    op = AxisymOperator(grid, n)
     pv = np.where(grid.inside, phi.values, 0.0)
     denom = op.dot(pv, pv)
     if denom == 0.0:
@@ -87,12 +86,12 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
 
     `subdomain` of 'z>0' or 'z<0' masks the grid at the equatorial plane
     with a Dirichlet line (reusing all stencils), which is how eigenvalues
-    on the reflection half-domains are estimated. Residual control uses the
-    operator Rayleigh quotient, and a residual still above `tol_eig` after
-    MAX_EIG_ITER steps raises EigenFailureError; the reported lambda1 is
-    the variational quotient of the converged eigenfunction. `op`, when
-    given, is the full-domain operator of (grid, n) to factor and to weigh
-    with; it cannot be combined with a subdomain. The shift rule is the module's;
+    on the reflection half-domains are estimated. The reported lambda1 is
+    the operator Rayleigh quotient of the last iterate, and its residual
+    ||(-Lap - f_u) phi - lambda1 phi|| must fall to `tol_eig * max(1, |lambda1|)`
+    within MAX_EIG_ITER steps, or EigenFailureError is raised. `op`, when
+    given, is the full-domain operator of (grid, n) to factor; it cannot
+    be combined with a subdomain. The shift rule is the module's;
     when its fallback factor fails too, EigenFailureError names the shift.
     """
     active = None
@@ -152,12 +151,8 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     single_signed = bool(vals.min() * vals.max() > 0.0)
 
     eigenfield = Field(grid, np.where(op.active, phi, 0.0), n)
-    # A subdomain quotient weighs with the full-domain operator: its
-    # gradients cross the cut line.
-    lam_var = rayleigh_quotient(grid, n, u, nl, eigenfield,
-                                op=op if subdomain is None else None)
     report = StabilityReport(
-        lambda1=lam_var, eigenfield=eigenfield, iterations=iterations,
+        lambda1=lam_op, eigenfield=eigenfield, iterations=iterations,
         residual=residual, stable=False, shift=shift, single_signed=single_signed)
     report.stable = is_stable(report)
     return report

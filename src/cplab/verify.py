@@ -34,10 +34,10 @@ from .solver import AxisymOperator, Field, TOL_PDE_DEFAULT, derivative_field, ne
 
 # Calibrated on the torsion ball at the acceptance grids (see
 # tests/test_verify.py): the largest observed derivative error divided by
-# h^2, times a 3x safety factor. The dominant contribution is the theta
-# clamp at sub-THETA_MIN cut arms, whose local solution error is O(h) and
-# whose differentiated footprint therefore does not shrink with h; the
-# constant absorbs it at desk-scale resolutions.
+# h^2, times a 3x safety factor. The stencil is exact on quadratics, so
+# that torsion error is at rounding (1e-14 at 65x129 and 129x257) and
+# the bound is far from tight; a tighter value needs its own calibration
+# on a grid ladder of non-quadratic solutions.
 MONOTONICITY_C = 250.0
 # Calibrated with the manufactured solution: derivative-PDE residual / h
 # (~0.065 on the ball), times a ~60x safety factor: the calibration domain

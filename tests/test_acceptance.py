@@ -92,7 +92,7 @@ def test_criterion_01_torsion_ball(torsion_ball_65, torsion_ball_129):
 
     # Observed order from the manufactured solution on the same geometry:
     # the torsion solution itself is reproduced exactly by the stencil (its
-    # error is clamp noise, orders below the 0.5% tolerance).
+    # error is at rounding, orders below the 0.5% tolerance).
     errors = {}
     for grid in (g65, g129):
         ustar, F, _, _ = manufactured_problem(3)

@@ -9,6 +9,35 @@ from cplab.errors import InvalidProfileError, ResolutionTooCoarseError
 from cplab.solver import Field
 
 
+HALF_BRACKET = 2.0 ** -46  # theta is the midpoint of a final bracket 2^-45 wide
+
+
+def assert_cut_arms_are_bisected(g):
+    """Every arm length is 1 on a full arm and the bisected distance on a cut one.
+
+    A cut arm has 0 < theta < 1, and theta -/+ 2^-46 are the ends of its
+    final bisection bracket (exact dyadics): the arm point at
+    (theta - 2^-46) h is inside, the one at (theta + 2^-46) h is outside.
+    A bracket end at 0 or 1 is the node or its neighbour, which the inside
+    mask classifies, not the bisection.
+    """
+    Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
+    for th, full, dr, dz in zip((g.theta_e, g.theta_w, g.theta_n, g.theta_s),
+                                dm.full_arms(g.inside),
+                                (g.hr, -g.hr, 0.0, 0.0), (0.0, 0.0, g.hz, -g.hz)):
+        assert np.all(th[g.inside & full] == 1.0)
+        cut = g.inside & ~full
+        t, r0, z0 = th[cut], R[cut], Z[cut]
+        assert np.all((t > 0.0) & (t < 1.0))
+
+        def inside(s):
+            return np.abs(z0 + s * dz) < g.g(np.maximum(r0 + s * dr, 0.0))
+
+        lo, hi = t - HALF_BRACKET, t + HALF_BRACKET
+        assert np.all(inside(lo)[lo > 0.0])
+        assert not np.any(inside(hi)[hi < 1.0])
+
+
 def test_ball_profile_validates():
     d = dm.MeridianDomain(3, dm.ball(1.0))
     report = dm.validate_simple_domain(d)
@@ -55,7 +84,7 @@ def test_tabulated_from_file(tmp_path):
 
 def test_profile_at_t_ball_cap():
     h = dm.HomotopyFamily(dm.MeridianDomain(3, dm.ball(1.0)))
-    assert float(dm.profile_at_t(h, 0.6, 0.0)) == pytest.approx(0.8, abs=1e-14)
+    assert float(h.profile_at(0.6, 0.0)) == pytest.approx(0.8, abs=1e-14)
 
 
 def test_profile_at_t_endpoint_identity():
@@ -106,10 +135,7 @@ def test_build_grid_ball_classification():
     assert g.node_count_inside() > 0
     assert g.inside[g.origin_index]
     assert g.interior[g.origin_index]
-    # every theta within [THETA_MIN, 1]
-    for th in (g.theta_e, g.theta_w, g.theta_n, g.theta_s):
-        assert np.all(th >= dm.THETA_MIN)
-        assert np.all(th <= 1.0)
+    assert_cut_arms_are_bisected(g)
 
 
 def test_grid_mirror_symmetry_bitexact():
@@ -131,21 +157,21 @@ def test_grid_column_convexity():
             assert np.array_equal(col, np.arange(col[0], col[-1] + 1))
 
 
-def test_spindle_cusp_thetas_clamped():
+def test_spindle_cusp_thetas_are_bisected_distances():
     d = dm.MeridianDomain(3, dm.polynomial_bump([1, 0, -2, 0, 1]))
     g = dm.build_grid(d, 65, 129)
     cut = (g.theta_e < 1.0) | (g.theta_n < 1.0) | (g.theta_s < 1.0)
     assert cut.any()
     assert g.boundary_adjacent.sum() > 0
     assert not (g.interior & cut).any()
-    # the sharper cusp profile (1-r)^2 produces small clamped fractions near r=1
+    # the sharper cusp profile (1-r)^2 produces small cut fractions near r=1
     sharp = dm.MeridianDomain(3, dm.polynomial_bump([1, -2, 1]))
     gs = dm.build_grid(sharp, 65, 129)
     tip = gs.inside & (gs.rs[None, :] > 0.6)
     assert tip.any()
     small = ((gs.theta_n < 0.5) | (gs.theta_s < 0.5) | (gs.theta_e < 0.5)) & tip
     assert small.any()
-    assert gs.theta_n.min() >= dm.THETA_MIN
+    assert_cut_arms_are_bisected(gs)
 
 
 def test_homotopy_t1_exact_at_tabulated_knots():
@@ -216,9 +242,7 @@ def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half):
     for a in (g.inside, g.interior, g.boundary_adjacent, g.theta_e, g.theta_w):
         assert np.array_equal(a, a[::-1, :])
     assert np.array_equal(g.theta_n, g.theta_s[::-1, :])
-    # Every cut fraction lies in [THETA_MIN, 1].
-    for th in (g.theta_e, g.theta_w, g.theta_n, g.theta_s):
-        assert np.all((th >= dm.THETA_MIN) & (th <= 1.0))
+    assert_cut_arms_are_bisected(g)
     # Interior and boundary-adjacent nodes partition the inside nodes.
     assert not (g.interior & g.boundary_adjacent).any()
     assert np.array_equal(g.interior | g.boundary_adjacent, g.inside)

@@ -10,7 +10,7 @@ from cplab import nonlinearity as nlin
 from cplab import oracle3d as o3
 from cplab.errors import OracleFailureError, OracleMismatchError
 
-from oracles import GELFAND1_U0
+from oracles import GELFAND1_U0, torsion_spheroid_exact
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,16 @@ def center_value(v):
 def test_torsion_ball_center_value(ball_torsion_vox):
     _, v = ball_torsion_vox
     assert center_value(v) == pytest.approx(1.0 / 6.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("N", [24, 48])
+def test_torsion_is_exact_on_the_spheroid(N):
+    # The 7-point stencil on the bisected arms is exact on quadratics.
+    d = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
+    v = o3.solve_3d(d, nlin.constant(1.0), N)
+    Z, Y, X = np.meshgrid(v.zs, v.ys, v.xs, indexing="ij")
+    exact = torsion_spheroid_exact(1.0, 0.5, 3)(np.hypot(X, Y), Z)
+    assert np.abs(v.values - exact)[v.mask].max() <= 1e-11
 
 
 def test_zero_source_gives_zero_solution():
@@ -208,7 +218,7 @@ def slicing_stencil(d, op):
                 x, y, z = x0 + mid * dx[2], y0 + mid * dx[1], z0 + mid * dx[0]
                 ok = np.abs(z) < d.profile(np.hypot(x, y))
                 lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-            theta[kk, jj, ii] = np.clip(0.5 * (lo + hi), o3.THETA_MIN_VOX, 1.0)
+            theta[kk, jj, ii] = 0.5 * (lo + hi)
             arms[sgn] = (nbr, theta)
         (nbr_p, th_p), (nbr_m, th_m) = arms[+1], arms[-1]
         diag += -2.0 / (th_p * th_m * h * h)

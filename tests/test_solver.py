@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
@@ -13,15 +15,15 @@ from cplab import stability as st
 from cplab.errors import IndefiniteOperatorError
 
 from oracles import (GELFAND1_U0, gelfand_radial_shoot, manufactured_problem,
-                     torsion_ball_exact)
+                     torsion_ball_exact, torsion_spheroid_exact)
 
 
 def test_laplacian_exact_on_quadratic(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     u = sv.Field.from_function(grid, 3, lambda R, Z: (1 - R ** 2 - Z ** 2) / 6.0)
     lap = sv.apply_axisym_laplacian(grid, 3, u)
-    # Interior nodes: exact up to rounding. Clamped cut arms are the
-    # documented exception and are excluded here.
+    # Interior nodes: exact up to rounding. Cut arms are covered by
+    # test_torsion_is_exact_on_balls_and_spheroids.
     assert np.abs(lap.values[grid.interior] + 1.0).max() < 1e-9
 
 
@@ -210,6 +212,41 @@ def test_derivative_field_torsion(torsion_ball_65):
     assert np.abs(dz.values[jmid, :][grid.inside[jmid, :]]).max() < 2e-2
     upper = sel & (Z >= 2 * grid.hz)
     assert dz.values[upper].max() < 0.0
+
+
+@pytest.mark.parametrize("nr, nz", [(33, 65), (65, 129)])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("b", [1.0, 0.5], ids=["ball", "spheroid"])
+def test_torsion_is_exact_on_balls_and_spheroids(b, n, nr, nz):
+    # The quadratic torsion solution vanishes on the boundary, and the
+    # Shortley-Weller stencil on the bisected arms is exact on quadratics.
+    prof = dm.ball(1.0) if b == 1.0 else dm.spheroid(1.0, b)
+    grid = dm.build_grid(dm.MeridianDomain(n, prof), nr, nz)
+    u, rep = sv.newton_solve(grid, n, nlin.constant(1.0), sv.Field.zeros(grid, n))
+    assert rep.converged
+    Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
+    exact = torsion_spheroid_exact(1.0, b, n)(R, Z)
+    assert np.abs(u.values - exact)[grid.inside].max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.floats(0.3, 2.0), hst.floats(0.3, 2.0), hst.integers(17, 97), hst.integers(8, 48))
+def test_derivative_field_is_exact_on_the_sampled_quadratic(a, b, nr, half):
+    grid = dm.build_grid(dm.MeridianDomain(3, dm.spheroid(a, b)), nr, 2 * half + 1)
+    Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
+    u = sv.Field(grid, np.where(grid.inside, 1.0 - (R / a) ** 2 - (Z / b) ** 2, 0.0), 3)
+    grads = {"r": (-2.0 * R / a ** 2, grid.theta_e, grid.theta_w, grid.hr),
+             "z": (-2.0 * Z / b ** 2, grid.theta_n, grid.theta_s, grid.hz)}
+    gmax = max(np.abs(g[0][grid.inside]).max() for g in grads.values())
+    for direction, (exact, aP, aM, h) in grads.items():
+        d = sv.derivative_field(u, direction).values
+        # Exact on quadratics, cut arms included. What is left is the
+        # 2^-46 h bisection bracket of the cut point and the rounding of
+        # the samples, each weighed by at most 3 / (h min(theta)); it only
+        # matters at a node within rounding of the boundary.
+        slack = 3.0 * (gmax * h * 2.0 ** -46 + 16 * np.finfo(float).eps) / (h * np.minimum(aP, aM))
+        err = np.abs(d - exact)[grid.inside]
+        assert np.all(err <= 1e-9 * gmax + slack[grid.inside]), (direction, err.max() / gmax)
 
 
 def test_newton_rejects_nonfinite_start(torsion_ball_65):

@@ -92,7 +92,8 @@ def test_unit_ball_lambda1_is_the_squared_bessel_zero(n):
     print(f"n={n}: lambda1 rel err {errors[0]:.2e} -> {errors[1]:.2e}, "
           f"observed order {np.log2(errors[0] / errors[1]):.2f}")
     assert errors[1] <= 1e-2
-    assert errors[1] < errors[0]
+    # lambda1 is the operator quotient of a second-order stencil.
+    assert np.log2(errors[0] / errors[1]) >= 1.8
 
 
 def test_torsion_always_stable(spheroid_torsion_129):

@@ -11,8 +11,10 @@ from scipy import ndimage
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
+from cplab import stability
 from cplab import verify as vf
-from cplab.errors import IndefiniteOperatorError
+from cplab.errors import CplabError, IndefiniteOperatorError
+from cplab.morse import find_critical_points
 
 from oracles import manufactured_problem
 
@@ -80,6 +82,48 @@ def test_derivative_residual_affine_and_separable():
         for direction in ("z", "r"):
             res = vf.derivative_pde_residual(u, nl, direction)
             assert res <= vf.DERIV_RESIDUAL_C * h, (nl.form, direction, res)
+
+
+@pytest.mark.parametrize("prof, nr, nz", [
+    (dm.polynomial_bump([1.0, 0.0, -2.0, 0.0, 1.0]), 257, 513),
+    (dm.spheroid(1.0, 0.5), 385, 385)], ids=["spindle-257x513", "spheroid-385x385"])
+def test_radial_derivative_residual_holds_on_fine_grids(prof, nr, nz):
+    # The radial residual differentiates the solution once more, so an
+    # O(h) solution error at the boundary would keep it from shrinking
+    # with h; the bisected cut arms keep the solve second order.
+    grid = dm.build_grid(dm.MeridianDomain(3, prof), nr, nz)
+    u, rep = sv.newton_solve(grid, 3, nlin.constant(1.0), sv.Field.zeros(grid, 3))
+    assert rep.converged
+    res = vf.derivative_pde_residual(u, nlin.constant(1.0), "r")
+    assert res <= vf.DERIV_RESIDUAL_C * max(grid.hr, grid.hz)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([1.0, 0.5]), st.sampled_from([3, 5]), st.floats(-12.0, -3.0),
+       st.sampled_from([nlin.constant(1.0), nlin.gelfand(1.0)]))
+def test_a_node_next_to_the_boundary_keeps_every_number_finite(b, n, log_eps, nl):
+    # On a box of side 1 the ball (b = 1) or spheroid reaches eps*h past
+    # the node (r = 1, z = 0), so that node's east arm is cut at theta ~ eps.
+    nr, eps = 33, 10.0 ** log_eps
+    h = 1.0 / (nr - 1)
+    if b == 1.0:
+        d = dm.MeridianDomain(n, dm.ball(1.0 + eps * h))
+        grid = dm.build_grid(d, nr, 2 * nr - 1, rmax=1.0, zmax=1.0)
+    else:
+        d = dm.MeridianDomain(n, dm.spheroid(1.0 + eps * h, b))
+        grid = dm.build_grid(d, nr, nr, rmax=1.0)
+    assert abs(grid.theta_e[grid.j_equator, -1] - eps) <= 2.0 ** -45
+    try:
+        u, rep = sv.newton_solve(grid, n, nl, sv.Field.zeros(grid, n))
+        stab = stability.smallest_eigenvalue(grid, n, u, nl)
+        census = find_critical_points(u)
+        report = vf.run_verification(grid, n, nl, u, seeds=2)
+    except CplabError:
+        return  # a typed failure is an allowed outcome; any other is not
+    assert rep.converged and np.all(np.isfinite(u.values))
+    assert np.isfinite(stab.lambda1) and np.isfinite(stab.residual)
+    assert all(np.isfinite([p.r, p.z, p.value]).all() for p in census.points)
+    assert all(np.isfinite(row.margin) for row in report.rows)
 
 
 def test_uniqueness_multistart_linear(torsion_ball_65):

@@ -172,8 +172,8 @@ def test_interpolation_round_trip(torsion_ball_65):
     d = dm.MeridianDomain(3, dm.ball(1.0))
     op = o3._VoxelOperator(d, 24)
     interp = Bicubic(grid.rs, grid.zs, np.where(grid.inside, u.values, 0.0))
-    rr = np.hypot(op.X, op.Y)
-    vals = np.where(op.mask, interp.value(rr, op.Z), 0.0)
+    Z, Y, X = np.meshgrid(op.zs, op.ys, op.xs, indexing="ij")
+    vals = np.where(op.mask, interp.value(np.hypot(X, Y), Z), 0.0)
     v = o3.VoxelField(24, op.xs, op.ys, op.zs, op.mask, vals)
     linf_rel, _ = o3.compare_with_axisymmetric(v, u)
     assert linf_rel <= 1e-10
@@ -196,6 +196,7 @@ def slicing_stencil(d, op):
     +z, -z arms. Returns v -> Lap v on (N, N, N) fields, 0 outside.
     """
     mask = op.mask
+    Z, Y, X = np.meshgrid(op.zs, op.ys, op.xs, indexing="ij")
     coeff = {}
     diag = np.zeros(mask.shape)
     for axis, h in ((2, op.h[0]), (1, op.h[1]), (0, op.h[2])):
@@ -211,7 +212,7 @@ def slicing_stencil(d, op):
             kk, jj, ii = np.nonzero(mask & ~nbr)
             dx = np.zeros(3)
             dx[axis] = sgn * h
-            x0, y0, z0 = op.X[kk, jj, ii], op.Y[kk, jj, ii], op.Z[kk, jj, ii]
+            x0, y0, z0 = X[kk, jj, ii], Y[kk, jj, ii], Z[kk, jj, ii]
             lo, hi = np.zeros(kk.size), np.ones(kk.size)
             for _ in range(o3._BISECT):
                 mid = 0.5 * (lo + hi)
@@ -289,3 +290,83 @@ def test_cg_solution_has_its_true_residual(kind):
     x = op.solve_spd(c, rhs, tol_rel=tol_rel)
     residual = -(op.L @ x) - c * x - rhs
     assert np.abs(residual).max() <= 1.5 * tol_rel * np.abs(rhs).max()
+
+
+def test_even_n_maximum_is_the_centred_eight_voxel_cluster(ball_torsion_vox):
+    # For even N the maximum lies between the two middle voxels on every
+    # axis; their differences are ties, so all eight are marked.
+    _, v = ball_torsion_vox
+    clusters = o3.scan_critical_voxels(v)
+    assert [c["size"] for c in clusters] == [8]
+    assert np.abs(clusters[0]["centroid"]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size", ["4ulp", "3e-14"])
+def test_scan_ignores_roundoff_perturbations(size, ball_torsion_vox):
+    # 3e-14 of the maximum is the solve's own roundoff asymmetry (its
+    # witnesses); either size may flip the sign of a tied difference.
+    _, v = ball_torsion_vox
+    rng = np.random.default_rng(4)
+    unit = np.spacing(v.values) if size == "4ulp" else 7.5e-15 * np.abs(v.values).max()
+    noise = rng.integers(-4, 5, v.values.shape) * unit
+    perturbed = o3.VoxelField(v.N, v.xs, v.ys, v.zs, v.mask,
+                              np.where(v.mask, v.values + noise, 0.0))
+    assert repr(o3.scan_critical_voxels(perturbed)) == repr(o3.scan_critical_voxels(v))
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))
+def test_prolongation_is_trilinear(name):
+    # Rows sum to exactly 1 and reproduce the index coordinates exactly
+    # (the coarse point K sits at fine index 2K), so P reproduces x, y
+    # and z at every inside voxel; P.T is the stored restriction.
+    op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS[name]), 24)
+    mask = op.mask
+    assert len(op.transfers) >= 1
+    for P, R in op.transfers:
+        P_ref, coarse = o3._prolongation(mask)
+        assert (P != P_ref).nnz == 0 and (R != P.T).nnz == 0
+        assert np.all(np.add.reduceat(P.data, P.indptr[:-1]) == 1.0)
+        for fine, coarse_at in zip(np.nonzero(mask), np.nonzero(coarse)):
+            assert np.array_equal(P @ (2.0 * coarse_at), fine.astype(float))
+        mask = coarse
+    assert np.count_nonzero(mask) <= o3._COARSEST
+
+
+V_CYCLE_CASES = [(name, N) for name in ("ball", "spindle") for N in (24, 48, 96)] + [
+    ("spheroid", 24), ("spheroid", 48)]
+
+
+@pytest.mark.parametrize("name,N", V_CYCLE_CASES)
+def test_v_cycles_per_solve_do_not_grow_with_n(name, N, monkeypatch):
+    op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS[name]), N)
+    cycles = []
+    v_cycle = o3._v_cycle
+
+    def counted(levels, r):
+        cycles.append(1)
+        return v_cycle(levels, r)
+
+    monkeypatch.setattr(o3, "_v_cycle", counted)
+    op.solve_spd(0.0, np.ones(op.r.size))
+    assert len(cycles) <= 45
+
+
+def test_solve_leaves_the_operator_unchanged():
+    # The CG matrix shares L's index arrays: nothing in the solve may sort them.
+    op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS["spindle"]), 24)
+    before = [a.copy() for a in (op.L.data, op.L.indices, op.L.indptr)]
+    op.solve_spd(np.linspace(0.0, 4.0, op.r.size), np.ones(op.r.size))
+    for a, b in zip(before, (op.L.data, op.L.indices, op.L.indptr)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_blocked_galerkin_is_the_plain_product():
+    # At N = 48 the spindle's first coarse level has more than one block of rows.
+    op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS["spindle"]), 48)
+    P, R = op.transfers[0]
+    assert R.shape[0] > o3._GALERKIN_ROWS
+    A = -op.L
+    blocked, plain = o3._galerkin(R, A, P), (R @ A) @ P
+    for a, b in zip((blocked.data, blocked.indices, blocked.indptr),
+                    (plain.data, plain.indices, plain.indptr)):
+        assert np.array_equal(a, b)

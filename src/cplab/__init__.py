@@ -15,8 +15,7 @@ from .domain import (HomotopyFamily, MeridianDomain, MeridianGrid,
 from .morse import Census, CriticalPoint, classify, find_critical_points, hessian_at
 from .nonlinearity import (Nonlinearity, affine, check_hypotheses, constant,
                            gelfand, power, separable, tabulated_phi)
-from .solver import (AxisymOperator, Field, SolveReport, apply_axisym_laplacian,
-                     derivative_field, newton_solve, solve_linear)
+from .solver import AxisymOperator, Field, SolveReport, derivative_field, newton_solve
 from .stability import StabilityReport, is_stable, rayleigh_quotient, smallest_eigenvalue
 from .verify import (VerificationReport, check_axial_symmetry, check_monotonicity,
                      derivative_pde_residual, moving_plane_check, run_verification,

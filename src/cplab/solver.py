@@ -11,14 +11,16 @@ Shortley-Weller modification on arms that cross the curved boundary:
 a cut arm of length theta*h carries the homogeneous boundary value at
 the cut point.
 
-The discrete operator is self-adjoint under the axisymmetric volume
+The stencil is assembled once per operator, as the CSR matrix L of Lap
+over the active nodes; every product with the operator is a product with
+L. The discrete operator is self-adjoint under the axisymmetric volume
 weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). The weighted operator W(-Lap - c), cut
-arms included, is factored once by sparse LU (SuperLU, symmetric mode,
-diagonal pivots), and every solve is one exact back-solve with that
-factor. The same pivots test definiteness: a nonpositive pivot raises
-IndefiniteOperatorError — the numerical signature of an unstable
-linearization.
+arms perturb symmetry locally). The weighted operator W(-Lap - c), L's
+rows scaled by -w and shifted, is factored once by sparse LU (SuperLU,
+symmetric mode, diagonal pivots), and every solve is one exact
+back-solve with that factor. The same pivots test definiteness: a
+nonpositive pivot raises IndefiniteOperatorError — the numerical
+signature of an unstable linearization.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ class AxisymOperator:
     `active` defaults to the grid's inside mask; passing a restricted mask
     (e.g. the upper half plane) imposes a homogeneous Dirichlet line on the
     removed nodes, which is how subdomain eigenvalues are computed.
+
+    The stencil is assembled once, as the CSR matrix `L` of Lap over the
+    active nodes in the order of np.nonzero(active). `laplacian` and
+    `apply` multiply by it; `weighted_matrix`, the matrix every factor
+    shifts, is L's pattern with each row scaled by the volume weight.
     """
 
     def __init__(self, grid: MeridianGrid, n: int, active: np.ndarray | None = None):
@@ -115,17 +122,18 @@ class AxisymOperator:
         self._kept = None
         self._build()
 
-    def _build(self):
+    def _coefficients(self):
+        """Raw arm coefficients (E, W, N, S) and the centre coefficient, on the grid.
+
+        Arm lengths are the grid's fractions of h, 1 on every arm toward an
+        inside neighbour. An arm's coefficient multiplies the neighbour's
+        value on a full arm and the boundary value at the cut otherwise.
+        """
         g, n = self.grid, self.n
         hr, hz = g.hr, g.hz
-        act = self.active
-        # Arm lengths as fractions of h: the grid's, which are 1 on every
-        # arm toward an active neighbour. A coupling runs along a full arm
-        # of the active set; the other arms carry the boundary value.
         aE, aW, aN, aS = g.theta_e, g.theta_w, g.theta_n, g.theta_s
-        fullE, fullW, fullN, fullS = full_arms(act)
 
-        R = np.broadcast_to(g.rs[None, :], act.shape)
+        R = np.broadcast_to(g.rs[None, :], aE.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             mu = np.where(R > 0, (n - 2) / np.where(R > 0, R, 1.0), 0.0)
 
@@ -134,35 +142,44 @@ class AxisymOperator:
         cW = 2.0 / (aW * (aE + aW) * hr * hr) - mu * aE / (aW * (aE + aW) * hr)
         cPr = -2.0 / (aE * aW * hr * hr) + mu * (aE - aW) / (aE * aW * hr)
 
-        # Axis column: Lap u = (n-1)*u_rr + u_zz with even reflection.
-        axis = np.zeros_like(act); axis[:, 0] = True
-        cE = np.where(axis, 2.0 * (n - 1) / (aE * aE * hr * hr), cE)
-        cW = np.where(axis, 0.0, cW)
-        cPr = np.where(axis, -2.0 * (n - 1) / (aE * aE * hr * hr), cPr)
+        # Axis column: Lap u = (n-1)*u_rr + u_zz with even reflection, so
+        # the west arm folds onto the east one and couples nothing.
+        cE[:, 0] = 2.0 * (n - 1) / (aE[:, 0] * aE[:, 0] * hr * hr)
+        cW[:, 0] = 0.0
+        cPr[:, 0] = -2.0 * (n - 1) / (aE[:, 0] * aE[:, 0] * hr * hr)
 
         cN = 2.0 / (aN * (aN + aS) * hz * hz)
         cS = 2.0 / (aS * (aN + aS) * hz * hz)
         cPz = -2.0 / (aN * aS * hz * hz)
+        return cE, cW, cN, cS, cPr + cPz
 
-        # Keep the raw arm coefficients for inhomogeneous boundary data,
-        # then zero couplings into non-active nodes (their value is 0).
-        self.cE_cut = np.where(act & ~fullE, cE, 0.0)
-        self.cW_cut = np.where(act & ~fullW, cW, 0.0)
-        self.cN_cut = np.where(act & ~fullN, cN, 0.0)
-        self.cS_cut = np.where(act & ~fullS, cS, 0.0)
+    def _build(self):
+        g, n = self.grid, self.n
+        hr, hz = g.hr, g.hz
+        act = self.active
+        self._flat = np.flatnonzero(act)
+        nun = self._flat.size
 
-        self.cE = np.where(act & fullE, cE, 0.0)
-        self.cW = np.where(act & fullW, cW, 0.0)
-        self.cN = np.where(act & fullN, cN, 0.0)
-        self.cS = np.where(act & fullS, cS, 0.0)
-        self.cP = np.where(act, cPr + cPz, 0.0)
-        self.arm = {"E": aE, "W": aW, "N": aN, "S": aS}
+        # Rows in the order centre, E, W, N, S, so that a product adds its
+        # terms in the order of the five-point stencil. A coupling runs to
+        # an active neighbour along a full arm; nonexistent neighbours (off
+        # the array or not active) are numbered -1, and the coupling across
+        # the axis and the n = 4 one at r = h are exactly 0: none is stored.
+        cE, cW, cN, cS, cP = self._coefficients()
+        num = np.zeros(act.shape, dtype=np.int32)
+        num[act] = np.arange(1, nun + 1)
+        cols = np.stack([num[act] - 1] + [m[act] - 1 for m in neighbours(num)], axis=1)
+        vals = np.stack([cP[act], cE[act], cW[act], cN[act], cS[act]], axis=1)
+        keep = (cols >= 0) & (vals != 0.0)
+        indptr = np.zeros(nun + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        self.L = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(nun, nun))
 
         # Axisymmetric volume weight r^(n-2); the axis column carries its
         # control-volume average so the weighted operator stays symmetric.
+        R = np.broadcast_to(g.rs[None, :], act.shape)
         w = R.astype(float) ** (n - 2) if n > 2 else np.ones_like(R, dtype=float)
-        w_axis = (hr / 2.0) ** (n - 1) / ((n - 1) * hr)
-        w = np.where(axis, w_axis, w)
+        w[:, 0] = (hr / 2.0) ** (n - 1) / ((n - 1) * hr)
         self.w = np.where(act, w, 0.0)
         self.cell = hr * hz
         # The weighted Laplacian that every factor shifts, and the active
@@ -176,13 +193,9 @@ class AxisymOperator:
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Discrete Lap applied to values (exterior entries ignored)."""
-        u = np.where(self.active, values, 0.0)
-        out = self.cP * u
-        out[:, :-1] += self.cE[:, :-1] * u[:, 1:]
-        out[:, 1:] += self.cW[:, 1:] * u[:, :-1]
-        out[:-1, :] += self.cN[:-1, :] * u[1:, :]
-        out[1:, :] += self.cS[1:, :] * u[:-1, :]
-        return np.where(self.active, out, 0.0)
+        out = np.zeros(self.active.shape)
+        np.put(out, self._flat, self.L @ np.take(values, self._flat))
+        return out
 
     def apply(self, values: np.ndarray, c: np.ndarray) -> np.ndarray:
         """(-Lap - c) applied to values."""
@@ -198,18 +211,16 @@ class AxisymOperator:
         """
         g = self.grid
         Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
-        out = np.zeros_like(self.cP)
-        for cut, arm, dr, dz in (
-                (self.cE_cut, self.arm["E"], g.hr, 0.0),
-                (self.cW_cut, self.arm["W"], -g.hr, 0.0),
-                (self.cN_cut, self.arm["N"], 0.0, g.hz),
-                (self.cS_cut, self.arm["S"], 0.0, -g.hz)):
-            jj, ii = np.nonzero(cut != 0.0)
-            if jj.size == 0:
-                continue
+        cE, cW, cN, cS, _ = self._coefficients()
+        out = np.zeros(self.active.shape)
+        for coeff, full, arm, dr, dz in zip(
+                (cE, cW, cN, cS), full_arms(self.active),
+                (g.theta_e, g.theta_w, g.theta_n, g.theta_s),
+                (g.hr, -g.hr, 0.0, 0.0), (0.0, 0.0, g.hz, -g.hz)):
+            jj, ii = np.nonzero(self.active & ~full & (coeff != 0.0))
             th = arm[jj, ii]
             vals = gfun(R[jj, ii] + th * dr, Z[jj, ii] + th * dz)
-            out[jj, ii] += cut[jj, ii] * np.asarray(vals, float)
+            out[jj, ii] += coeff[jj, ii] * np.asarray(vals, float)
         return out
 
     # -- inner products and norms ---------------------------------------------
@@ -226,25 +237,14 @@ class AxisymOperator:
     # -- weighted matrix -------------------------------------------------------
 
     def weighted_matrix(self) -> sp.csr_matrix:
-        """W * (-Lap) over active nodes, in the order of np.nonzero(active)."""
-        nun = int(np.count_nonzero(self.active))
-        idx = -np.ones(self.active.shape, dtype=np.int64)
-        idx[self.active] = np.arange(nun)
-        rows, cols, data = [], [], []
-        jj, ii = np.nonzero(self.active)
-        w = self.w[jj, ii]
-        rows.append(idx[jj, ii]); cols.append(idx[jj, ii]); data.append(-self.cP[jj, ii] * w)
-        for coeff, dj, di in ((self.cE, 0, 1), (self.cW, 0, -1),
-                              (self.cN, 1, 0), (self.cS, -1, 0)):
-            cvals = coeff[jj, ii]
-            sel = cvals != 0.0
-            jj_s, ii_s = jj[sel], ii[sel]
-            rows.append(idx[jj_s, ii_s])
-            cols.append(idx[jj_s + dj, ii_s + di])
-            data.append(-cvals[sel] * w[sel])
-        return sp.csr_matrix((np.concatenate(data),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(nun, nun))
+        """W * (-Lap) over active nodes, in the order of np.nonzero(active).
+
+        L's rows scaled by -w, on copies of L's index arrays: a consumer
+        that sorts them in place (abs() does) leaves L intact.
+        """
+        L = self.L
+        w = np.repeat(np.take(self.w, self._flat), np.diff(L.indptr))
+        return sp.csr_matrix((-L.data * w, L.indices.copy(), L.indptr.copy()), shape=L.shape)
 
     # -- linear solves -----------------------------------------------------------
 
@@ -332,21 +332,6 @@ class ShiftedFactor:
         x = np.zeros_like(self._w)
         x[self._nodes] = self._lu.solve((self._w * rhs)[self._nodes])
         return x
-
-
-def apply_axisym_laplacian(grid: MeridianGrid, n: int, u: Field) -> Field:
-    """Discrete axisymmetric Laplacian of u (values at inside nodes)."""
-    if not np.all(np.isfinite(u.values[grid.inside])):
-        raise ValueError("field contains non-finite values on inside nodes")
-    op = AxisymOperator(grid, n)
-    return Field(grid, op.laplacian(u.values), n)
-
-
-def solve_linear(grid: MeridianGrid, n: int, c: Field, rhs: Field) -> Field:
-    """Solve (-Lap - c) phi = rhs with zero boundary data."""
-    op = AxisymOperator(grid, n)
-    x = op.solve(np.where(grid.inside, c.values, 0.0), rhs.values)
-    return Field(grid, x, n)
 
 
 def _coordinate_arrays(grid: MeridianGrid):

@@ -21,47 +21,49 @@ from oracles import (GELFAND1_U0, gelfand_radial_shoot, manufactured_problem,
 def test_laplacian_exact_on_quadratic(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     u = sv.Field.from_function(grid, 3, lambda R, Z: (1 - R ** 2 - Z ** 2) / 6.0)
-    lap = sv.apply_axisym_laplacian(grid, 3, u)
+    lap = sv.AxisymOperator(grid, 3).laplacian(u.values)
     # Interior nodes: exact up to rounding. Cut arms are covered by
     # test_torsion_is_exact_on_balls_and_spheroids.
-    assert np.abs(lap.values[grid.interior] + 1.0).max() < 1e-9
+    assert np.abs(lap[grid.interior] + 1.0).max() < 1e-9
 
 
 def test_laplacian_trivial_fields(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
+    op = sv.AxisymOperator(grid, 3)
     zero = sv.Field.zeros(grid, 3)
-    assert sv.apply_axisym_laplacian(grid, 3, zero).linf() == 0.0
+    assert op.linf(op.laplacian(zero.values)) == 0.0
     lin = sv.Field.from_function(grid, 3, lambda R, Z: Z)
-    lap = sv.apply_axisym_laplacian(grid, 3, lin)
-    assert np.abs(lap.values[grid.interior]).max() < 1e-9
+    lap = op.laplacian(lin.values)
+    assert np.abs(lap[grid.interior]).max() < 1e-9
 
 
 def test_solve_linear_torsion(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     rhs = sv.Field.from_function(grid, 3, lambda R, Z: np.ones_like(R))
     c = sv.Field.zeros(grid, 3)
-    phi = sv.solve_linear(grid, 3, c, rhs)
-    assert phi.values[grid.origin_index] == pytest.approx(1.0 / 6.0, rel=2e-4)
+    phi = sv.AxisymOperator(grid, 3).solve(c.values, rhs.values)
+    assert phi[grid.origin_index] == pytest.approx(1.0 / 6.0, rel=2e-4)
 
 
 def test_solve_linear_zero_rhs(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
-    phi = sv.solve_linear(grid, 3, sv.Field.zeros(grid, 3), sv.Field.zeros(grid, 3))
-    assert phi.linf() == 0.0
+    op = sv.AxisymOperator(grid, 3)
+    phi = op.solve(sv.Field.zeros(grid, 3).values, sv.Field.zeros(grid, 3).values)
+    assert op.linf(phi) == 0.0
 
 
 def test_solve_linear_definiteness_threshold(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     rhs = sv.Field.from_function(grid, 3, lambda R, Z: np.ones_like(R))
     lam1 = np.pi ** 2
-    ok = sv.solve_linear(grid, 3,
-                         sv.Field.from_function(grid, 3, lambda R, Z: 0.5 * lam1 * np.ones_like(R)),
-                         rhs)
-    assert np.isfinite(ok.linf())
+    op = sv.AxisymOperator(grid, 3)
+    ok = op.solve(
+        sv.Field.from_function(grid, 3, lambda R, Z: 0.5 * lam1 * np.ones_like(R)).values,
+        rhs.values)
+    assert np.isfinite(op.linf(ok))
     with pytest.raises(IndefiniteOperatorError):
-        sv.solve_linear(grid, 3,
-                        sv.Field.from_function(grid, 3, lambda R, Z: 2.0 * lam1 * np.ones_like(R)),
-                        rhs)
+        op.solve(sv.Field.from_function(grid, 3, lambda R, Z: 2.0 * lam1 * np.ones_like(R)).values,
+                 rhs.values)
 
 
 def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
@@ -73,10 +75,11 @@ def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
     def const(value):
         return sv.Field.from_function(grid, 3, lambda R, Z: value * np.ones_like(R))
 
-    phi = sv.solve_linear(grid, 3, const(9.0), rhs)
-    assert phi.min_inside() > 0.0
+    op = sv.AxisymOperator(grid, 3)
+    phi = op.solve(const(9.0).values, rhs.values)
+    assert phi[grid.inside].min() > 0.0
     with pytest.raises(IndefiniteOperatorError, match="pivot"):
-        sv.solve_linear(grid, 3, const(10.5), rhs)
+        op.solve(const(10.5).values, rhs.values)
 
 
 THRESHOLD_CASES = [(2, 49, 97, None), (3, 65, 129, None), (4, 49, 97, None),
@@ -111,9 +114,9 @@ def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
         return sv.Field.from_function(grid, n, lambda R, Z: value * np.ones_like(R))
 
     for c in (lam - 1e-4, lam - 0.05):
-        assert sv.solve_linear(grid, n, const(c), rhs).min_inside() > 0.0
+        assert op.solve(const(c).values, rhs.values)[grid.inside].min() > 0.0
     with pytest.raises(IndefiniteOperatorError, match="pivot"):
-        sv.solve_linear(grid, n, const(lam + 1e-4), rhs)
+        op.solve(const(lam + 1e-4).values, rhs.values)
 
 
 def test_torsion_one_newton_step(torsion_ball_65):
@@ -316,3 +319,112 @@ def test_dropping_an_operator_frees_its_kept_factor(torsion_ball_65):
         if enabled:
             gc.enable()
     assert np.array_equal(x, sv.AxisymOperator(grid, 3).solve(c, rhs))
+
+
+class SlicingStencil:
+    """Reference: the stencil as nine grid arrays, applied by slicing, assembled through COO.
+
+    The coefficients are the Shortley-Weller expressions written out
+    again, independently of `AxisymOperator`; couplings toward a node
+    that is not active are zeroed and the raw cut-arm coefficients kept.
+    """
+
+    def __init__(self, grid, n, active):
+        hr, hz = grid.hr, grid.hz
+        act = active
+        aE, aW, aN, aS = grid.theta_e, grid.theta_w, grid.theta_n, grid.theta_s
+        fullE, fullW, fullN, fullS = dm.full_arms(act)
+        R = np.broadcast_to(grid.rs[None, :], act.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = np.where(R > 0, (n - 2) / np.where(R > 0, R, 1.0), 0.0)
+        cE = 2.0 / (aE * (aE + aW) * hr * hr) + mu * aW / (aE * (aE + aW) * hr)
+        cW = 2.0 / (aW * (aE + aW) * hr * hr) - mu * aE / (aW * (aE + aW) * hr)
+        cPr = -2.0 / (aE * aW * hr * hr) + mu * (aE - aW) / (aE * aW * hr)
+        axis = np.zeros_like(act); axis[:, 0] = True
+        cE = np.where(axis, 2.0 * (n - 1) / (aE * aE * hr * hr), cE)
+        cW = np.where(axis, 0.0, cW)
+        cPr = np.where(axis, -2.0 * (n - 1) / (aE * aE * hr * hr), cPr)
+        cN = 2.0 / (aN * (aN + aS) * hz * hz)
+        cS = 2.0 / (aS * (aN + aS) * hz * hz)
+        cPz = -2.0 / (aN * aS * hz * hz)
+        self.grid, self.active = grid, act
+        self.cut = [np.where(act & ~f, c, 0.0)
+                    for c, f in ((cE, fullE), (cW, fullW), (cN, fullN), (cS, fullS))]
+        self.cE, self.cW, self.cN, self.cS = [np.where(act & f, c, 0.0) for c, f in (
+            (cE, fullE), (cW, fullW), (cN, fullN), (cS, fullS))]
+        self.cP = np.where(act, cPr + cPz, 0.0)
+        self.arm = (aE, aW, aN, aS)
+
+    def laplacian(self, values):
+        u = np.where(self.active, values, 0.0)
+        out = self.cP * u
+        out[:, :-1] += self.cE[:, :-1] * u[:, 1:]
+        out[:, 1:] += self.cW[:, 1:] * u[:, :-1]
+        out[:-1, :] += self.cN[:-1, :] * u[1:, :]
+        out[1:, :] += self.cS[1:, :] * u[:-1, :]
+        return np.where(self.active, out, 0.0)
+
+    def apply(self, values, c):
+        return np.where(self.active, -self.laplacian(values) - c * values, 0.0)
+
+    def weighted_matrix(self, w):
+        nun = int(np.count_nonzero(self.active))
+        idx = -np.ones(self.active.shape, dtype=np.int64)
+        idx[self.active] = np.arange(nun)
+        jj, ii = np.nonzero(self.active)
+        wn = w[jj, ii]
+        rows, cols, data = [idx[jj, ii]], [idx[jj, ii]], [-self.cP[jj, ii] * wn]
+        for coeff, dj, di in ((self.cE, 0, 1), (self.cW, 0, -1), (self.cN, 1, 0), (self.cS, -1, 0)):
+            cvals = coeff[jj, ii]
+            sel = cvals != 0.0
+            rows.append(idx[jj[sel], ii[sel]])
+            cols.append(idx[jj[sel] + dj, ii[sel] + di])
+            data.append(-cvals[sel] * wn[sel])
+        return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(nun, nun))
+
+    def dirichlet_rhs(self, gfun):
+        g = self.grid
+        Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
+        out = np.zeros_like(self.cP)
+        for cut, arm, dr, dz in zip(self.cut, self.arm, (g.hr, -g.hr, 0.0, 0.0),
+                                    (0.0, 0.0, g.hz, -g.hz)):
+            jj, ii = np.nonzero(cut != 0.0)
+            th = arm[jj, ii]
+            out[jj, ii] += cut[jj, ii] * np.asarray(gfun(R[jj, ii] + th * dr, Z[jj, ii] + th * dz))
+        return out
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+EQUIVALENCE_GRIDS = [(dm.ball(1.0), 33, 65), (dm.spheroid(1.0, 0.5), 49, 49),
+                     (dm.polynomial_bump([1, 0, -2, 0, 1]), 65, 129),
+                     (dm.polynomial_bump([1, -2, 1]), 17, 33)]
+
+
+def test_csr_operator_is_the_slicing_stencil():
+    # The one CSR assembly reproduces the nine-array slicing stencil and its
+    # COO weighted matrix bit for bit, signs of zeros included: products,
+    # the factored matrix and the Dirichlet data, on four domains (a cusp
+    # and a kink among them), six dimensions (the n = 4 coupling at r = h
+    # is exactly 0) and a full and a half-plane active set.
+    for n in (2, 3, 4, 5, 6, 8):
+        for profile, nr, nz in EQUIVALENCE_GRIDS:
+            grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
+            Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
+            for active in (None, Z > 0):
+                op = sv.AxisymOperator(grid, n, active=active)
+                ref = SlicingStencil(grid, n, op.active)
+                rng = np.random.default_rng(100 * n + nr)
+                v, c = rng.standard_normal((2,) + grid.inside.shape)
+                assert_bitwise(op.laplacian(v), ref.laplacian(v))
+                assert_bitwise(op.apply(v, c), ref.apply(v, c))
+                B, B_ref = op.weighted_matrix().tocsc(), ref.weighted_matrix(op.w).tocsc()
+                assert_bitwise(B.data, B_ref.data)
+                assert np.array_equal(B.indices, B_ref.indices)
+                assert np.array_equal(B.indptr, B_ref.indptr)
+                gdata = lambda r, z: np.cos(r) + z * z + 1.0  # noqa: E731
+                assert_bitwise(op.dirichlet_rhs(gdata), ref.dirichlet_rhs(gdata))

@@ -84,6 +84,40 @@ def test_derivative_residual_affine_and_separable():
             assert res <= vf.DERIV_RESIDUAL_C * h, (nl.form, direction, res)
 
 
+def centred_derivative_residual(u, nl, direction):
+    """Reference: the derivative-PDE residual with its own centred stencil."""
+    g, n = u.grid, u.n
+    hr, hz = g.hr, g.hz
+    v = sv.derivative_field(u, direction).values
+    Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
+    vrr, vzz, vr = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    vrr[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (hr * hr)
+    vzz[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / (hz * hz)
+    vr[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * hr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rr = np.where(R > 0, R, 1.0)
+        lap = vrr + (n - 2) / rr * vr + vzz
+        if direction == "z":
+            fdir = nl.eval_dz(R, Z, u.values)
+        else:
+            fdir = nl.eval_dr(R, Z, u.values)
+            lap = lap - (n - 2) / (rr * rr) * v
+    resid = lap + nl.eval_du(R, Z, u.values) * v + fdir
+    return float(np.abs(resid[vf._bulk_mask(g, 3)]).max())
+
+
+def test_derivative_residual_is_the_centred_stencil(gelfand_ball_65, spindle_torsion_129):
+    # The check applies the solver's Laplacian to du/dz and du/dr; on the
+    # bulk every arm is full, so it is the centred stencil up to rounding.
+    grid, u, _, _ = gelfand_ball_65
+    _, _, v, _, _ = spindle_torsion_129
+    for field, nl in ((u, nlin.gelfand(1.0)), (v, nlin.constant(1.0))):
+        for direction in ("z", "r"):
+            res = vf.derivative_pde_residual(field, nl, direction)
+            assert res == pytest.approx(centred_derivative_residual(field, nl, direction),
+                                        rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("prof, nr, nz", [
     (dm.polynomial_bump([1.0, 0.0, -2.0, 0.0, 1.0]), 257, 513),
     (dm.spheroid(1.0, 0.5), 385, 385)], ids=["spindle-257x513", "spheroid-385x385"])
@@ -188,6 +222,20 @@ def test_uniqueness_multistart_counts_only_indefinite_seeds_as_failed(gelfand_ba
     monkeypatch.setattr(vf, "newton_solve", raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2, base=u)
+
+
+def test_uniqueness_row_fails_when_no_seed_converged():
+    # gelfand(3.3) on the coarse ball has a stable solution (lambda1 ~ 1.2)
+    # but no random start reaches it: with nothing compared, the row must
+    # not pass.
+    grid = dm.build_grid(dm.MeridianDomain(3, dm.ball(1.0)), 33, 65)
+    nl = nlin.gelfand(3.3)
+    u, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3))
+    assert rep.converged
+    assert vf.uniqueness_multistart(grid, 3, nl, seeds=5, base=u) == (0.0, 0, 5)
+    row = vf.run_verification(grid, 3, nl, u, seeds=5).row("uniqueness")
+    assert np.isnan(row.margin)
+    assert not row.passed
 
 
 def test_full_report_shape_and_pass(gelfand_ball_65):

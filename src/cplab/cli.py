@@ -124,7 +124,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
                            tol_pde=cfg.get_float("solver", "tol_pde"),
                            seed=seed,
                            uniqueness_seeds=cfg.get_int("run", "uniqueness_seeds"),
-                           oracle_n=cfg.get_int("oracle", "N") if d.n == 3 else 0,
+                           oracle_n=cfg.get_int("oracle", "N"),
                            field_sink=sink)
         (out / "continuation.csv").write_text(fieldio.continuation_csv(rec))
         if rec.final_verification is not None:
@@ -142,7 +142,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         d, f, grid, u, rep = _solve_from_config(cfg)
         if not rep.converged:
             raise CplabError("oracle3d: the meridian solve did not converge")
-        vox = oracle3d.solve_3d(d, f, cfg.get_int("oracle", "N"), tol=1e-8)
+        vox = oracle3d.solve_3d(d, f, cfg.get_int("oracle", "N"))
         fieldio.write_voxels(vox, out / "oracle.cpvox")
         oc, ok = oracle3d.oracle_verdict(vox, u)
         (out / "oracle_compare.csv").write_text(fieldio.oracle_csv(oc))

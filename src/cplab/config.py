@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import continuation as cont
 from . import domain as dom
 from . import nonlinearity as nlin
+from . import oracle3d, solver, verify
 from .errors import ConfigError, InvalidProfileError
 
 SCHEMA = {
@@ -39,23 +41,23 @@ SCHEMA = {
 DEFAULTS = {
     ("domain", "n"): 3,
     ("grid", "nr"): 129,
-    ("solver", "tol_pde"): 1e-9,
-    ("solver", "max_newton"): 30,
-    ("continuation", "t_step0"): 0.05,
-    ("continuation", "t_step_min"): 1e-3,
+    ("solver", "tol_pde"): solver.TOL_PDE_DEFAULT,
+    ("solver", "max_newton"): solver.MAX_NEWTON_DEFAULT,
+    ("continuation", "t_step0"): cont.T_STEP0_DEFAULT,
+    ("continuation", "t_step_min"): cont.T_STEP_MIN_DEFAULT,
     ("oracle", "N"): 48,
     ("output", "directory"): "out",
     ("output", "emit_fields"): False,
     ("run", "seed"): 0,
-    ("run", "uniqueness_seeds"): 5,
+    ("run", "uniqueness_seeds"): verify.UNIQUENESS_SEEDS,
 }
 
 # Smallest accepted value of integer keys; grid sizes are checked by
-# grid_shape and [domain] n by build_domain. N matches the 9-node minimum
-# of the meridian grid; a uniqueness check needs at least one start.
+# grid_shape and [domain] n by build_domain. N takes the node minimum of
+# the meridian grid; a uniqueness check needs at least one start.
 INT_MINIMA = {
     ("solver", "max_newton"): 1,
-    ("oracle", "N"): 9,
+    ("oracle", "N"): dom.MIN_NODES,
     ("run", "seed"): 0,
     ("run", "uniqueness_seeds"): 1,
 }
@@ -68,15 +70,13 @@ class RunConfig:
     raw: dict = field(default_factory=dict)  # (section, key) -> (value str, line)
     path: str = ""
 
-    def get(self, section, key, default=None):
+    def get(self, section, key):
         if (section, key) in self.raw:
             return self.raw[(section, key)][0]
-        if default is not None:
-            return default
         return DEFAULTS.get((section, key))
 
-    def get_float(self, section, key, default=None):
-        val = self.get(section, key, default)
+    def get_float(self, section, key):
+        val = self.get(section, key)
         if val is None:
             return None
         try:
@@ -87,8 +87,8 @@ class RunConfig:
             raise self._error(section, key, f"= {val!r} is not finite")
         return x
 
-    def get_int(self, section, key, default=None):
-        val = self.get(section, key, default)
+    def get_int(self, section, key):
+        val = self.get(section, key)
         if val is None:
             return None
         try:
@@ -96,8 +96,8 @@ class RunConfig:
         except (TypeError, ValueError):
             raise self._error(section, key, f"= {val!r} is not an integer") from None
 
-    def get_bool(self, section, key, default=None):
-        val = self.get(section, key, default)
+    def get_bool(self, section, key):
+        val = self.get(section, key)
         if isinstance(val, bool) or val is None:
             return val
         text = str(val).strip().lower()
@@ -122,7 +122,7 @@ class RunConfig:
                 prof = dom.spheroid(self._require_float("domain", "a"),
                                     self._require_float("domain", "b"))
             elif kind == "bump":
-                coeffs = str(self.get("domain", "coeffs", ""))
+                coeffs = self.get("domain", "coeffs")
                 if not coeffs:
                     raise ConfigError(f"{self.path}: [domain] kind = bump requires coeffs")
                 prof = dom.polynomial_bump([float(tok) for tok in coeffs.split()])
@@ -137,7 +137,7 @@ class RunConfig:
                 raise self._error("domain", "kind", f"{kind!r} is unknown")
         except (ValueError, OSError, InvalidProfileError) as exc:
             raise self._error("domain", "kind", f"= {kind}: {exc}") from None
-        return dom.MeridianDomain(n, prof, description=kind)
+        return dom.MeridianDomain(n, prof)
 
     def build_nonlinearity(self) -> nlin.Nonlinearity:
         """The configured right-hand side; parameters out of range are a ConfigError."""
@@ -168,8 +168,9 @@ class RunConfig:
         """(nr, nz) with nz defaulted to the isotropic hr = hz aspect."""
         nr = self.get_int("grid", "nr")
         nz = self.get_int("grid", "nz")
-        if nr < 9 or (nz is not None and nz < 9):
-            raise ConfigError(f"{self.path}: grid must be at least 9x9, got {nr}x{nz}")
+        low = dom.MIN_NODES
+        if nr < low or (nz is not None and nz < low):
+            raise ConfigError(f"{self.path}: grid must be at least {low}x{low}, got {nr}x{nz}")
         if nz is None:
             hr = d.profile.R / (nr - 1)
             try:
@@ -186,13 +187,13 @@ class RunConfig:
                              ("continuation", "t_step_min")):
             if self.get_float(section, key) <= 0:
                 raise self._error(section, key, "must be positive")
-        if self.get_float("continuation", "t_step0") > 0.1:
-            raise self._error("continuation", "t_step0", "must be <= 0.1")
+        if self.get_float("continuation", "t_step0") > cont.T_STEP0_MAX:
+            raise self._error("continuation", "t_step0", f"must be <= {cont.T_STEP0_MAX}")
         for (section, key), low in INT_MINIMA.items():
             if self.get_int(section, key) < low:
                 raise self._error(section, key, f"must be >= {low}")
-        if self.get_int("oracle", "N") > 96:
-            raise self._error("oracle", "N", "must be <= 96 (desk scale)")
+        if self.get_int("oracle", "N") > oracle3d.N_MAX:
+            raise self._error("oracle", "N", f"must be <= {oracle3d.N_MAX} (desk scale)")
         self.build_domain()
         self.build_nonlinearity()
 

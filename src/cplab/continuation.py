@@ -29,16 +29,17 @@ import numpy as np
 from . import oracle3d
 from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, build_grid
 from .errors import CplabError, IndefiniteOperatorError, EigenFailureError
-from .interp import Bicubic
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
 from .solver import AxisymOperator, Field, TOL_PDE_DEFAULT, newton_solve
-from .stability import smallest_eigenvalue, is_stable
-from .verify import check_monotonicity, eps_disc, monotone, run_verification
+from .stability import smallest_eigenvalue
+from .verify import (UNIQUENESS_SEEDS, check_monotonicity, eps_disc, monotone,
+                     run_verification)
 
 logger = logging.getLogger(__name__)
 
 T_STEP0_DEFAULT = 0.05
+T_STEP0_MAX = 0.1
 T_STEP_MIN_DEFAULT = 1e-3
 LAMBDA_JUMP_FACTOR = 10.0
 
@@ -71,29 +72,20 @@ class ContinuationRecord:
 
 def warm_start_transfer(u_prev: Field, grid_prev: MeridianGrid,
                         grid_next: MeridianGrid) -> Field:
-    """Move a solution to the next grid: interpolate, zero outside, clamp.
+    """Carry a solution to the next homotopy grid: keep, zero outside, clamp.
 
-    Bicubic interpolation of the previous values at the new inside nodes;
-    nodes that were outside the previous domain start at 0, and the result
-    is clamped below at 0 (the stable branch is nonnegative). On identical
-    grids the transfer is an exact identity.
+    Both grids must have the same nodes (every grid of one homotopy run
+    covers the same bounding box at the same resolution); other grids
+    raise ValueError. Values at nodes inside both domains are kept, nodes
+    new to the domain start at 0, and the result is clamped below at 0
+    (the stable branch is nonnegative). On identical grids the transfer
+    is an exact identity.
     """
-    vals_prev = np.where(grid_prev.inside, u_prev.values, 0.0)
-    if (grid_prev.nr == grid_next.nr and grid_prev.nz == grid_next.nz
-            and np.array_equal(grid_prev.rs, grid_next.rs)
+    if not (np.array_equal(grid_prev.rs, grid_next.rs)
             and np.array_equal(grid_prev.zs, grid_next.zs)):
-        carried = np.where(grid_next.inside & grid_prev.inside, vals_prev, 0.0)
-        return Field(grid_next, np.maximum(carried, 0.0), u_prev.n)
-    interp = Bicubic(grid_prev.rs, grid_prev.zs, vals_prev)
-    Z, R = np.meshgrid(grid_next.zs, grid_next.rs, indexing="ij")
-    sel = grid_next.inside
-    vals = interp.value(R[sel], Z[sel])
-    if grid_prev.g is not None:
-        was_inside = np.abs(Z[sel]) < np.asarray(grid_prev.g(R[sel]), float)
-        vals = np.where(was_inside, vals, 0.0)
-    out = np.zeros(R.shape)
-    out[sel] = np.maximum(vals, 0.0)
-    return Field(grid_next, out, u_prev.n)
+        raise ValueError("warm start needs grids with the same nodes")
+    carried = np.where(grid_next.inside & grid_prev.inside, u_prev.values, 0.0)
+    return Field(grid_next, np.maximum(carried, 0.0), u_prev.n)
 
 
 def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
@@ -116,7 +108,7 @@ def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
             return f"eigen failure: {exc}", u, {"lambda1": np.nan}, None
     metrics = {"lambda1": stab.lambda1}
     phi = stab.eigenfield
-    if not is_stable(stab):
+    if not stab.stable:
         return f"lambda1 {stab.lambda1:.3g} below margin", u, metrics, phi
 
     census = find_critical_points(u)
@@ -137,12 +129,12 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
                  t_step0: float = T_STEP0_DEFAULT,
                  t_step_min: float = T_STEP_MIN_DEFAULT,
                  tol_pde: float = TOL_PDE_DEFAULT,
-                 seed: int = 0, uniqueness_seeds: int = 5,
+                 seed: int = 0, uniqueness_seeds: int = UNIQUENESS_SEEDS,
                  oracle_n: int = 0, field_sink=None) -> ContinuationRecord:
     """Drive the homotopy from the ball to the target domain.
 
-    `oracle_n` > 0 runs the voxel oracle comparison at t = 1 (only
-    meaningful for n = 3). The t = 0 solve must succeed for a conforming
+    `oracle_n` > 0 runs the voxel oracle comparison at t = 1 when n = 3;
+    other dimensions skip it. The t = 0 solve must succeed for a conforming
     nonlinearity; its failure is a setup error, not a recorded one.
     `field_sink(t, field)` is called for every accepted step when given.
 
@@ -150,8 +142,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     Newton solve and the eigen gate, so a matrix that both factor (f_u
     independent of u) is factored once per grid.
     """
-    if t_step0 > 0.1:
-        raise ValueError("t_step0 must not exceed 0.1")
+    if t_step0 > T_STEP0_MAX:
+        raise ValueError(f"t_step0 must not exceed {T_STEP0_MAX}")
     n = target.n
     family = HomotopyFamily(target)
     rmax = max(family.a, target.profile.R)
@@ -232,7 +224,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         oracle_ok = True
         if oracle_n > 0 and n == 3:
             try:
-                vox = oracle3d.solve_3d(target, nl, oracle_n, tol=1e-8)
+                vox = oracle3d.solve_3d(target, nl, oracle_n)
                 record.oracle_comparison, oracle_ok = oracle3d.oracle_verdict(vox, u)
             except CplabError as exc:
                 logger.warning("oracle comparison failed: %s", exc)

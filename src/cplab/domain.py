@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InvalidProfileError, ResolutionTooCoarseError
 
 _BISECT_STEPS = 45  # 2^-45 < 1e-13 relative arm tolerance; theta in [2^-46, 1 - 2^-46]
+MIN_NODES = 9  # fewest grid nodes along r or z
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,6 @@ class MeridianDomain:
 
     n: int
     profile: ProfileFunction
-    description: str = ""
 
     def __post_init__(self):
         if self.n < 2:
@@ -179,11 +179,11 @@ class HomotopyFamily:
     """Continuous deformation from the ball B_a (t=0) to the target (t=1)."""
 
     target: MeridianDomain
-    a: float = 0.0
 
-    def __post_init__(self):
-        if self.a == 0.0:
-            object.__setattr__(self, "a", self.target.profile.a0)
+    @property
+    def a(self) -> float:
+        """Radius of the starting ball: the target's half-height on the axis."""
+        return self.target.profile.a0
 
     def profile_at(self, r, t: float):
         """g_t(r) = t*g(r) + (1-t)*sqrt(a^2 - r^2), both parts zero-extended."""
@@ -297,8 +297,8 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     Explicit rmax/zmax let a fixed bounding box cover a whole homotopy run;
     the default zmax, the sampled max of g on [0, R], clips no off-axis peak.
     """
-    if nr < 9 or nz < 9:
-        raise ValueError("nr and nz must be at least 9")
+    if nr < MIN_NODES or nz < MIN_NODES:
+        raise ValueError(f"nr and nz must be at least {MIN_NODES}")
     if nz % 2 == 0:
         raise ValueError("nz must be odd so the equator z = 0 is a grid line")
 
@@ -404,18 +404,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_simple_domain(d: MeridianDomain, samples: int = 513) -> ValidationReport:
+def validate_simple_domain(d: MeridianDomain) -> ValidationReport:
     """Check the defining properties of a simple rotationally symmetric domain.
 
-    Positivity on [0, R), vanishing at R, and sampled monotonicity of the
-    profile. Monotone g implies convexity along every coordinate axis, and
-    the profile parameterization is even in x_n by construction; both facts
-    are recorded as structural checks. A non-concave profile is flagged
-    (the domain is then nonconvex) but is not a failure.
+    Positivity on [0, R), vanishing at R, and monotonicity of the profile
+    at 513 samples. Monotone g implies convexity along every coordinate
+    axis, and the profile parameterization is even in x_n by construction;
+    both facts are recorded as structural checks. A non-concave profile is
+    flagged (the domain is then nonconvex) but is not a failure.
     """
     prof = d.profile
     R, a0 = prof.R, prof.a0
-    rs = np.linspace(0.0, R, samples)
+    rs = np.linspace(0.0, R, 513)
     vals = np.asarray(prof(rs), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise InvalidProfileError("profile returned non-finite values")

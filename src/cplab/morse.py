@@ -25,7 +25,7 @@ from .interp import Bicubic, CubicLine, safe_cells
 from .solver import Field, derivative_field
 
 C_HESSIAN = 10.0
-TOL_CP_DEFAULT = 1e-9
+TOL_CP = 1e-9  # gradient residual at which a critical point is accepted
 MAX_CP_NEWTON = 50
 
 
@@ -56,10 +56,6 @@ class CriticalPoint:
 class Census:
     points: list
     tau_h: float
-
-    @property
-    def count_nondegenerate_max(self) -> int:
-        return sum(1 for p in self.points if p.type == "max" and p.nondegenerate)
 
     @property
     def unique_nondegenerate_max(self) -> bool:
@@ -127,22 +123,21 @@ def _second_difference_arrays(u: Field):
 
 
 def hessian_at(u: Field, p) -> np.ndarray:
-    """Full n x n Cartesian Hessian at a critical point.
+    """Full n x n Cartesian Hessian at the meridian point p = (r, z).
 
-    On the axis the Hessian is diagonal: the first n-1 entries are
-    u_rr(0, z*) (even-reflection second difference) and the last is
-    u_zz(0, z*); mixed terms vanish by symmetry. Off the axis the entries
+    On the axis (r < hr / 2) the Hessian is diagonal: the first n-1
+    entries are u_rr(0, z*) (even-reflection second difference) and the
+    last is u_zz(0, z*); mixed terms vanish by symmetry. Off the axis the entries
     come from u_rr, u_rz, u_zz and the angular term u_r / r through the
     cylindrical chain rule. Raises TooCloseToBoundaryError when the
     required stencils touch the boundary (within ~2 cells).
     """
     g = u.grid
     n = u.n
-    r0 = p.r if isinstance(p, CriticalPoint) else float(p[0])
-    z0 = p.z if isinstance(p, CriticalPoint) else float(p[1])
+    r0, z0 = float(p[0]), float(p[1])
     urr, uzz, urz = _second_difference_arrays(u)
 
-    if (isinstance(p, CriticalPoint) and p.on_axis) or r0 < 0.5 * g.hr:
+    if r0 < 0.5 * g.hr:
         col_ok = ~np.isnan(urr[:, 0]) & ~np.isnan(uzz[:, 0])
         jc = int(round((z0 - g.zs[0]) / g.hz))
         if not np.all(col_ok[max(jc - 2, 0):jc + 3]):
@@ -175,7 +170,7 @@ def hessian_at(u: Field, p) -> np.ndarray:
     return H
 
 
-def _axis_zeros(g, uz_vals, tol_cp):
+def _axis_zeros(g, uz_vals):
     """Roots of the axial derivative along the axis column."""
     col_in = g.inside[:, 0]
     uz0 = uz_vals[:, 0]
@@ -200,10 +195,10 @@ def _axis_zeros(g, uz_vals, tol_cp):
     if col_in[-1] and uz0[-1] == 0.0:
         roots.append(g.zs[-1])
     return [(0.0, float(z), abs(float(line.value(z)))) for z in roots
-            if abs(float(line.value(z))) <= max(tol_cp, 1e-13)]
+            if abs(float(line.value(z))) <= TOL_CP]
 
 
-def find_critical_points(u: Field, tol_cp: float = TOL_CP_DEFAULT) -> Census:
+def find_critical_points(u: Field) -> Census:
     """Locate and classify all critical points of the field.
 
     Candidate cells show a sign change of du/dz and (near the axis, or a
@@ -248,7 +243,7 @@ def find_critical_points(u: Field, tol_cp: float = TOL_CP_DEFAULT) -> Census:
         fnorm = np.hypot(fr, fz)
         ok = True
         for _ in range(MAX_CP_NEWTON):
-            if fnorm <= tol_cp:
+            if fnorm <= TOL_CP:
                 break
             arr, arz = interp_r.grad(r, z)
             azr, azz = interp_z.grad(r, z)
@@ -273,14 +268,14 @@ def find_critical_points(u: Field, tol_cp: float = TOL_CP_DEFAULT) -> Census:
             if not improved:
                 ok = False
                 break
-        if not ok or fnorm > tol_cp:
+        if not ok or fnorm > TOL_CP:
             continue
         jc, ic = int((z - g.zs[0]) / g.hz), int((r - g.rs[0]) / g.hr)
         if not (0 <= jc < g.nz - 1 and 0 <= ic < g.nr - 1 and cells[jc, ic]):
             continue
         found.append((r, z, fnorm))
 
-    found.extend(_axis_zeros(g, uzv, tol_cp))
+    found.extend(_axis_zeros(g, uzv))
 
     # Deduplicate within two cells; prefer the smaller gradient residual.
     radius = 2.0 * max(g.hr, g.hz)
@@ -318,18 +313,17 @@ def find_critical_points(u: Field, tol_cp: float = TOL_CP_DEFAULT) -> Census:
     return Census(points, tau_h)
 
 
-def taylor_fit(u: Field, center, radius: float | None = None) -> dict:
+def taylor_fit(u: Field, center) -> dict:
     """Least-squares quadratic fit of u around a point of the meridian plane.
 
     Fits u = M + a1*r + a2*dz + c1*r^2 + x*r*dz + c2*dz^2 on inside nodes
-    within `radius` (default 4h) of the center. For the solutions under
+    within 4h of the center, h = max(hr, hz). For the solutions under
     study the linear and cross coefficients vanish up to discretization
     and c1, c2 are strictly negative.
     """
     g = u.grid
     r0, z0 = float(center[0]), float(center[1])
-    h = max(g.hr, g.hz)
-    radius = 4.0 * h if radius is None else radius
+    radius = 4.0 * max(g.hr, g.hz)
     Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
     sel = g.inside & (np.hypot(R - r0, Z - z0) <= radius)
     rr = (R[sel] - r0)

@@ -205,15 +205,16 @@ class HypothesisReport:
                          for name, ok, d in self.checks)
 
 
-def check_hypotheses(nl: Nonlinearity, samples: int = 41,
-                     u_max: float = 3.0, r_max: float = 1.0) -> HypothesisReport:
+def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
     """Sample the hypotheses: convexity in u, spatial monotonicity, evenness.
 
-    Convexity is tested through second differences (>= -1e-10); spatial
-    monotonicity through first differences of f in r and |z| at u = 1.
+    Convexity is tested through second differences (>= -1e-10) over
+    u in [0, 3]; spatial monotonicity through first differences of f in r
+    and |z| over [0, 1] at u = 1, with 41 samples each.
     """
-    us = np.linspace(0.0, u_max, samples)
-    pts = [(0.0, 0.0), (0.5 * r_max, 0.0), (0.5 * r_max, 0.3 * r_max)]
+    samples = 41
+    us = np.linspace(0.0, 3.0, samples)
+    pts = [(0.0, 0.0), (0.5, 0.0), (0.5, 0.3)]
 
     worst_dd = np.inf
     for (r, z) in pts:
@@ -222,15 +223,15 @@ def check_hypotheses(nl: Nonlinearity, samples: int = 41,
         worst_dd = min(worst_dd, float(dd.min()))
     convex_ok = worst_dd >= -1e-10
 
-    rs = np.linspace(0.0, r_max, samples)
-    fr = np.asarray(nl.eval(rs, 0.2 * r_max, 1.0), float)
-    zs = np.linspace(0.0, r_max, samples)
-    fz = np.asarray(nl.eval(0.3 * r_max, zs, 1.0), float)
+    rs = np.linspace(0.0, 1.0, samples)
+    fr = np.asarray(nl.eval(rs, 0.2, 1.0), float)
+    zs = np.linspace(0.0, 1.0, samples)
+    fz = np.asarray(nl.eval(0.3, zs, 1.0), float)
     tol = 1e-12 * max(1.0, np.abs(fr).max(), np.abs(fz).max())
     mono_r_ok = bool(np.all(np.diff(fr) <= tol))
     mono_z_ok = bool(np.all(np.diff(fz) <= tol))
 
-    zprobe = np.linspace(0.0, r_max, 17)
+    zprobe = np.linspace(0.0, 1.0, 17)
     even_ok = bool(np.array_equal(np.asarray(nl.eval(0.4, zprobe, 1.0)),
                                   np.asarray(nl.eval(0.4, -zprobe, 1.0))))
 

@@ -23,7 +23,7 @@ products only: no factorisation and no BLAS, so the oracle stays apart
 from the meridian solver's sparse LU on purpose and its result does not
 depend on the BLAS thread count.
 
-Desk scale only: N <= 96, ambient dimension 3.
+Desk scale only: N <= N_MAX, ambient dimension 3.
 """
 
 from __future__ import annotations
@@ -35,8 +35,16 @@ from scipy.sparse.csgraph import connected_components
 from .domain import MeridianDomain
 from .errors import OracleFailureError, OracleMismatchError
 from .fieldio import VoxelField, _symmetric_coords
+from .interp import Bicubic
+from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
 
+N_MAX = 96  # voxels per axis: desk scale
+# Newton stops at this max-norm PDE residual; each CG solve at this
+# relative max-norm residual, within _CG_MAX_ITER iterations.
+TOL_NEWTON = 1e-8
+_CG_TOL_REL = 1e-10
+_CG_MAX_ITER = 40000
 _BISECT = 45
 # Multigrid hierarchy: coarsen until a level has at most _COARSEST
 # unknowns, and smooth the coarsest with _COARSE_SWEEPS l1-Jacobi sweeps.
@@ -155,7 +163,7 @@ class _VoxelOperator:
         self.L = sparse.csr_matrix(
             (np.stack([diag] + vals, axis=1)[keep], cols[keep], indptr), shape=(n_in, n_in))
 
-    def solve_spd(self, c, rhs, tol_rel=1e-10, max_iter=40000):
+    def solve_spd(self, c, rhs):
         """Multigrid-preconditioned CG for (-Lap - c) x = rhs, restart on stall.
 
         c, rhs and the solution are vectors over the inside voxels (c may
@@ -164,8 +172,9 @@ class _VoxelOperator:
         (`_v_cycle`). A is not exactly symmetric at cut arms with unequal
         theta, so CG theory does not certify the result: the returned x is
         the one whose true residual rhs - A x passed the recheck at
-        1.5 * tol_rel in the max norm. A nonpositive curvature p.Ap or
-        preconditioned residual r.z raises OracleFailureError.
+        1.5 * _CG_TOL_REL in the max norm, relative to rhs. A nonpositive
+        curvature p.Ap or preconditioned residual r.z, or no convergence
+        within _CG_MAX_ITER iterations, raises OracleFailureError.
         """
         bnorm = float(np.abs(rhs).max(initial=0.0))
         if bnorm == 0.0:
@@ -196,11 +205,11 @@ class _VoxelOperator:
         rz = dot(r, z)
         best = np.inf
         stall = 0
-        for _ in range(max_iter):
+        for _ in range(_CG_MAX_ITER):
             rn = float(np.abs(r).max(initial=0.0))
-            if rn <= tol_rel * bnorm:
+            if rn <= _CG_TOL_REL * bnorm:
                 r = rhs - A @ x
-                if float(np.abs(r).max(initial=0.0)) <= 1.5 * tol_rel * bnorm:
+                if float(np.abs(r).max(initial=0.0)) <= 1.5 * _CG_TOL_REL * bnorm:
                     return x
                 z = _v_cycle(levels, r)
                 p = z.copy()
@@ -310,12 +319,16 @@ def _v_cycle(levels, r):
     return x
 
 
-def solve_3d(d: MeridianDomain, nl: Nonlinearity, N: int, tol: float = 1e-8) -> VoxelField:
-    """Newton-solve the PDE on the voxel grid (n = 3 only, N <= 96)."""
+def solve_3d(d: MeridianDomain, nl: Nonlinearity, N: int) -> VoxelField:
+    """Newton-solve the PDE on the voxel grid (n = 3 only, N <= N_MAX).
+
+    Damped Newton from zero until the max-norm residual is at most
+    TOL_NEWTON; every linear step is one `solve_spd`.
+    """
     if d.n != 3:
         raise ValueError("the voxel oracle is three-dimensional only")
-    if N > 96:
-        raise ValueError("desk scale only: N <= 96")
+    if N > N_MAX:
+        raise ValueError(f"desk scale only: N <= {N_MAX}")
     op = _VoxelOperator(d, N)
     r, z = op.r, op.z
 
@@ -323,9 +336,9 @@ def solve_3d(d: MeridianDomain, nl: Nonlinearity, N: int, tol: float = 1e-8) -> 
     resv = op.L @ u + nl.eval(r, z, u)
     res = float(np.abs(resv).max(initial=0.0))
     for _ in range(30):
-        if res <= tol:
+        if res <= TOL_NEWTON:
             break
-        delta = op.solve_spd(nl.eval_du(r, z, u), resv, tol_rel=min(1e-10, tol * 1e-2))
+        delta = op.solve_spd(nl.eval_du(r, z, u), resv)
         step = 1.0
         accepted = False
         for _ in range(21):
@@ -339,7 +352,7 @@ def solve_3d(d: MeridianDomain, nl: Nonlinearity, N: int, tol: float = 1e-8) -> 
         if not accepted:
             raise OracleFailureError(f"voxel Newton stalled at residual {res:.3g}")
         u, resv, res = u_try, res_try_v, res_try
-    if res > tol:
+    if res > TOL_NEWTON:
         raise OracleFailureError(f"voxel Newton did not reach tolerance ({res:.3g})")
     values = np.zeros(op.mask.shape)
     values[op.mask] = u
@@ -451,9 +464,6 @@ def compare_with_axisymmetric(v: VoxelField, u) -> tuple:
     census point are returned. A cluster/census count mismatch raises
     OracleMismatchError.
     """
-    from .interp import Bicubic
-    from .morse import find_critical_points
-
     g = u.grid
     interp = Bicubic(g.rs, g.zs, np.where(g.inside, u.values, 0.0))
     m = v.mask

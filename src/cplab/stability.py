@@ -39,11 +39,12 @@ MAX_EIG_ITER = 200
 
 @dataclass
 class StabilityReport:
+    """First eigenpair of -Lap - f_u, and `stable`, the verdict it certifies."""
+
     lambda1: float
     eigenfield: Field
     iterations: int
     residual: float
-    stable: bool
     shift: float = 0.0
     single_signed: bool = True
 
@@ -51,6 +52,15 @@ class StabilityReport:
     def margin(self) -> float:
         """Certification margin: lambda1 must exceed 10x the eigen residual."""
         return 10.0 * self.residual
+
+    @property
+    def stable(self) -> bool:
+        """Definition of stability: lambda1 strictly above `margin`.
+
+        So coarse grids do not certify stability they cannot resolve, and
+        the gap between "lambda1 > 0" and "lambda1 > margin" stays visible.
+        """
+        return bool(self.lambda1 > self.margin)
 
 
 def _fprime_field(grid: MeridianGrid, nl: Nonlinearity, u: Field) -> np.ndarray:
@@ -84,9 +94,9 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
                         op: AxisymOperator | None = None) -> StabilityReport:
     """Inverse power iteration for the first eigenvalue of -Lap - f_u.
 
-    `subdomain` of 'z>0' or 'z<0' masks the grid at the equatorial plane
-    with a Dirichlet line (reusing all stencils), which is how eigenvalues
-    on the reflection half-domains are estimated. The reported lambda1 is
+    `subdomain` of 'z>0' masks the grid at the equatorial plane with a
+    Dirichlet line (reusing all stencils), which is how the eigenvalue on
+    the reflection half-domain is estimated. The reported lambda1 is
     the operator Rayleigh quotient of the last iterate, and its residual
     ||(-Lap - f_u) phi - lambda1 phi|| must fall to `tol_eig * max(1, |lambda1|)`
     within MAX_EIG_ITER steps, or EigenFailureError is raised. `op`, when
@@ -97,10 +107,8 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     active = None
     if subdomain == "z>0":
         active = np.broadcast_to((grid.zs > 0.0)[:, None], grid.inside.shape)
-    elif subdomain == "z<0":
-        active = np.broadcast_to((grid.zs < 0.0)[:, None], grid.inside.shape)
     elif subdomain is not None:
-        raise ValueError("subdomain must be None, 'z>0' or 'z<0'")
+        raise ValueError("subdomain must be None or 'z>0'")
     if op is not None and subdomain is not None:
         raise ValueError("op is a full-domain operator; a subdomain builds its own")
 
@@ -151,19 +159,6 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     single_signed = bool(vals.min() * vals.max() > 0.0)
 
     eigenfield = Field(grid, np.where(op.active, phi, 0.0), n)
-    report = StabilityReport(
+    return StabilityReport(
         lambda1=lam_op, eigenfield=eigenfield, iterations=iterations,
-        residual=residual, stable=False, shift=shift, single_signed=single_signed)
-    report.stable = is_stable(report)
-    return report
-
-
-def is_stable(report: StabilityReport, margin: float | None = None) -> bool:
-    """Definition of stability: lambda1 strictly above the margin.
-
-    The default margin is 10x the eigen residual, so coarse grids do not
-    certify stability they cannot resolve. The gap between "lambda1 > 0"
-    and "lambda1 > margin" is visible in the report, never hidden.
-    """
-    m = report.margin if margin is None else margin
-    return bool(report.lambda1 > m)
+        residual=residual, shift=shift, single_signed=single_signed)

@@ -46,6 +46,8 @@ MONOTONICITY_C = 250.0
 DERIV_RESIDUAL_C = 4.0
 
 BULK_PERCENTILE = 10.0
+# Random starts of the uniqueness multistart.
+UNIQUENESS_SEEDS = 5
 
 
 def worker_count() -> int:
@@ -76,15 +78,15 @@ def check_axial_symmetry(u: Field) -> float:
     return float(np.abs(vals - vals[::-1, :])[g.inside].max(initial=0.0))
 
 
-def _bulk_mask(grid: MeridianGrid, cells: int = 3) -> np.ndarray:
-    """Inside nodes at least `cells` stencil steps from the boundary.
+def _bulk_mask(grid: MeridianGrid) -> np.ndarray:
+    """Inside nodes at least 3 stencil steps from the boundary.
 
-    `cells` erosions by the 4-neighbour cross; a node off the array is
+    Three erosions by the 4-neighbour cross; a node off the array is
     outside, so the array's frame, the axis column included, erodes too
-    and no bulk node lies in the first `cells` columns.
+    and no bulk node lies in the first 3 columns.
     """
     m = grid.inside
-    for _ in range(cells):
+    for _ in range(3):
         e, w, n, s = neighbours(m)
         m = m & e & w & n & s
     return m
@@ -188,7 +190,7 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
     g = u.grid
     n = u.n
     v = derivative_field(u, direction).values
-    bulk = _bulk_mask(g, 3)
+    bulk = _bulk_mask(g)
     if not bulk.any():
         return np.nan
     Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
@@ -206,7 +208,7 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
 
 
 def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
-                          seeds: int = 5, seed: int = 0,
+                          seeds: int = UNIQUENESS_SEEDS, seed: int = 0,
                           tol_pde: float = TOL_PDE_DEFAULT,
                           base: Field | None = None):
     """Max pairwise L-inf distance of converged multi-start solutions.
@@ -284,9 +286,8 @@ class VerificationReport:
 
 
 def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
-                     tol_pde: float = TOL_PDE_DEFAULT, seeds: int = 5,
-                     seed: int = 0, lambdas=None,
-                     with_uniqueness: bool = True) -> VerificationReport:
+                     tol_pde: float = TOL_PDE_DEFAULT, seeds: int = UNIQUENESS_SEEDS,
+                     seed: int = 0, with_uniqueness: bool = True) -> VerificationReport:
     """Full theorem-conclusion report on a solved field.
 
     Five conclusion lines (symmetry, axial monotonicity, transverse
@@ -322,7 +323,7 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
         cp_ok, cp_margin = False, 1.0
     rows.append(CheckRow("critical_point_census", cp_margin, 0.5, cp_ok))
 
-    mp = moving_plane_check(u, lambdas)
+    mp = moving_plane_check(u)
     rows.append(CheckRow("moving_plane", mp, eps, mp <= eps))
 
     res = max(derivative_pde_residual(u, nl, "z"),

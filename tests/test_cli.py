@@ -92,7 +92,7 @@ def test_cpfield_round_trip_byte_identical(tmp_path, torsion_ball_65):
 
 def test_cpvox_round_trip(tmp_path):
     from cplab import domain as dm, nonlinearity as nlin, oracle3d as o3
-    v = o3.solve_3d(dm.MeridianDomain(3, dm.ball(1.0)), nlin.constant(1.0), 16, tol=1e-6)
+    v = o3.solve_3d(dm.MeridianDomain(3, dm.ball(1.0)), nlin.constant(1.0), 16)
     p1 = tmp_path / "v1.cpvox"
     p2 = tmp_path / "v2.cpvox"
     fieldio.write_voxels(v, p1)

@@ -1,11 +1,16 @@
 """Configuration parsing: every input yields a RunConfig or a ConfigError."""
 
+import inspect
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cplab.config import SCHEMA, parse_config
+from cplab.config import DEFAULTS, SCHEMA, parse_config
+from cplab.continuation import run_homotopy
 from cplab.errors import ConfigError
+from cplab.solver import newton_solve
+from cplab.verify import run_verification
 
 VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant\nc = 1.0\n"
 
@@ -15,6 +20,8 @@ VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant
     (VALID + b"[continuation]\nt_step0 = nan\n", r"cfg:9: \[continuation\] t_step0 .* not finite"),
     (VALID + b"[solver]\ntol_lin = 1e-11\n", r"cfg:9: unknown key 'tol_lin' in \[solver\]"),
     (VALID + b"[oracle]\nN = -4\n", r"cfg:9: \[oracle\] N must be >= 9"),
+    (VALID + b"[oracle]\nN = 97\n", r"cfg:9: \[oracle\] N must be <= 96 \(desk scale\)"),
+    (VALID + b"[continuation]\nt_step0 = 0.11\n", r"cfg:9: \[continuation\] t_step0 must be <= 0\.1$"),
     (VALID + b"[run]\nuniqueness_seeds = -1\n", r"cfg:9: \[run\] uniqueness_seeds must be >= 1"),
     (VALID + b"[run]\nseed = 1\xff\n", r"cfg:9: not valid UTF-8"),
     (VALID.replace(b"a = 1.0", b"a = -1"),
@@ -26,6 +33,34 @@ def test_rejected_values_name_their_line(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(ConfigError, match=message):
         parse_config(path)
+
+
+def test_upper_limits_are_inclusive(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(VALID + b"[continuation]\nt_step0 = 0.1\n[oracle]\nN = 96\n")
+    cfg = parse_config(path)
+    assert cfg.get_float("continuation", "t_step0") == 0.1
+    assert cfg.get_int("oracle", "N") == 96
+
+
+def test_grid_below_nine_nodes_is_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(VALID + b"[grid]\nnr = 8\n")
+    cfg = parse_config(path)
+    with pytest.raises(ConfigError, match=r"grid must be at least 9x9, got 8x"):
+        cfg.grid_shape(cfg.build_domain())
+
+
+@pytest.mark.parametrize("function, param, key", [
+    (newton_solve, "tol_pde", ("solver", "tol_pde")),
+    (newton_solve, "max_newton", ("solver", "max_newton")),
+    (run_homotopy, "t_step0", ("continuation", "t_step0")),
+    (run_homotopy, "t_step_min", ("continuation", "t_step_min")),
+    (run_homotopy, "uniqueness_seeds", ("run", "uniqueness_seeds")),
+    (run_verification, "seeds", ("run", "uniqueness_seeds")),
+])
+def test_defaults_are_the_library_defaults(function, param, key):
+    assert DEFAULTS[key] == inspect.signature(function).parameters[param].default
 
 
 # A usable value for every key, so that many examples parse in full.

@@ -24,14 +24,15 @@ def test_warm_start_zero_outside_shrunk_domain(torsion_ball_65):
     assert np.all(moved.values[~shrunk.inside] == 0.0)
 
 
-def test_warm_start_refinement_accuracy(torsion_ball_65, torsion_ball_129):
-    g65, u65, _, _ = torsion_ball_65
-    g129, u129, _, _ = torsion_ball_129
-    moved = warm_start_transfer(u65, g65, g129)
-    err = np.abs((moved.values - u129.values)[g129.inside]).max()
-    # interpolation-level error, not solver-level
-    assert err < 5e-3
-    assert err > 0.0
+def test_warm_start_refuses_grids_with_other_nodes(torsion_ball_65):
+    grid, u, _, _ = torsion_ball_65
+    ball = dm.MeridianDomain(3, dm.ball(1.0))
+    finer = dm.build_grid(ball, 129, 257)
+    # Same shape, other bounding box: the nodes differ too.
+    wider = dm.build_grid(ball, grid.nr, grid.nz, rmax=1.25 * grid.rmax, zmax=grid.zmax)
+    for other in (finer, wider):
+        with pytest.raises(ValueError, match="same nodes"):
+            warm_start_transfer(u, grid, other)
 
 
 def test_trivial_ball_target_completes_in_one_step():

@@ -141,7 +141,7 @@ def test_clusters_equal_ndimage_labels(mark):
 def test_scan_equals_the_ndimage_scan(field, ball_torsion_vox, monkeypatch):
     if field == "spindle":
         d = dm.MeridianDomain(3, dm.polynomial_bump([1, 0, -2, 0, 1]))
-        v = o3.solve_3d(d, nlin.constant(1.0), 24, tol=1e-8)
+        v = o3.solve_3d(d, nlin.constant(1.0), 24)
     else:
         v = double_bump(ball_torsion_vox[1])
     clusters = o3.scan_critical_voxels(v)
@@ -286,10 +286,9 @@ def test_cg_solution_has_its_true_residual(kind):
     rng = np.random.default_rng(24)
     rhs = rng.uniform(0.5, 1.5, op.r.size)
     c = 4.0 if kind == "scalar" else rng.uniform(0.0, 8.0, op.r.size)
-    tol_rel = 1e-10
-    x = op.solve_spd(c, rhs, tol_rel=tol_rel)
+    x = op.solve_spd(c, rhs)
     residual = -(op.L @ x) - c * x - rhs
-    assert np.abs(residual).max() <= 1.5 * tol_rel * np.abs(rhs).max()
+    assert np.abs(residual).max() <= 1.5 * o3._CG_TOL_REL * np.abs(rhs).max()
 
 
 def test_even_n_maximum_is_the_centred_eight_voxel_cluster(ball_torsion_vox):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,11 +114,16 @@ def test_halfdomain_eigenvalue_monotonicity(torsion_ball_65):
     assert half.lambda1 > 1.5 * full.lambda1
 
 
-def test_is_stable_margin_logic(torsion_ball_65):
+def test_stable_means_lambda1_strictly_above_ten_residuals(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     rep = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0))
-    assert st.is_stable(rep)
-    assert not st.is_stable(rep, margin=rep.lambda1 + 1.0)
+    assert rep.stable
+    at_margin = dataclasses.replace(rep, residual=rep.lambda1 / 10.0)
+    assert at_margin.margin == rep.lambda1
+    assert not at_margin.stable
+    below = dataclasses.replace(rep, residual=rep.lambda1 / 10.0 * (1.0 - 1e-12))
+    assert below.margin < rep.lambda1
+    assert below.stable
 
 
 def test_gelfand_stability(gelfand_ball_65):

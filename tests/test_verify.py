@@ -103,7 +103,7 @@ def centred_derivative_residual(u, nl, direction):
             fdir = nl.eval_dr(R, Z, u.values)
             lap = lap - (n - 2) / (rr * rr) * v
     resid = lap + nl.eval_du(R, Z, u.values) * v + fdir
-    return float(np.abs(resid[vf._bulk_mask(g, 3)]).max())
+    return float(np.abs(resid[vf._bulk_mask(g)]).max())
 
 
 def test_derivative_residual_is_the_centred_stencil(gelfand_ball_65, spindle_torsion_129):
@@ -331,7 +331,7 @@ def masks_2d(draw):
 def test_bulk_mask_equals_the_ndimage_erosion(m):
     ref = ndimage.binary_erosion(m, structure=ndimage.generate_binary_structure(2, 1),
                                  iterations=3, border_value=0)
-    bulk = vf._bulk_mask(SimpleNamespace(inside=m), 3)
+    bulk = vf._bulk_mask(SimpleNamespace(inside=m))
     assert bulk.dtype == ref.dtype and np.array_equal(bulk, ref)
     # The axis column and the next two are never bulk, so every node the
     # derivative-PDE residual scans has r >= 3hr and needs no axis rule.

@@ -52,10 +52,13 @@ DEFAULTS = {
     ("run", "uniqueness_seeds"): verify.UNIQUENESS_SEEDS,
 }
 
-# Smallest accepted value of integer keys; grid sizes are checked by
-# grid_shape and [domain] n by build_domain. N takes the node minimum of
-# the meridian grid; a uniqueness check needs at least one start.
+# Smallest accepted value of integer keys; [domain] n is checked by
+# build_domain. The grid sizes and N take the node minimum of the meridian
+# grid (an unset nz is defaulted by grid_shape); a uniqueness check needs
+# at least one start.
 INT_MINIMA = {
+    ("grid", "nr"): dom.MIN_NODES,
+    ("grid", "nz"): dom.MIN_NODES,
     ("solver", "max_newton"): 1,
     ("oracle", "N"): dom.MIN_NODES,
     ("run", "seed"): 0,
@@ -168,9 +171,6 @@ class RunConfig:
         """(nr, nz) with nz defaulted to the isotropic hr = hz aspect."""
         nr = self.get_int("grid", "nr")
         nz = self.get_int("grid", "nz")
-        low = dom.MIN_NODES
-        if nr < low or (nz is not None and nz < low):
-            raise ConfigError(f"{self.path}: grid must be at least {low}x{low}, got {nr}x{nz}")
         if nz is None:
             hr = d.profile.R / (nr - 1)
             try:
@@ -190,7 +190,8 @@ class RunConfig:
         if self.get_float("continuation", "t_step0") > cont.T_STEP0_MAX:
             raise self._error("continuation", "t_step0", f"must be <= {cont.T_STEP0_MAX}")
         for (section, key), low in INT_MINIMA.items():
-            if self.get_int(section, key) < low:
+            value = self.get_int(section, key)
+            if value is not None and value < low:
                 raise self._error(section, key, f"must be >= {low}")
         if self.get_int("oracle", "N") > oracle3d.N_MAX:
             raise self._error("oracle", "N", f"must be <= {oracle3d.N_MAX} (desk scale)")

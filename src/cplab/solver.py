@@ -43,11 +43,14 @@ logger = logging.getLogger(__name__)
 TOL_PDE_DEFAULT = 1e-9     # discrete L-inf residual of the PDE
 MAX_NEWTON_DEFAULT = 30
 
-# SuperLU holds the GIL, so concurrent factorizations gain no speed, only
-# memory: AxisymOperator.solve holds this lock from factor to back-solve,
-# so the threads that share an operator keep at most one factor resident
-# between them. A factor kept by `keep_factor` lives outside the lock and
-# is for one thread only.
+# Bounds peak memory, not speed. SuperLU releases the GIL, so two threads
+# factor 1.3-1.8x faster than one, but each factor in flight holds its own
+# L and U: without the lock, `cplab verify` with 5 seeds on the 97x193
+# ball ran 25-30% faster and peaked 13-15% higher in RSS (90 -> 104 MB).
+# AxisymOperator.solve holds this lock from factor to back-solve, so the
+# threads that share an operator keep at most one factor resident between
+# them. A factor kept by `keep_factor` lives outside the lock and is for
+# one thread only.
 _FACTOR_LOCK = threading.Lock()
 
 
@@ -302,6 +305,14 @@ class ShiftedFactor:
     nonpositive pivot, an off-diagonal pivot (perm_r != perm_c) or an
     exactly singular A raises IndefiniteOperatorError.
 
+    SuperLU factors column by column here (relax=1, panel_size=1), not
+    with its default relaxed supernodes and multi-column panels. On these
+    five-point meridian matrices the padding the defaults add for dense
+    BLAS blocks costs more than it saves: a factorization took 33-36% less
+    time on the 97x193 and larger balls and 27-29% less on the 33x65 ball
+    and the 97x97 spheroid, with the same pivots and a slightly smaller
+    factor (one process, OpenBLAS on one thread).
+
     The factor keeps the weight and the node index, not the operator, so
     an operator that keeps its factor forms no reference cycle with it.
     """
@@ -313,7 +324,7 @@ class ShiftedFactor:
         A = B - sp.diags(self._w[self._nodes] * self._c)
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+                           relax=1, panel_size=1, options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise IndefiniteOperatorError(f"operator is singular ({exc})") from None
         if not np.array_equal(lu.perm_r, lu.perm_c):

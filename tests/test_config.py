@@ -45,10 +45,10 @@ def test_upper_limits_are_inclusive(tmp_path):
 
 def test_grid_below_nine_nodes_is_rejected(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_bytes(VALID + b"[grid]\nnr = 8\n")
-    cfg = parse_config(path)
-    with pytest.raises(ConfigError, match=r"grid must be at least 9x9, got 8x"):
-        cfg.grid_shape(cfg.build_domain())
+    for key in ("nr", "nz"):
+        path.write_bytes(VALID + f"[grid]\n{key} = 8\n".encode())
+        with pytest.raises(ConfigError, match=rf"cfg:9: \[grid\] {key} must be >= 9$"):
+            parse_config(path)
 
 
 @pytest.mark.parametrize("function, param, key", [

@@ -119,6 +119,49 @@ def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
         op.solve(const(lam + 1e-4).values, rhs.values)
 
 
+def default_supernode_factor(op, c):
+    """splu of ShiftedFactor's matrix under SuperLU's default relax and panel size.
+
+    Returns the factor, or None where ShiftedFactor's definiteness test
+    (diagonal pivots, all positive) fails on it.
+    """
+    A = (op.weighted_matrix() - sp.diags(op.w[op.active] * c)).tocsc()
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    definite = np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0.0
+    return lu if definite else None
+
+
+COLUMN_FACTOR_CASES = {
+    "ball-n3": (dm.ball(1.0), 65, 129, 3), "ball-n5": (dm.ball(1.0), 65, 129, 5),
+    "ball-n8": (dm.ball(1.0), 65, 129, 8), "spheroid-n3": (dm.spheroid(1.0, 0.5), 97, 97, 3),
+    "spindle-n3": (dm.polynomial_bump([1, 0, -2, 0, 1]), 129, 257, 3)}
+
+
+@pytest.mark.parametrize("profile, nr, nz, n", COLUMN_FACTOR_CASES.values(),
+                         ids=COLUMN_FACTOR_CASES.keys())
+def test_column_factor_agrees_with_default_supernodes(profile, nr, nz, n):
+    # ShiftedFactor factors column by column; SuperLU's default relaxed
+    # supernodes and panels must give the same solves, diagonal pivots and
+    # definiteness verdict on either side of the first eigenvalue.
+    grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
+    op = sv.AxisymOperator(grid, n)
+    lam = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0)).lambda1
+    rhs = np.where(grid.inside, np.random.default_rng(n).standard_normal(grid.inside.shape), 0.0)
+    for c in (0.0, 0.95 * lam):
+        factor = sv.ShiftedFactor(op, c)
+        assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+        ref = default_supernode_factor(op, c)
+        assert ref is not None
+        x = factor.solve(rhs)
+        x_ref = np.zeros_like(x)
+        x_ref[op.active] = ref.solve((op.w * rhs)[op.active])
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    with pytest.raises(IndefiniteOperatorError):
+        sv.ShiftedFactor(op, 1.05 * lam)
+    assert default_supernode_factor(op, 1.05 * lam) is None
+
+
 def test_torsion_one_newton_step(torsion_ball_65):
     grid, u, rep, _ = torsion_ball_65
     assert rep.newton_iterations == 1

@@ -1,9 +1,10 @@
 """Run configuration: line-based `key = value` files in `[section]` blocks.
 
 UTF-8, `#` comments, no nesting. Unknown keys or sections, duplicate keys,
-non-finite numbers and out-of-range values are hard errors with line
-numbers; missing required keys are reported together. Any file either
-parses into a RunConfig or raises ConfigError. Example:
+values of the wrong SCHEMA type (set keys the run does not read
+included), non-finite numbers and out-of-range values are hard errors
+with line numbers; missing required keys are reported together. Any file
+either parses into a RunConfig or raises ConfigError. Example:
 
     [domain]
     kind = ball
@@ -27,15 +28,17 @@ from . import nonlinearity as nlin
 from . import oracle3d, solver, verify
 from .errors import ConfigError, InvalidProfileError
 
+# Every section and key, with the type its value must parse as.
 SCHEMA = {
-    "domain": {"kind", "a", "b", "coeffs", "file", "n"},
-    "nonlinearity": {"form", "lambda", "c", "p", "alpha", "beta"},
-    "grid": {"nr", "nz"},
-    "solver": {"tol_pde", "max_newton"},
-    "continuation": {"t_step0", "t_step_min"},
-    "oracle": {"N"},
-    "output": {"directory", "emit_fields"},
-    "run": {"seed", "uniqueness_seeds"},
+    "domain": {"kind": str, "a": float, "b": float, "coeffs": str, "file": str, "n": int},
+    "nonlinearity": {"form": str, "lambda": float, "c": float, "p": float,
+                     "alpha": float, "beta": float},
+    "grid": {"nr": int, "nz": int},
+    "solver": {"tol_pde": float, "max_newton": int},
+    "continuation": {"t_step0": float, "t_step_min": float},
+    "oracle": {"N": int},
+    "output": {"directory": str, "emit_fields": bool},
+    "run": {"seed": int, "uniqueness_seeds": int},
 }
 
 DEFAULTS = {
@@ -110,6 +113,12 @@ class RunConfig:
             return False
         raise self._error(section, key, f"= {val!r} is not a boolean")
 
+    def get_typed(self, section, key):
+        """The value read through the getter of the key's SCHEMA type."""
+        getter = {float: self.get_float, int: self.get_int, bool: self.get_bool,
+                  str: self.get}[SCHEMA[section][key]]
+        return getter(section, key)
+
     # -- factories ------------------------------------------------------------
 
     def build_domain(self) -> dom.MeridianDomain:
@@ -178,11 +187,11 @@ class RunConfig:
             except (ArithmeticError, ValueError):
                 raise ConfigError(f"{self.path}: no isotropic nz for a domain of "
                                   f"{d.profile.a0:g} x {d.profile.R:g}; set [grid] nz") from None
-        if nz % 2 == 0:
-            raise ConfigError(f"{self.path}: nz must be odd, got {nz}")
         return nr, nz
 
     def validate(self):
+        for section, key in self.raw:
+            self.get_typed(section, key)
         for section, key in (("solver", "tol_pde"), ("continuation", "t_step0"),
                              ("continuation", "t_step_min")):
             if self.get_float(section, key) <= 0:
@@ -193,6 +202,9 @@ class RunConfig:
             value = self.get_int(section, key)
             if value is not None and value < low:
                 raise self._error(section, key, f"must be >= {low}")
+        nz = self.get_int("grid", "nz")
+        if nz is not None and nz % 2 == 0:
+            raise self._error("grid", "nz", f"must be odd, got {nz}")
         if self.get_int("oracle", "N") > oracle3d.N_MAX:
             raise self._error("oracle", "N", f"must be <= {oracle3d.N_MAX} (desk scale)")
         self.build_domain()

@@ -61,7 +61,6 @@ class ContinuationRecord:
     rejections: list = field(default_factory=list)  # (t, reason)
     first_failure_t: float | None = None
     completed: bool = False
-    lambda1_lipschitz: float = 0.0
     final_verification: object = None
     oracle_comparison: dict | None = None
 
@@ -134,7 +133,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     """Drive the homotopy from the ball to the target domain.
 
     `oracle_n` > 0 runs the voxel oracle comparison at t = 1 when n = 3;
-    other dimensions skip it. The t = 0 solve must succeed for a conforming
+    other dimensions skip it. The t = 0 solve must succeed for a catalog
     nonlinearity; its failure is a setup error, not a recorded one.
     `field_sink(t, field)` is called for every accepted step when given.
 
@@ -202,9 +201,6 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             continue
 
         jumps.append(abs(metrics["lambda1"] - record.steps[-1].lambda1))
-        if t_next > t:
-            record.lambda1_lipschitz = max(record.lambda1_lipschitz,
-                                           jumps[-1] / (t_next - t))
         record.steps.append(StepRecord(t_next, True, metrics["lambda1"],
                                        metrics["cp_count"], metrics["m_z"],
                                        metrics["m_r"],

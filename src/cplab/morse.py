@@ -58,14 +58,10 @@ class Census:
     tau_h: float
 
     @property
-    def unique_nondegenerate_max(self) -> bool:
-        return (len(self.points) == 1 and self.points[0].type == "max"
-                and self.points[0].nondegenerate)
-
-    @property
     def unique_axis_max(self) -> bool:
         """The census the theorems predict: one nondegenerate max, on the axis."""
-        return bool(self.unique_nondegenerate_max and self.points[0].on_axis)
+        return bool(len(self.points) == 1 and self.points[0].type == "max"
+                    and self.points[0].nondegenerate and self.points[0].on_axis)
 
 
 def classify(hessian: np.ndarray, tau_h: float):
@@ -201,10 +197,10 @@ def _axis_zeros(g, uz_vals):
 def find_critical_points(u: Field) -> Census:
     """Locate and classify all critical points of the field.
 
-    Candidate cells show a sign change of du/dz and (near the axis, or a
-    sign change of du/dr); each seeds a damped Newton iteration on the
-    interpolated gradient. Axis candidates solve the 1-D problem
-    du/dz(0, z) = 0. Points closer than two cells are deduplicated.
+    Candidate cells show a sign change of both du/dz and du/dr; each seeds
+    a damped Newton iteration on the interpolated gradient. Axis points
+    come from the 1-D problem du/dz(0, z) = 0 alone. Points closer than
+    two cells are deduplicated.
     """
     g = u.grid
     tau_h = hessian_threshold(g)
@@ -225,9 +221,7 @@ def find_critical_points(u: Field) -> Census:
     cr = corners(urv)
     sign_z = (cz.min(axis=0) <= 0.0) & (cz.max(axis=0) >= 0.0)
     sign_r = (cr.min(axis=0) <= 0.0) & (cr.max(axis=0) >= 0.0)
-    near_axis = np.zeros_like(sign_r)
-    near_axis[:, :2] = True
-    cand = cells & int_corners & sign_z & (near_axis | sign_r)
+    cand = cells & int_corners & sign_z & sign_r
 
     interp_r = Bicubic(g.rs, g.zs, urv)
     interp_z = Bicubic(g.rs, g.zs, uzv)

@@ -1,10 +1,14 @@
-"""Catalog of right-hand sides f(x, u) and their structural hypotheses.
+"""Catalog of right-hand sides f(r, z, u) = kappa(r, z) * phi(u).
 
-All catalog entries are convex in u, even in x_n, depend on x' only
-through r = |x'|, and are nonincreasing in r and |x_n| — the assumptions
-under which the symmetry and critical-point conclusions hold. The
-separable family multiplies a scalar profile phi(u) by the spatial
-weight kappa(r, s) = exp(-alpha*r^2 - beta*s^2) with s = |x_n|.
+The paper treats two kinds of semilinear problems, -Lap u = f(u) and
+-Lap u = f(x, u) with f(x, .) convex. Every catalog entry is the product
+of a scalar profile phi(u) and the spatial weight
+kappa(r, z) = exp(-alpha*r^2 - beta*z^2): alpha = beta = 0 gives the
+first kind (`constant`, `affine`, `gelfand`, `power`, `tabulated_phi`),
+`separable` the second. With alpha, beta >= 0 and phi convex, f is convex
+in u, even in x_n, depends on x' only through r = |x'| and is
+nonincreasing in r and |x_n| — the assumptions under which the symmetry
+and critical-point conclusions hold.
 
 Evaluators are vectorized over numpy arrays. Exponentials saturate at
 exp(EXP_CAP) so damped Newton sees a finite, monotone residual instead
@@ -27,48 +31,55 @@ def _exp(u):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A right-hand side f(r, z, u) with partial derivative evaluators.
+    """f(r, z, u) = kappa(r, z) * phi(u) with its partial derivatives.
 
-    `conforming` marks catalog entries that satisfy every hypothesis of
-    the main theorems; test-only forms (tabulated phi, manufactured
-    sources) are representable but flagged non-conforming.
+    `phi` and `dphi` map u to phi(u) and phi'(u); `alpha` and `beta` are
+    the weights of kappa, which is never formed when both are 0.
     """
 
     form: str
-    params: dict = field(default_factory=dict)
-    x_dependent: bool = False
-    conforming: bool = True
-    _f: Callable = field(repr=False, default=None)
-    _fu: Callable = field(repr=False, default=None)
-    _fr: Callable = field(repr=False, default=None)
-    _fz: Callable = field(repr=False, default=None)
+    phi: Callable = field(repr=False)
+    dphi: Callable = field(repr=False)
+    alpha: float = 0.0
+    beta: float = 0.0
+
+    def _kappa(self, r, z):
+        return np.exp(-self.alpha * r * r - self.beta * z * z)
+
+    def _weighted(self, g, r, z, u):
+        r, z, u = (np.asarray(v, float) for v in (r, z, u))
+        out = g(u)
+        if self.alpha or self.beta:
+            out = self._kappa(r, z) * out
+        return np.broadcast_to(out, np.broadcast(r, z, u).shape)
 
     def eval(self, r, z, u):
         """f at radial coordinate r, axial coordinate z, value u.
 
         Broadcasts over any mix of scalars and arrays.
         """
-        r, z, u = (np.asarray(v, float) for v in (r, z, u))
-        out = self._f(r, z, u)
-        return np.broadcast_to(out, np.broadcast(r, z, u).shape)
+        return self._weighted(self.phi, r, z, u)
 
     def eval_du(self, r, z, u):
         """Partial derivative of f with respect to u."""
-        r, z, u = (np.asarray(v, float) for v in (r, z, u))
-        out = self._fu(r, z, u)
-        return np.broadcast_to(out, np.broadcast(r, z, u).shape)
+        return self._weighted(self.dphi, r, z, u)
 
     def eval_dr(self, r, z, u):
-        """Spatial partial in the radial direction (zero unless x-dependent)."""
-        if self._fr is None:
-            return np.zeros(np.broadcast(r, z, u).shape)
-        return self._fr(np.asarray(r, float), np.asarray(z, float), np.asarray(u, float))
+        """Partial derivative in r: -2*alpha*r*f, zero when alpha = 0."""
+        return self._spatial(self.alpha, 0, r, z, u)
 
     def eval_dz(self, r, z, u):
-        """Spatial partial in the axial direction (zero unless x-dependent)."""
-        if self._fz is None:
-            return np.zeros(np.broadcast(r, z, u).shape)
-        return self._fz(np.asarray(r, float), np.asarray(z, float), np.asarray(u, float))
+        """Partial derivative in z: -2*beta*z*f, zero when beta = 0."""
+        return self._spatial(self.beta, 1, r, z, u)
+
+    def _spatial(self, weight, axis, r, z, u):
+        r, z, u = (np.asarray(v, float) for v in (r, z, u))
+        shape = np.broadcast(r, z, u).shape
+        if weight == 0.0:
+            # Not -2*0*x*f: that is NaN wherever phi overflows.
+            return np.zeros(shape)
+        x = (r, z)[axis]
+        return np.broadcast_to(-2.0 * weight * x * self._kappa(r, z) * self.phi(u), shape)
 
     @property
     def positive_at_zero(self) -> bool:
@@ -79,19 +90,13 @@ class Nonlinearity:
 def constant(c: float) -> Nonlinearity:
     """Torsion-type source f = c."""
     c = float(c)
-    return Nonlinearity(
-        "constant", {"c": c},
-        _f=lambda r, z, u: np.full(np.broadcast(r, z, u).shape, c),
-        _fu=lambda r, z, u: np.zeros(np.broadcast(r, z, u).shape))
+    return Nonlinearity("constant", lambda u: c, lambda u: 0.0)
 
 
 def affine(lam_hat: float, c: float) -> Nonlinearity:
     """Linear source f = lam_hat*u + c."""
     lam_hat, c = float(lam_hat), float(c)
-    return Nonlinearity(
-        "affine", {"lambda": lam_hat, "c": c},
-        _f=lambda r, z, u: lam_hat * u + c,
-        _fu=lambda r, z, u: np.full(np.broadcast(r, z, u).shape, lam_hat))
+    return Nonlinearity("affine", lambda u: lam_hat * u + c, lambda u: lam_hat)
 
 
 def gelfand(lam: float) -> Nonlinearity:
@@ -99,10 +104,7 @@ def gelfand(lam: float) -> Nonlinearity:
     lam = float(lam)
     if lam <= 0:
         raise ValueError("gelfand lambda must be positive")
-    return Nonlinearity(
-        "gelfand", {"lambda": lam},
-        _f=lambda r, z, u: lam * _exp(u),
-        _fu=lambda r, z, u: lam * _exp(u))
+    return Nonlinearity("gelfand", lambda u: lam * _exp(u), lambda u: lam * _exp(u))
 
 
 def power(lam: float, p: float) -> Nonlinearity:
@@ -115,50 +117,38 @@ def power(lam: float, p: float) -> Nonlinearity:
     if lam <= 0 or p < 1:
         raise ValueError("power form needs lam > 0 and p >= 1")
 
-    def f(r, z, u):
+    def phi(u):
         pos = np.maximum(u, 0.0)
         vals = lam * (1.0 + pos) ** p
         return np.where(u >= 0, vals, lam * (1.0 + p * u))
 
-    def fu(r, z, u):
+    def dphi(u):
         pos = np.maximum(u, 0.0)
         vals = lam * p * (1.0 + pos) ** (p - 1.0)
         return np.where(u >= 0, vals, lam * p)
 
-    return Nonlinearity("power", {"lambda": lam, "p": p}, _f=f, _fu=fu)
+    return Nonlinearity("power", phi, dphi)
 
 
 def separable(alpha: float, beta: float, phi: Nonlinearity) -> Nonlinearity:
     """Spatially weighted source f = exp(-alpha*r^2 - beta*z^2) * phi(u).
 
     alpha, beta >= 0 keep the weight nonincreasing in r and |x_n|. The
-    weight uses z^2, which is exactly even in z.
+    weight uses z^2, which is exactly even in z. `phi` must be unweighted.
     """
     alpha, beta = float(alpha), float(beta)
     if alpha < 0 or beta < 0:
         raise ValueError("separable weights need alpha, beta >= 0")
-    if phi.x_dependent:
+    if phi.alpha or phi.beta:
         raise ValueError("phi must be a scalar (x-independent) nonlinearity")
-
-    def kappa(r, z):
-        return np.exp(-alpha * r * r - beta * z * z)
-
-    return Nonlinearity(
-        "separable",
-        {"alpha": alpha, "beta": beta, "phi": phi.form, **{f"phi_{k}": v for k, v in phi.params.items()}},
-        x_dependent=True,
-        conforming=phi.conforming,
-        _f=lambda r, z, u: kappa(r, z) * phi.eval(r, z, u),
-        _fu=lambda r, z, u: kappa(r, z) * phi.eval_du(r, z, u),
-        _fr=lambda r, z, u: -2.0 * alpha * r * kappa(r, z) * phi.eval(r, z, u),
-        _fz=lambda r, z, u: -2.0 * beta * z * kappa(r, z) * phi.eval(r, z, u))
+    return Nonlinearity("separable", phi.phi, phi.dphi, alpha, beta)
 
 
 def tabulated_phi(u_knots, phi_values) -> Nonlinearity:
     """Scalar phi(u) interpolated through knots; for negative testing only.
 
-    Carries no convexity guarantee and is flagged non-conforming so the
-    hypothesis checker can demonstrate failures.
+    Carries no convexity guarantee, so the hypothesis checker can
+    demonstrate failures.
     """
     u_knots = np.asarray(u_knots, float)
     phi_values = np.asarray(phi_values, float)
@@ -166,25 +156,7 @@ def tabulated_phi(u_knots, phi_values) -> Nonlinearity:
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(u_knots, phi_values, extrapolate=True)
-    dinterp = interp.derivative()
-    return Nonlinearity(
-        "tabulated-phi", {"knots": tuple(u_knots)},
-        conforming=False,
-        _f=lambda r, z, u: interp(u) * np.ones(np.broadcast(r, z, u).shape),
-        _fu=lambda r, z, u: dinterp(u) * np.ones(np.broadcast(r, z, u).shape))
-
-
-def manufactured_source(F: Callable, Fr: Callable = None, Fz: Callable = None) -> Nonlinearity:
-    """u-independent source f(r, z) with analytic spatial partials.
-
-    Used by manufactured-solution calibration; not a catalog entry.
-    """
-    return Nonlinearity(
-        "source", {}, x_dependent=True, conforming=False,
-        _f=lambda r, z, u: F(r, z) * np.ones(np.broadcast(r, z, u).shape),
-        _fu=lambda r, z, u: np.zeros(np.broadcast(r, z, u).shape),
-        _fr=None if Fr is None else (lambda r, z, u: Fr(r, z) * np.ones(np.broadcast(r, z, u).shape)),
-        _fz=None if Fz is None else (lambda r, z, u: Fz(r, z) * np.ones(np.broadcast(r, z, u).shape)))
+    return Nonlinearity("tabulated-phi", interp, interp.derivative())
 
 
 @dataclass

@@ -27,6 +27,11 @@ VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant
     (VALID.replace(b"a = 1.0", b"a = -1"),
      r"cfg:2: \[domain\] kind = ball: ball radius must be positive"),
     (VALID.replace(b"a = 1.0", b"a = nan"), r"cfg:3: \[domain\] a = 'nan' is not finite"),
+    (VALID.replace(b"n = 3\n", b"n = 3\nb = nan\n"), r"cfg:5: \[domain\] b = 'nan' is not finite"),
+    (VALID + b"lambda = abc\n", r"cfg:8: \[nonlinearity\] lambda = 'abc' is not a number"),
+    (VALID + b"[output]\nemit_fields = maybe\n",
+     r"cfg:9: \[output\] emit_fields = 'maybe' is not a boolean"),
+    (VALID + b"[grid]\nnz = 16\n", r"cfg:9: \[grid\] nz must be odd, got 16$"),
 ])
 def test_rejected_values_name_their_line(tmp_path, data, message):
     path = tmp_path / "run.cfg"
@@ -106,7 +111,7 @@ def config_bytes(draw):
             chunks.append(f"{key} = {value}\n".encode())
 
     for name, first in (("domain", "kind"), ("nonlinearity", "form")):
-        rest = sorted(SCHEMA[name] - {first})
+        rest = sorted(SCHEMA[name].keys() - {first})
         keys = draw(st.lists(st.sampled_from(rest), max_size=len(rest), unique=True))
         section(name, ([first] if draw(st.sampled_from([True] * 9 + [False])) else [])
                 + keys)
@@ -129,6 +134,8 @@ def test_any_config_parses_or_raises_config_error(tmp_path, data):
     path.write_bytes(data)
     try:
         cfg = parse_config(path)
+        for section, key in cfg.raw:
+            assert isinstance(cfg.get_typed(section, key), SCHEMA[section][key])
         d = cfg.build_domain()
         cfg.build_nonlinearity()
         cfg.grid_shape(d)

@@ -70,16 +70,6 @@ def test_small_homotopy_completes_and_replays():
         assert a.m_z == b.m_z and a.m_r == b.m_r
 
 
-def test_lambda1_continuity_recorded():
-    target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.6))
-    rec = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1,
-                       uniqueness_seeds=2)
-    lam = [s.lambda1 for s in rec.steps]
-    dts = np.diff([s.t for s in rec.steps])
-    jumps = np.abs(np.diff(lam))
-    assert rec.lambda1_lipschitz >= (jumps / dts).max() - 1e-12
-
-
 def test_field_sink_receives_steps(tmp_path):
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.7))
     seen = []

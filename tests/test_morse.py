@@ -31,7 +31,7 @@ def test_torsion_ball_census(torsion_ball_65):
     assert p.type == "max"
     assert p.signature == (3, 0, 0)
     assert p.gradient_residual <= mo.TOL_CP
-    assert census.unique_nondegenerate_max
+    assert census.unique_axis_max
 
 
 def test_torsion_ball_hessian(torsion_ball_65):
@@ -77,7 +77,7 @@ def test_injected_ring_point(torsion_ball_65):
     ring = rings[0]
     assert ring.r == pytest.approx(0.5, abs=5e-3)
     assert ring.signature[1] >= 1  # rotational degeneracy
-    assert not census.unique_nondegenerate_max
+    assert not census.unique_axis_max
 
 
 def test_taylor_fit_structure(torsion_ball_65):

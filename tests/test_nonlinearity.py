@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cplab import nonlinearity as nlin
 
@@ -58,7 +60,6 @@ def test_concave_tabulated_phi_fails_convexity():
     report = nlin.check_hypotheses(phi)
     assert not report.passed
     assert "convex in u" in report.violated()
-    assert not phi.conforming
 
 
 def test_separable_spatial_partials():
@@ -93,3 +94,28 @@ def test_parameter_range_errors():
         nlin.power(1.0, 0.5)
     with pytest.raises(ValueError):
         nlin.separable(-0.1, 0.0, nlin.gelfand(1.0))
+    with pytest.raises(ValueError):
+        nlin.separable(1.0, 1.0, nlin.separable(1.0, 1.0, nlin.gelfand(1.0)))
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=WEIGHTS, beta=WEIGHTS,
+       phi=st.sampled_from([nlin.constant(1.5), nlin.affine(2.0, 1.0),
+                            nlin.gelfand(1.0), nlin.power(1.0, 2.0)]))
+def test_spatial_partials_of_the_product_form(alpha, beta, phi):
+    nl = nlin.separable(alpha, beta, phi)
+    Z, R = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 1.0, 9), indexing="ij")
+    U = np.random.default_rng(3).uniform(0.0, 2.0, R.shape)
+    f = nl.eval(R, Z, U)
+    step = 1e-6
+    for partial, weight, dr, dz in ((nl.eval_dr, alpha, step, 0.0),
+                                    (nl.eval_dz, beta, 0.0, step)):
+        exact = partial(R, Z, U)
+        approx = (nl.eval(R + dr, Z + dz, U) - nl.eval(R - dr, Z - dz, U)) / (2 * step)
+        assert np.all(np.abs(approx - exact) <= 1e-6 * np.abs(f))
+        if weight == 0.0:
+            assert np.all(exact == 0.0)
+    assert np.array_equal(f, nl.eval(R, -Z, U))

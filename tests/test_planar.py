@@ -37,7 +37,7 @@ def test_disk_first_eigenvalue(disk_torsion):
 def test_disk_census_and_hessian(disk_torsion):
     grid, u = disk_torsion
     census = mo.find_critical_points(u)
-    assert census.unique_nondegenerate_max
+    assert census.unique_axis_max
     p = census.points[0]
     assert p.on_axis and p.signature == (2, 0, 0)
     assert np.allclose(p.hessian, -0.5 * np.eye(2), atol=5e-3)

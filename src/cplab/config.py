@@ -4,7 +4,9 @@ UTF-8, `#` comments, no nesting. Unknown keys or sections, duplicate keys,
 values of the wrong SCHEMA type (set keys the run does not read
 included), non-finite numbers and out-of-range values are hard errors
 with line numbers; missing required keys are reported together. Any file
-either parses into a RunConfig or raises ConfigError. Example:
+either parses into a RunConfig or raises ConfigError. `[domain] file` is
+a path: it stays a string here and is checked where it is read, by
+`build_domain` under `kind = tabulated`. Example:
 
     [domain]
     kind = ball
@@ -28,9 +30,10 @@ from . import nonlinearity as nlin
 from . import oracle3d, solver, verify
 from .errors import ConfigError, InvalidProfileError
 
-# Every section and key, with the type its value must parse as.
+# Every section and key, with the type its value must parse as; a list is
+# a whitespace-separated list of finite numbers.
 SCHEMA = {
-    "domain": {"kind": str, "a": float, "b": float, "coeffs": str, "file": str, "n": int},
+    "domain": {"kind": str, "a": float, "b": float, "coeffs": list, "file": str, "n": int},
     "nonlinearity": {"form": str, "lambda": float, "c": float, "p": float,
                      "alpha": float, "beta": float},
     "grid": {"nr": int, "nz": int},
@@ -102,6 +105,18 @@ class RunConfig:
         except (TypeError, ValueError):
             raise self._error(section, key, f"= {val!r} is not an integer") from None
 
+    def get_floats(self, section, key):
+        val = self.get(section, key)
+        if val is None:
+            return None
+        try:
+            xs = [float(tok) for tok in str(val).split()]
+        except ValueError:
+            raise self._error(section, key, f"= {val!r} is not a list of numbers") from None
+        if not all(math.isfinite(x) for x in xs):
+            raise self._error(section, key, f"= {val!r} is not finite")
+        return xs
+
     def get_bool(self, section, key):
         val = self.get(section, key)
         if isinstance(val, bool) or val is None:
@@ -116,7 +131,7 @@ class RunConfig:
     def get_typed(self, section, key):
         """The value read through the getter of the key's SCHEMA type."""
         getter = {float: self.get_float, int: self.get_int, bool: self.get_bool,
-                  str: self.get}[SCHEMA[section][key]]
+                  list: self.get_floats, str: self.get}[SCHEMA[section][key]]
         return getter(section, key)
 
     # -- factories ------------------------------------------------------------
@@ -124,6 +139,7 @@ class RunConfig:
     def build_domain(self) -> dom.MeridianDomain:
         """The configured domain; a profile the parameters cannot make is a ConfigError."""
         kind = str(self.get("domain", "kind"))
+        coeffs = self.get_floats("domain", "coeffs")
         n = self.get_int("domain", "n")
         if n < 2:
             raise self._error("domain", "n", f"must be >= 2, got {n}")
@@ -134,10 +150,9 @@ class RunConfig:
                 prof = dom.spheroid(self._require_float("domain", "a"),
                                     self._require_float("domain", "b"))
             elif kind == "bump":
-                coeffs = self.get("domain", "coeffs")
                 if not coeffs:
                     raise ConfigError(f"{self.path}: [domain] kind = bump requires coeffs")
-                prof = dom.polynomial_bump([float(tok) for tok in coeffs.split()])
+                prof = dom.polynomial_bump(coeffs)
             elif kind == "tabulated":
                 fname = self.get("domain", "file")
                 if not fname:

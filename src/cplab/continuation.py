@@ -46,8 +46,9 @@ LAMBDA_JUMP_FACTOR = 10.0
 
 @dataclass
 class StepRecord:
+    """An accepted step: its solve converged and passed every gate."""
+
     t: float
-    converged: bool
     lambda1: float
     cp_count: int
     m_z: float
@@ -157,9 +158,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     failure, u, metrics, phi = _solve_and_gate(grid, n, nl, Field.zeros(grid, n), None, tol_pde)
     if failure is not None:
         raise CplabError(f"homotopy setup failed on the ball: {failure}")
-    record.steps.append(StepRecord(0.0, True, metrics["lambda1"],
-                                   metrics["cp_count"], metrics["m_z"],
-                                   metrics["m_r"], time.perf_counter() - t0))
+    record.steps.append(StepRecord(0.0, metrics["lambda1"], metrics["cp_count"],
+                                   metrics["m_z"], metrics["m_r"], time.perf_counter() - t0))
     if field_sink is not None:
         field_sink(0.0, u)
 
@@ -201,9 +201,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             continue
 
         jumps.append(abs(metrics["lambda1"] - record.steps[-1].lambda1))
-        record.steps.append(StepRecord(t_next, True, metrics["lambda1"],
-                                       metrics["cp_count"], metrics["m_z"],
-                                       metrics["m_r"],
+        record.steps.append(StepRecord(t_next, metrics["lambda1"], metrics["cp_count"],
+                                       metrics["m_z"], metrics["m_r"],
                                        time.perf_counter() - t_try0))
         t, grid, u, phi = t_next, grid_next, u_next, phi_next
         if field_sink is not None:

@@ -31,7 +31,6 @@ class ProfileFunction:
     """Meridian profile g: [0, R] -> [0, a0], extended by zero beyond R."""
 
     kind: str
-    params: tuple
     g: Callable[[np.ndarray], np.ndarray]
     R: float
     a0: float
@@ -49,7 +48,7 @@ def ball(a: float) -> ProfileFunction:
     def g(r):
         return np.sqrt(np.maximum(a * a - r * r, 0.0))
 
-    return ProfileFunction("ball", (a,), g, a, a)
+    return ProfileFunction("ball", g, a, a)
 
 
 def spheroid(a: float, b: float) -> ProfileFunction:
@@ -61,7 +60,7 @@ def spheroid(a: float, b: float) -> ProfileFunction:
     def g(r):
         return b * np.sqrt(np.maximum(1.0 - (r / a) ** 2, 0.0))
 
-    return ProfileFunction("spheroid", (a, b), g, a, b)
+    return ProfileFunction("spheroid", g, a, b)
 
 
 def polynomial_bump(coeffs) -> ProfileFunction:
@@ -82,7 +81,7 @@ def polynomial_bump(coeffs) -> ProfileFunction:
         vals = np.where(r < R, poly(r), 0.0)
         return np.maximum(vals, 0.0)
 
-    return ProfileFunction("bump", coeffs, g, R, a0)
+    return ProfileFunction("bump", g, R, a0)
 
 
 def tabulated(knots, values) -> ProfileFunction:
@@ -118,7 +117,7 @@ def tabulated(knots, values) -> ProfileFunction:
         r = np.asarray(r, dtype=float)
         return np.maximum(np.where(r < R, raw(r), 0.0), 0.0)
 
-    return ProfileFunction("tabulated", (tuple(knots), tuple(values)), g, R, a0)
+    return ProfileFunction("tabulated", g, R, a0)
 
 
 def tabulated_from_file(path) -> ProfileFunction:
@@ -212,44 +211,68 @@ class MeridianGrid:
     `full_arms`) and the bisected boundary distance, in (0, 1), where the
     arm crosses the boundary. The solver's operator and derivatives take
     their arm lengths from them as they are, for any active set within
-    `inside`.
-    `interior` and `boundary_adjacent` come from `classify_nodes`. Mirror
-    symmetry in z is exact by construction. x_n stays on the vertical
-    axis of the plot plane: the node (i=0, j=mid) is the origin o.
+    `inside`. Mirror symmetry in z is exact by construction. x_n stays on
+    the vertical axis of the plot plane: the node (i=0, j=j_equator) is the
+    origin o.
+
+    Stored are the node axes `rs` and `zs` (from `node_axes`), the
+    `inside` mask, the arm lengths, the homotopy parameter `t` and the
+    profile `g` (None for a grid read back from a file). Everything else
+    is derived from them once, on construction: the sizes `nr` and `nz`,
+    the spacings `hr`, `hz` and `h = max(hr, hz)`, the extent `rmax`,
+    `zmax`, the equator row `j_equator`, the node classes `interior` and
+    `boundary_adjacent` (from `classify_nodes`) and the read-only node
+    coordinates `R` and `Z`.
     """
 
-    nr: int
-    nz: int
     rs: np.ndarray
     zs: np.ndarray
-    hr: float
-    hz: float
     inside: np.ndarray            # bool (nz, nr)
-    interior: np.ndarray          # inside, all four arms full
-    boundary_adjacent: np.ndarray  # inside, at least one cut arm
     theta_e: np.ndarray
     theta_w: np.ndarray
     theta_n: np.ndarray
     theta_s: np.ndarray
-    rmax: float
-    zmax: float
-    t: float
+    t: float = 1.0
     g: Callable = field(repr=False, default=None)
-    j_equator: int = 0
+    nr: int = field(init=False)
+    nz: int = field(init=False)
+    hr: float = field(init=False)
+    hz: float = field(init=False)
+    h: float = field(init=False)
+    rmax: float = field(init=False)
+    zmax: float = field(init=False)
+    j_equator: int = field(init=False)
+    interior: np.ndarray = field(init=False, repr=False)           # inside, all four arms full
+    boundary_adjacent: np.ndarray = field(init=False, repr=False)  # inside, at least one cut arm
+    R: np.ndarray = field(init=False, repr=False)
+    Z: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nz, nr = self.inside.shape
+        j = (nz - 1) // 2
+        hr, hz = float(self.rs[1] - self.rs[0]), float(self.zs[j + 1] - self.zs[j])
+        interior, boundary_adjacent = classify_nodes(self.inside)
+        Z, R = np.meshgrid(self.zs, self.rs, indexing="ij")
+        R.flags.writeable = Z.flags.writeable = False  # shared by every reader
+        for name, value in dict(nr=nr, nz=nz, hr=hr, hz=hz, h=max(hr, hz),
+                                rmax=float(self.rs[-1]), zmax=float(self.zs[-1]),
+                                j_equator=j, interior=interior,
+                                boundary_adjacent=boundary_adjacent, R=R, Z=Z).items():
+            object.__setattr__(self, name, value)
 
     @property
     def origin_index(self):
         return (self.j_equator, 0)
 
-    def node_count_inside(self) -> int:
-        return int(np.count_nonzero(self.inside))
 
+def node_axes(nr: int, nz: int, rmax: float, zmax: float):
+    """The node axes (rs, zs) of an nr x nz grid on [0, rmax] x [-zmax, zmax].
 
-def _symmetric_axis(zmax: float, nz: int) -> np.ndarray:
-    """z coordinates with exact bitwise mirror symmetry about z = 0."""
-    half = (nz + 1) // 2
-    zpos = np.linspace(0.0, zmax, half)
-    return np.concatenate([-zpos[:0:-1], zpos])
+    zs is bitwise mirror-symmetric about z = 0, and nz must be odd so
+    that the equator is a grid line.
+    """
+    zpos = np.linspace(0.0, zmax, (nz + 1) // 2)
+    return np.linspace(0.0, rmax, nr), np.concatenate([-zpos[:0:-1], zpos])
 
 
 def neighbours(a: np.ndarray):
@@ -320,40 +343,31 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     zmax = float(zmax) if zmax is not None else max(
         g0, float(np.max(g(np.linspace(0.0, R_t, 1025)))))
 
-    rs = np.linspace(0.0, rmax, nr)
-    zs = _symmetric_axis(zmax, nz)
-    hr = rs[1] - rs[0]
-    hz = zs[(nz + 1) // 2] - zs[(nz - 1) // 2]
+    rs, zs = node_axes(nr, nz, rmax, zmax)
+    gvals = np.asarray(g(rs), dtype=float)
+    if not np.all(np.isfinite(gvals)):
+        raise InvalidProfileError("profile returned non-finite values on the grid")
+
+    # Classify the upper half (z >= 0) and mirror; |zs| is bitwise even.
+    # Every arm starts full; the bisection below shortens the cut ones.
+    grid = MeridianGrid(rs, zs, np.abs(zs)[:, None] < gvals[None, :],
+                        *(np.ones((nz, nr)) for _ in range(4)), t=t_val, g=g)
+    hr, hz, jmid = grid.hr, grid.hz, grid.j_equator
 
     if 2.0 * g0 < 3.0 * hz or R_t < 3.0 * hr:
         raise ResolutionTooCoarseError(
             f"domain core ({2 * g0:.3g} x {R_t:.3g}) thinner than 3 cells at "
             f"spacing ({hz:.3g}, {hr:.3g})")
 
-    gvals = np.asarray(g(rs), dtype=float)
-    if not np.all(np.isfinite(gvals)):
-        raise InvalidProfileError("profile returned non-finite values on the grid")
-
-    # Classify the upper half (z >= 0) and mirror; |zs| is bitwise even.
-    inside = np.abs(zs)[:, None] < gvals[None, :]
-
-    theta_e = np.ones_like(inside, dtype=float)
-    theta_w = np.ones_like(theta_e)
-    theta_n = np.ones_like(theta_e)
-    theta_s = np.ones_like(theta_e)
-
     def inside_pt(r, z):
         return np.abs(z) < np.asarray(g(np.maximum(r, 0.0)), dtype=float)
-
-    jmid = (nz - 1) // 2
-    Z, Rc = np.meshgrid(zs, rs, indexing="ij")
 
     def cut_fraction(target, mask, dr, dz):
         """Bisect the inside/outside transition along one arm direction."""
         jj, ii = np.nonzero(mask)
         if jj.size == 0:
             return
-        r0, z0 = Rc[jj, ii], Z[jj, ii]
+        r0, z0 = grid.R[jj, ii], grid.Z[jj, ii]
         lo = np.zeros(jj.size)
         hi = np.ones(jj.size)
         for _ in range(_BISECT_STEPS):
@@ -363,11 +377,12 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
             hi = np.where(ok, hi, mid)
         target[jj, ii] = 0.5 * (lo + hi)
 
-    upper = np.zeros_like(inside)
-    upper[jmid:, :] = inside[jmid:, :]
+    upper = np.zeros_like(grid.inside)
+    upper[jmid:, :] = grid.inside[jmid:, :]
+    theta_e, theta_w, theta_n, theta_s = grid.theta_e, grid.theta_w, grid.theta_n, grid.theta_s
 
     # Bisect the arms that are not full, in the upper half.
-    for target, full, dr, dz in zip((theta_e, theta_w, theta_n, theta_s), full_arms(inside),
+    for target, full, dr, dz in zip((theta_e, theta_w, theta_n, theta_s), full_arms(grid.inside),
                                     (hr, -hr, 0.0, 0.0), (0.0, 0.0, hz, -hz)):
         cut_fraction(target, upper & ~full, dr, dz)
 
@@ -376,14 +391,7 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     theta_w[:jmid, :] = theta_w[nz - 1:jmid:-1, :]
     theta_n[:jmid, :] = theta_s[nz - 1:jmid:-1, :]
     theta_s[:jmid, :] = theta_n[nz - 1:jmid:-1, :]
-
-    interior, boundary_adjacent = classify_nodes(inside)
-
-    return MeridianGrid(
-        nr=nr, nz=nz, rs=rs, zs=zs, hr=float(hr), hz=float(hz),
-        inside=inside, interior=interior, boundary_adjacent=boundary_adjacent,
-        theta_e=theta_e, theta_w=theta_w, theta_n=theta_n, theta_s=theta_s,
-        rmax=rmax, zmax=zmax, t=t_val, g=g, j_equator=jmid)
+    return grid
 
 
 @dataclass

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (HomotopyFamily, MeridianDomain, MeridianGrid, _symmetric_axis, build_grid,
-                     classify_nodes)
+from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, build_grid, node_axes
 from .errors import ConfigError, GeometryViolationError
 from .solver import Field
 
@@ -91,28 +90,13 @@ def write_field(f: Field, path, comments=()) -> None:
         fh.write(_format_rows(vals))
 
 
-def _bare_grid(nr, nz, rmax, zmax, t, inside) -> MeridianGrid:
-    """Grid reconstructed from a field file: classification only, no profile."""
-    rs = np.linspace(0.0, rmax, nr)
-    zs = _symmetric_axis(zmax, nz)
-    ones = np.ones_like(inside, dtype=float)
-    interior, boundary_adjacent = classify_nodes(inside)
-    return MeridianGrid(
-        nr=nr, nz=nz, rs=rs, zs=zs, hr=float(rs[1] - rs[0]),
-        hz=float(zs[(nz + 1) // 2] - zs[(nz - 1) // 2]),
-        inside=inside, interior=interior, boundary_adjacent=boundary_adjacent,
-        theta_e=ones, theta_w=ones.copy(), theta_n=ones.copy(), theta_s=ones.copy(),
-        rmax=float(rmax), zmax=float(zmax), t=float(t), g=None,
-        j_equator=(nz - 1) // 2)
-
-
 def read_field(path):
     """Read a CPFIELD file; returns (Field, comments).
 
-    The grid is reconstructed from the header and the nan pattern, and its
-    nodes are classified as `build_grid` classifies them (`classify_nodes`,
-    the axis column's reflected west arm included), so its `interior` and
-    `boundary_adjacent` are those of the grid the field was solved on. It
+    The grid is the MeridianGrid of the header's node axes (`node_axes`)
+    and the nan pattern, so everything it derives from them (spacings,
+    extent, node coordinates and the node classes `interior` and
+    `boundary_adjacent`) is that of the grid the field was solved on. It
     has no profile attached and every cut fraction is 1, so only
     geometry-free uses (round trips, heat maps, the census) are sound.
     `on_domain` restores the true grid for checks.
@@ -142,7 +126,8 @@ def read_field(path):
         raise ConfigError(f"{path}: expected {nz} data lines")
     vals = _parse_rows(path, rows, k + 7, nr)
     inside = ~np.isnan(vals)
-    grid = _bare_grid(nr, nz, rmax, zmax, t, inside)
+    grid = MeridianGrid(*node_axes(nr, nz, rmax, zmax), inside,
+                        *(np.ones((nz, nr)) for _ in range(4)), t=t)
     return Field(grid, np.where(inside, vals, 0.0), n), comments
 
 
@@ -279,10 +264,11 @@ def verification_csv(report) -> str:
 
 
 def continuation_csv(record) -> str:
+    """One row per accepted step; every recorded step converged."""
     out = io.StringIO()
     out.write("t,converged,lambda1,cp_count,m_z,m_r,runtime_s\n")
     for s in record.steps:
-        out.write(f"{fmt(s.t)},{fmt_bool(s.converged)},{fmt(s.lambda1)},"
+        out.write(f"{fmt(s.t)},true,{fmt(s.lambda1)},"
                   f"{s.cp_count},{fmt(s.m_z)},{fmt(s.m_r)},{fmt(s.runtime_s)}\n")
     return out.getvalue()
 
@@ -295,6 +281,6 @@ def oracle_csv(row: dict) -> str:
 def heatmap_csv(f: Field) -> str:
     """Meridian samples as r,z,u triplets (exterior nodes as nan)."""
     g = f.grid
-    r, z = np.meshgrid(g.rs, g.zs)
     u = np.where(g.inside, f.values, np.nan)
-    return "r,z,u\n" + _format_rows(np.column_stack([r.ravel(), z.ravel(), u.ravel()]), sep=",")
+    rows = np.column_stack([g.R.ravel(), g.Z.ravel(), u.ravel()])
+    return "r,z,u\n" + _format_rows(rows, sep=",")

@@ -92,11 +92,6 @@ class CubicLine:
         patch = self.vals[k[..., None] + np.arange(-1, 3)]
         return np.einsum("...j,...j->...", patch, _weights(s))
 
-    def deriv(self, x):
-        k, s = self._locate(x)
-        patch = self.vals[k[..., None] + np.arange(-1, 3)]
-        return np.einsum("...j,...j->...", patch, _dweights(s)) / self.h
-
 
 def safe_cells(inside: np.ndarray) -> np.ndarray:
     """Cells whose full 4x4 interpolation footprint lies inside the domain.

@@ -31,8 +31,7 @@ MAX_CP_NEWTON = 50
 
 def hessian_threshold(grid) -> float:
     """Resolution-aware zero threshold for Hessian eigenvalues."""
-    h = max(grid.hr, grid.hz)
-    return C_HESSIAN * h * h
+    return C_HESSIAN * grid.h * grid.h
 
 
 @dataclass
@@ -272,7 +271,7 @@ def find_critical_points(u: Field) -> Census:
     found.extend(_axis_zeros(g, uzv))
 
     # Deduplicate within two cells; prefer the smaller gradient residual.
-    radius = 2.0 * max(g.hr, g.hz)
+    radius = 2.0 * g.h
     found.sort(key=lambda q: q[2])
     kept = []
     for r, z, res in found:
@@ -305,30 +304,3 @@ def find_critical_points(u: Field) -> Census:
                 "no critical point found on a positive field with zero boundary "
                 "(an interior maximum must exist)")
     return Census(points, tau_h)
-
-
-def taylor_fit(u: Field, center) -> dict:
-    """Least-squares quadratic fit of u around a point of the meridian plane.
-
-    Fits u = M + a1*r + a2*dz + c1*r^2 + x*r*dz + c2*dz^2 on inside nodes
-    within 4h of the center, h = max(hr, hz). For the solutions under
-    study the linear and cross coefficients vanish up to discretization
-    and c1, c2 are strictly negative.
-    """
-    g = u.grid
-    r0, z0 = float(center[0]), float(center[1])
-    radius = 4.0 * max(g.hr, g.hz)
-    Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
-    sel = g.inside & (np.hypot(R - r0, Z - z0) <= radius)
-    rr = (R[sel] - r0)
-    zz = (Z[sel] - z0)
-    A = np.column_stack([np.ones_like(rr), rr, zz, rr * rr, rr * zz, zz * zz])
-    b = u.values[sel]
-    coef, res, *_ = np.linalg.lstsq(A, b, rcond=None)
-    fit = A @ coef
-    return {
-        "M": float(coef[0]), "lin_r": float(coef[1]), "lin_z": float(coef[2]),
-        "c1": float(coef[3]), "cross": float(coef[4]), "c2": float(coef[5]),
-        "rms": float(np.sqrt(np.mean((fit - b) ** 2))),
-        "samples": int(sel.sum()),
-    }

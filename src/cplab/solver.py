@@ -15,12 +15,13 @@ The stencil is assembled once per operator, as the CSR matrix L of Lap
 over the active nodes; every product with the operator is a product with
 L. The discrete operator is self-adjoint under the axisymmetric volume
 weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). The weighted operator W(-Lap - c), L's
-rows scaled by -w and shifted, is factored once by sparse LU (SuperLU,
-symmetric mode, diagonal pivots), and every solve is one exact
-back-solve with that factor. The same pivots test definiteness: a
-nonpositive pivot raises IndefiniteOperatorError — the numerical
-signature of an unstable linearization.
+arms perturb symmetry locally). The operator holds B = W(-Lap), L's rows
+scaled by -w; the weighted operator W(-Lap - c) = B - diag(w c) is
+factored once by sparse LU (SuperLU, symmetric mode, diagonal pivots),
+and every solve is one exact back-solve with that factor. The same
+pivots test definiteness: a nonpositive pivot raises
+IndefiniteOperatorError — the numerical signature of an unstable
+linearization.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import MeridianGrid, full_arms, neighbours
+from .domain import MeridianGrid, neighbours
 from .errors import IndefiniteOperatorError
 from .nonlinearity import Nonlinearity
 
@@ -73,12 +74,7 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: MeridianGrid, n: int, fn) -> "Field":
-        Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
-        vals = np.where(grid.inside, fn(R, Z), 0.0)
-        return cls(grid, vals, n)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.n)
+        return cls(grid, np.where(grid.inside, fn(grid.R, grid.Z), 0.0), n)
 
     def linf(self) -> float:
         return float(np.abs(self.values[self.grid.inside]).max(initial=0.0))
@@ -113,8 +109,9 @@ class AxisymOperator:
 
     The stencil is assembled once, as the CSR matrix `L` of Lap over the
     active nodes in the order of np.nonzero(active). `laplacian` and
-    `apply` multiply by it; `weighted_matrix`, the matrix every factor
-    shifts, is L's pattern with each row scaled by the volume weight.
+    `apply` multiply by it; `B`, the matrix every factor shifts, is L's
+    pattern with each row scaled by minus the volume weight, and `nodes`
+    are the active nodes in its order.
     """
 
     def __init__(self, grid: MeridianGrid, n: int, active: np.ndarray | None = None):
@@ -136,9 +133,8 @@ class AxisymOperator:
         hr, hz = g.hr, g.hz
         aE, aW, aN, aS = g.theta_e, g.theta_w, g.theta_n, g.theta_s
 
-        R = np.broadcast_to(g.rs[None, :], aE.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(R > 0, (n - 2) / np.where(R > 0, R, 1.0), 0.0)
+            mu = np.where(g.R > 0, (n - 2) / np.where(g.R > 0, g.R, 1.0), 0.0)
 
         # Radial direction: second plus weighted first derivative.
         cE = 2.0 / (aE * (aE + aW) * hr * hr) + mu * aW / (aE * (aE + aW) * hr)
@@ -180,17 +176,22 @@ class AxisymOperator:
 
         # Axisymmetric volume weight r^(n-2); the axis column carries its
         # control-volume average so the weighted operator stays symmetric.
-        R = np.broadcast_to(g.rs[None, :], act.shape)
-        w = R.astype(float) ** (n - 2) if n > 2 else np.ones_like(R, dtype=float)
+        w = g.R ** (n - 2) if n > 2 else np.ones(act.shape)
         w[:, 0] = (hr / 2.0) ** (n - 1) / ((n - 1) * hr)
         self.w = np.where(act, w, 0.0)
         self.cell = hr * hz
-        # The weighted Laplacian that every factor shifts, and the active
-        # nodes in its order. Assembled here, in the thread that builds the
-        # operator, so that pool threads only factor: a matrix assembled in
-        # a pool thread stays in that thread's malloc arena, which raised
-        # peak RSS by 2.3 MB on the 97x97 spheroid homotopy.
-        self._weighted_system = self.weighted_matrix(), np.nonzero(act)
+        # B = W(-Lap), the weighted Laplacian that every factor shifts: L's
+        # rows scaled by -w, on copies of L's index arrays, so that a
+        # consumer that sorts them in place (abs() does) leaves L intact.
+        # Assembled here, in the thread that builds the operator, so that
+        # pool threads only factor: a matrix assembled in a pool thread
+        # stays in that thread's malloc arena, which raised peak RSS by
+        # 2.3 MB on the 97x97 spheroid homotopy.
+        L = self.L
+        wrow = np.repeat(np.take(self.w, self._flat), np.diff(L.indptr))
+        self.B = sp.csr_matrix((-L.data * wrow, L.indices.copy(), L.indptr.copy()),
+                               shape=L.shape)
+        self.nodes = np.nonzero(act)  # the active nodes in the order of B's rows
 
     # -- operator application ------------------------------------------------
 
@@ -205,27 +206,6 @@ class AxisymOperator:
         out = -self.laplacian(values) - c * values
         return np.where(self.active, out, 0.0)
 
-    def dirichlet_rhs(self, gfun) -> np.ndarray:
-        """RHS contribution of inhomogeneous Dirichlet data on cut arms.
-
-        For solving -Lap u = F with u = gdata on the boundary: the cut-arm
-        coefficients multiply known boundary values, which move to the
-        right-hand side. Used by manufactured-solution calibration.
-        """
-        g = self.grid
-        Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
-        cE, cW, cN, cS, _ = self._coefficients()
-        out = np.zeros(self.active.shape)
-        for coeff, full, arm, dr, dz in zip(
-                (cE, cW, cN, cS), full_arms(self.active),
-                (g.theta_e, g.theta_w, g.theta_n, g.theta_s),
-                (g.hr, -g.hr, 0.0, 0.0), (0.0, 0.0, g.hz, -g.hz)):
-            jj, ii = np.nonzero(self.active & ~full & (coeff != 0.0))
-            th = arm[jj, ii]
-            vals = gfun(R[jj, ii] + th * dr, Z[jj, ii] + th * dz)
-            out[jj, ii] += coeff[jj, ii] * np.asarray(vals, float)
-        return out
-
     # -- inner products and norms ---------------------------------------------
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -236,18 +216,6 @@ class AxisymOperator:
 
     def linf(self, a: np.ndarray) -> float:
         return float(np.abs(a[self.active]).max(initial=0.0))
-
-    # -- weighted matrix -------------------------------------------------------
-
-    def weighted_matrix(self) -> sp.csr_matrix:
-        """W * (-Lap) over active nodes, in the order of np.nonzero(active).
-
-        L's rows scaled by -w, on copies of L's index arrays: a consumer
-        that sorts them in place (abs() does) leaves L intact.
-        """
-        L = self.L
-        w = np.repeat(np.take(self.w, self._flat), np.diff(L.indptr))
-        return sp.csr_matrix((-L.data * w, L.indices.copy(), L.indptr.copy()), shape=L.shape)
 
     # -- linear solves -----------------------------------------------------------
 
@@ -318,10 +286,10 @@ class ShiftedFactor:
     """
 
     def __init__(self, op: AxisymOperator, c: np.ndarray):
-        B, self._nodes = op._weighted_system
+        self._nodes = op.nodes
         self._w = op.w
         self._c = np.broadcast_to(c, op.w.shape)[self._nodes]
-        A = B - sp.diags(self._w[self._nodes] * self._c)
+        A = op.B - sp.diags(self._w[self._nodes] * self._c)
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            relax=1, panel_size=1, options=dict(SymmetricMode=True))
@@ -345,15 +313,10 @@ class ShiftedFactor:
         return x
 
 
-def _coordinate_arrays(grid: MeridianGrid):
-    return np.meshgrid(grid.zs, grid.rs, indexing="ij")
-
-
 def pde_residual(op: AxisymOperator, nl: Nonlinearity, values: np.ndarray) -> np.ndarray:
     """Residual Lap(u) + f(x, u) of the PDE in -Lap u = f form."""
     g = op.grid
-    Z, R = _coordinate_arrays(g)
-    f = np.where(op.active, nl.eval(R, Z, values), 0.0)
+    f = np.where(op.active, nl.eval(g.R, g.Z, values), 0.0)
     return np.where(op.active, op.laplacian(values) + f, 0.0)
 
 
@@ -369,7 +332,6 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
     IndefiniteOperatorError: there is no stable solution to converge to.
     """
     op = op or AxisymOperator(grid, n)
-    Z, R = _coordinate_arrays(grid)
     u = np.where(op.active, u0.values, 0.0)
     if not np.all(np.isfinite(u[op.active])):
         raise ValueError("initial guess contains non-finite values")
@@ -382,7 +344,7 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
     converged = res <= tol_pde
 
     while not converged and iters < max_newton:
-        c = np.where(op.active, nl.eval_du(R, Z, u), 0.0)
+        c = np.where(op.active, nl.eval_du(grid.R, grid.Z, u), 0.0)
         delta = op.solve(c, resvec)
         step = 1.0
         accepted = False

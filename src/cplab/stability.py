@@ -64,8 +64,7 @@ class StabilityReport:
 
 
 def _fprime_field(grid: MeridianGrid, nl: Nonlinearity, u: Field) -> np.ndarray:
-    Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
-    return np.where(grid.inside, nl.eval_du(R, Z, u.values), 0.0)
+    return np.where(grid.inside, nl.eval_du(grid.R, grid.Z, u.values), 0.0)
 
 
 def rayleigh_quotient(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,

@@ -63,8 +63,7 @@ def worker_count() -> int:
 
 
 def eps_disc(grid: MeridianGrid) -> float:
-    h = max(grid.hr, grid.hz)
-    return MONOTONICITY_C * h * h
+    return MONOTONICITY_C * grid.h * grid.h
 
 
 def check_axial_symmetry(u: Field) -> float:
@@ -145,7 +144,7 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
     vals = np.where(g.inside, u.values, 0.0)
     interp = Bicubic(g.rs, g.zs, vals)
     cells = safe_cells(g.inside)
-    Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
+    R, Z = g.R, g.Z
 
     worst = -np.inf
     for lam in lambdas:
@@ -193,8 +192,7 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
     bulk = _bulk_mask(g)
     if not bulk.any():
         return np.nan
-    Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
-
+    R, Z = g.R, g.Z
     fu = nl.eval_du(R, Z, u.values)
     lap = AxisymOperator(g, n).laplacian(v)
     if direction == "z":
@@ -301,7 +299,6 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
     fails, with margin nan, when no multistart seed converged.
     """
     eps = eps_disc(grid)
-    h = max(grid.hr, grid.hz)
     rows = []
 
     sym = check_axial_symmetry(u)
@@ -328,7 +325,7 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
 
     res = max(derivative_pde_residual(u, nl, "z"),
               derivative_pde_residual(u, nl, "r"))
-    tol_res = DERIV_RESIDUAL_C * h
+    tol_res = DERIV_RESIDUAL_C * grid.h
     rows.append(CheckRow("derivative_residual", res, tol_res, res <= tol_res))
 
     if with_uniqueness:

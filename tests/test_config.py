@@ -1,6 +1,7 @@
 """Configuration parsing: every input yields a RunConfig or a ConfigError."""
 
 import inspect
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +33,10 @@ VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant
     (VALID + b"[output]\nemit_fields = maybe\n",
      r"cfg:9: \[output\] emit_fields = 'maybe' is not a boolean"),
     (VALID + b"[grid]\nnz = 16\n", r"cfg:9: \[grid\] nz must be odd, got 16$"),
+    (VALID.replace(b"n = 3\n", b"n = 3\ncoeffs = abc\nfile = nowhere.dat\n"),
+     r"cfg:5: \[domain\] coeffs = 'abc' is not a list of numbers"),
+    (VALID.replace(b"kind = ball", b"kind = bump\ncoeffs = 1 nan 1"),
+     r"cfg:3: \[domain\] coeffs = '1 nan 1' is not finite"),
 ])
 def test_rejected_values_name_their_line(tmp_path, data, message):
     path = tmp_path / "run.cfg"
@@ -135,7 +140,10 @@ def test_any_config_parses_or_raises_config_error(tmp_path, data):
     try:
         cfg = parse_config(path)
         for section, key in cfg.raw:
-            assert isinstance(cfg.get_typed(section, key), SCHEMA[section][key])
+            value = cfg.get_typed(section, key)
+            assert isinstance(value, SCHEMA[section][key])
+            if isinstance(value, list):
+                assert all(isinstance(x, float) and math.isfinite(x) for x in value)
         d = cfg.build_domain()
         cfg.build_nonlinearity()
         cfg.grid_shape(d)

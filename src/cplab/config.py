@@ -27,7 +27,7 @@ from pathlib import Path
 from . import continuation as cont
 from . import domain as dom
 from . import nonlinearity as nlin
-from . import oracle3d, solver, verify
+from . import oracle3d, verify
 from .errors import ConfigError, InvalidProfileError
 
 # Every section and key, with the type its value must parse as; a list is
@@ -37,8 +37,7 @@ SCHEMA = {
     "nonlinearity": {"form": str, "lambda": float, "c": float, "p": float,
                      "alpha": float, "beta": float},
     "grid": {"nr": int, "nz": int},
-    "solver": {"tol_pde": float, "max_newton": int},
-    "continuation": {"t_step0": float, "t_step_min": float},
+    "continuation": {"t_step0": float},
     "oracle": {"N": int},
     "output": {"directory": str, "emit_fields": bool},
     "run": {"seed": int, "uniqueness_seeds": int},
@@ -47,10 +46,7 @@ SCHEMA = {
 DEFAULTS = {
     ("domain", "n"): 3,
     ("grid", "nr"): 129,
-    ("solver", "tol_pde"): solver.TOL_PDE_DEFAULT,
-    ("solver", "max_newton"): solver.MAX_NEWTON_DEFAULT,
     ("continuation", "t_step0"): cont.T_STEP0_DEFAULT,
-    ("continuation", "t_step_min"): cont.T_STEP_MIN_DEFAULT,
     ("oracle", "N"): 48,
     ("output", "directory"): "out",
     ("output", "emit_fields"): False,
@@ -65,7 +61,6 @@ DEFAULTS = {
 INT_MINIMA = {
     ("grid", "nr"): dom.MIN_NODES,
     ("grid", "nz"): dom.MIN_NODES,
-    ("solver", "max_newton"): 1,
     ("oracle", "N"): dom.MIN_NODES,
     ("run", "seed"): 0,
     ("run", "uniqueness_seeds"): 1,
@@ -207,11 +202,10 @@ class RunConfig:
     def validate(self):
         for section, key in self.raw:
             self.get_typed(section, key)
-        for section, key in (("solver", "tol_pde"), ("continuation", "t_step0"),
-                             ("continuation", "t_step_min")):
-            if self.get_float(section, key) <= 0:
-                raise self._error(section, key, "must be positive")
-        if self.get_float("continuation", "t_step0") > cont.T_STEP0_MAX:
+        t_step0 = self.get_float("continuation", "t_step0")
+        if t_step0 <= 0:
+            raise self._error("continuation", "t_step0", "must be positive")
+        if t_step0 > cont.T_STEP0_MAX:
             raise self._error("continuation", "t_step0", f"must be <= {cont.T_STEP0_MAX}")
         for (section, key), low in INT_MINIMA.items():
             value = self.get_int(section, key)

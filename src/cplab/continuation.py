@@ -7,7 +7,7 @@ start from the previous solution and passes a gate set: Newton converged,
 first eigenvalue above its margin, census equal to one nondegenerate
 on-axis maximum, monotonicity margins within tolerance. A gate failure
 halves the step and retries from the last good parameter; once the step
-underflows t_step_min the failing parameter is recorded as
+underflows T_STEP_MIN the failing parameter is recorded as
 first_failure_t — the numerical analogue of the infimum at which the
 conclusions would break. A completed run reaches t = 1 with every gate
 green and the full verification suite (plus, in three dimensions, the
@@ -31,7 +31,7 @@ from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, build_grid
 from .errors import CplabError, IndefiniteOperatorError, EigenFailureError
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
-from .solver import AxisymOperator, Field, TOL_PDE_DEFAULT, newton_solve
+from .solver import AxisymOperator, Field, newton_solve
 from .stability import smallest_eigenvalue
 from .verify import (UNIQUENESS_SEEDS, check_monotonicity, eps_disc, monotone,
                      run_verification)
@@ -40,7 +40,7 @@ logger = logging.getLogger(__name__)
 
 T_STEP0_DEFAULT = 0.05
 T_STEP0_MAX = 0.1
-T_STEP_MIN_DEFAULT = 1e-3
+T_STEP_MIN = 1e-3
 LAMBDA_JUMP_FACTOR = 10.0
 
 
@@ -70,26 +70,25 @@ class ContinuationRecord:
         return self.steps[-1].t if self.steps else np.nan
 
 
-def warm_start_transfer(u_prev: Field, grid_prev: MeridianGrid,
-                        grid_next: MeridianGrid) -> Field:
+def warm_start_transfer(u_prev: Field, grid_next: MeridianGrid) -> Field:
     """Carry a solution to the next homotopy grid: keep, zero outside, clamp.
 
-    Both grids must have the same nodes (every grid of one homotopy run
-    covers the same bounding box at the same resolution); other grids
-    raise ValueError. Values at nodes inside both domains are kept, nodes
-    new to the domain start at 0, and the result is clamped below at 0
-    (the stable branch is nonnegative). On identical grids the transfer
-    is an exact identity.
+    `grid_next` must have the nodes of u_prev's grid (every grid of one
+    homotopy run covers the same bounding box at the same resolution);
+    other grids raise ValueError. Values at nodes inside both domains are
+    kept, nodes new to the domain start at 0, and the result is clamped
+    below at 0 (the stable branch is nonnegative). On identical grids the
+    transfer is an exact identity.
     """
+    grid_prev = u_prev.grid
     if not (np.array_equal(grid_prev.rs, grid_next.rs)
             and np.array_equal(grid_prev.zs, grid_next.zs)):
         raise ValueError("warm start needs grids with the same nodes")
-    carried = np.where(grid_next.inside & grid_prev.inside, u_prev.values, 0.0)
-    return Field(grid_next, np.maximum(carried, 0.0), u_prev.n)
+    return Field(grid_next, np.maximum(u_prev.values, 0.0), u_prev.n)
 
 
-def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
-    """Newton from u0 on one grid, then the per-step gate set.
+def _solve_and_gate(u0, nl, phi0):
+    """Newton from u0 on its grid, then the per-step gate set.
 
     Returns (failure, u, metrics, eigenfield), failure None when every gate
     passed. One operator serves the grid and keeps its factor from Newton
@@ -97,13 +96,14 @@ def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
     matrix. An indefinite Newton linearization raises
     IndefiniteOperatorError.
     """
-    op = AxisymOperator(grid, n)
+    grid = u0.grid
+    op = AxisymOperator(grid, u0.n)
     with op.keep_factor():
-        u, rep = newton_solve(grid, n, nl, u0, tol_pde=tol_pde, op=op)
+        u, rep = newton_solve(grid, u0.n, nl, u0, op=op)
         if not rep.converged:
             return f"Newton stalled at residual {rep.final_residual:.3g}", u, {}, None
         try:
-            stab = smallest_eigenvalue(grid, n, u, nl, phi0=phi0, op=op)
+            stab = smallest_eigenvalue(u, nl, phi0=phi0, op=op)
         except EigenFailureError as exc:
             return f"eigen failure: {exc}", u, {"lambda1": np.nan}, None
     metrics = {"lambda1": stab.lambda1}
@@ -127,8 +127,6 @@ def _solve_and_gate(grid, n, nl, u0, phi0, tol_pde):
 
 def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
                  t_step0: float = T_STEP0_DEFAULT,
-                 t_step_min: float = T_STEP_MIN_DEFAULT,
-                 tol_pde: float = TOL_PDE_DEFAULT,
                  seed: int = 0, uniqueness_seeds: int = UNIQUENESS_SEEDS,
                  oracle_n: int = 0, field_sink=None) -> ContinuationRecord:
     """Drive the homotopy from the ball to the target domain.
@@ -155,7 +153,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
 
     t0 = time.perf_counter()
     grid = grid_at(0.0)
-    failure, u, metrics, phi = _solve_and_gate(grid, n, nl, Field.zeros(grid, n), None, tol_pde)
+    failure, u, metrics, phi = _solve_and_gate(Field.zeros(grid, n), nl, None)
     if failure is not None:
         raise CplabError(f"homotopy setup failed on the ball: {failure}")
     record.steps.append(StepRecord(0.0, metrics["lambda1"], metrics["cp_count"],
@@ -176,11 +174,10 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         t_next = min(1.0, t + step)
         t_try0 = time.perf_counter()
         grid_next = grid_at(t_next)
-        u_start = warm_start_transfer(u, grid, grid_next)
-        phi_start = warm_start_transfer(Field(grid, np.abs(phi.values), n), grid, grid_next)
+        u_start = warm_start_transfer(u, grid_next)
+        phi_start = warm_start_transfer(Field(grid, np.abs(phi.values), n), grid_next)
         try:
-            failure, u_next, metrics, phi_next = _solve_and_gate(
-                grid_next, n, nl, u_start, phi_start, tol_pde)
+            failure, u_next, metrics, phi_next = _solve_and_gate(u_start, nl, phi_start)
         except IndefiniteOperatorError as exc:
             failure = f"indefinite linearization: {exc}"
 
@@ -195,7 +192,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             logger.info("homotopy step to t=%.5f rejected: %s", t_next, failure)
             step *= 0.5
             consecutive = 0
-            if step < t_step_min:
+            if step < T_STEP_MIN:
                 record.first_failure_t = t_next
                 break
             continue
@@ -213,8 +210,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             consecutive = 0
 
     if t >= 1.0 and record.first_failure_t is None:
-        report = run_verification(grid, n, nl, u, tol_pde=tol_pde,
-                                  seeds=uniqueness_seeds, seed=seed)
+        report = run_verification(u, nl, seeds=uniqueness_seeds, seed=seed)
         record.final_verification = report
         oracle_ok = True
         if oracle_n > 0 and n == 3:

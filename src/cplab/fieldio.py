@@ -128,7 +128,7 @@ def read_field(path):
     inside = ~np.isnan(vals)
     grid = MeridianGrid(*node_axes(nr, nz, rmax, zmax), inside,
                         *(np.ones((nz, nr)) for _ in range(4)), t=t)
-    return Field(grid, np.where(inside, vals, 0.0), n), comments
+    return Field(grid, vals, n), comments
 
 
 def on_domain(f: Field, d: MeridianDomain) -> Field:

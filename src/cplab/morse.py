@@ -89,7 +89,7 @@ def _second_difference_arrays(u: Field):
     """u_rr, u_zz, u_rz on the grid; nan where a stencil leg leaves the domain."""
     g = u.grid
     act = g.inside
-    v = np.where(act, u.values, 0.0)
+    v = u.values
     hr, hz = g.hr, g.hz
 
     urr = np.full_like(v, np.nan)
@@ -165,11 +165,12 @@ def hessian_at(u: Field, p) -> np.ndarray:
     return H
 
 
-def _axis_zeros(g, uz_vals):
-    """Roots of the axial derivative along the axis column."""
+def _axis_zeros(uz: Field):
+    """Roots of the axial derivative field uz along the axis column."""
+    g = uz.grid
     col_in = g.inside[:, 0]
-    uz0 = uz_vals[:, 0]
-    line = CubicLine(g.zs, np.where(col_in, uz0, 0.0))
+    uz0 = uz.values[:, 0]
+    line = CubicLine(g.zs, uz0)
     roots = []
     jj = np.nonzero(col_in[:-1] & col_in[1:])[0]
     for j in jj:
@@ -268,7 +269,7 @@ def find_critical_points(u: Field) -> Census:
             continue
         found.append((r, z, fnorm))
 
-    found.extend(_axis_zeros(g, uzv))
+    found.extend(_axis_zeros(uz))
 
     # Deduplicate within two cells; prefer the smaller gradient residual.
     radius = 2.0 * g.h
@@ -280,7 +281,7 @@ def find_critical_points(u: Field) -> Census:
             continue
         kept.append((r, z, res))
 
-    uval = Bicubic(g.rs, g.zs, np.where(g.inside, u.values, 0.0))
+    uval = Bicubic(g.rs, g.zs, u.values)
     points = []
     for r, z, res in kept:
         on_axis = r == 0.0

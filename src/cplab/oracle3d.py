@@ -465,7 +465,7 @@ def compare_with_axisymmetric(v: VoxelField, u) -> tuple:
     OracleMismatchError.
     """
     g = u.grid
-    interp = Bicubic(g.rs, g.zs, np.where(g.inside, u.values, 0.0))
+    interp = Bicubic(g.rs, g.zs, u.values)
     m = v.mask
     kk, jj, ii = np.nonzero(m)
     u_at = interp.value(np.hypot(v.xs[ii], v.ys[jj]), v.zs[kk])

@@ -41,8 +41,8 @@ from .nonlinearity import Nonlinearity
 
 logger = logging.getLogger(__name__)
 
-TOL_PDE_DEFAULT = 1e-9     # discrete L-inf residual of the PDE
-MAX_NEWTON_DEFAULT = 30
+TOL_PDE = 1e-9     # Newton stops at this discrete L-inf residual of the PDE
+MAX_NEWTON = 30    # Newton iterations before a solve counts as unconverged
 
 # Bounds peak memory, not speed. SuperLU releases the GIL, so two threads
 # factor 1.3-1.8x faster than one, but each factor in flight holds its own
@@ -60,13 +60,20 @@ class Field:
     """Scalar samples on a meridian grid; exterior nodes hold 0.
 
     The zero Dirichlet trace is built into the stencils, so `values` only
-    carry information at inside nodes. `n` is the ambient dimension of the
-    problem the field belongs to.
+    carry information at inside nodes. The field stores the given values
+    with every exterior node set to 0, read-only: this is the one place
+    the exterior is zeroed, and every reader may rely on it. `n` is the
+    ambient dimension of the problem the field belongs to.
     """
 
     grid: MeridianGrid
     values: np.ndarray
     n: int
+
+    def __post_init__(self):
+        values = np.where(self.grid.inside, self.values, 0.0)
+        values.flags.writeable = False
+        self.values = values
 
     @classmethod
     def zeros(cls, grid: MeridianGrid, n: int) -> "Field":
@@ -74,16 +81,10 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: MeridianGrid, n: int, fn) -> "Field":
-        return cls(grid, np.where(grid.inside, fn(grid.R, grid.Z), 0.0), n)
-
-    def linf(self) -> float:
-        return float(np.abs(self.values[self.grid.inside]).max(initial=0.0))
+        return cls(grid, fn(grid.R, grid.Z), n)
 
     def max_inside(self) -> float:
         return float(self.values[self.grid.inside].max())
-
-    def min_inside(self) -> float:
-        return float(self.values[self.grid.inside].min())
 
     @property
     def t(self) -> float:
@@ -321,15 +322,15 @@ def pde_residual(op: AxisymOperator, nl: Nonlinearity, values: np.ndarray) -> np
 
 
 def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
-                 tol_pde: float = TOL_PDE_DEFAULT,
-                 max_newton: int = MAX_NEWTON_DEFAULT,
                  op: AxisymOperator | None = None) -> tuple[Field, SolveReport]:
     """Damped Newton iteration for -Lap u = f(x, u), u = 0 on the boundary.
 
     Each step solves (-Lap - f_u(., u_k)) delta = f(., u_k) + Lap u_k and
     backtracks (factor 1/2, at most 20 halvings) while the L-inf residual
-    does not decrease. An indefinite linearization propagates out as
-    IndefiniteOperatorError: there is no stable solution to converge to.
+    does not decrease. The solve converges when that residual falls to
+    TOL_PDE and stops unconverged after MAX_NEWTON steps. An indefinite
+    linearization propagates out as IndefiniteOperatorError: there is no
+    stable solution to converge to.
     """
     op = op or AxisymOperator(grid, n)
     u = np.where(op.active, u0.values, 0.0)
@@ -341,9 +342,9 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
     history = [res]
     iters = 0
     damping_events = 0
-    converged = res <= tol_pde
+    converged = res <= TOL_PDE
 
-    while not converged and iters < max_newton:
+    while not converged and iters < MAX_NEWTON:
         c = np.where(op.active, nl.eval_du(grid.R, grid.Z, u), 0.0)
         delta = op.solve(c, resvec)
         step = 1.0
@@ -364,7 +365,7 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
             break
         u, resvec, res = u_try, res_try_vec, res_try
         history.append(res)
-        converged = res <= tol_pde
+        converged = res <= TOL_PDE
 
     field = Field(grid, u, n)
     min_value = float(u[op.active].min()) if np.any(op.active) else np.nan
@@ -382,8 +383,7 @@ def derivative_field(u: Field, direction: str) -> Field:
     by even symmetry.
     """
     g = u.grid
-    act = g.inside
-    vals = np.where(act, u.values, 0.0)
+    vals = u.values
     uE, uW, uN, uS = neighbours(vals)
 
     if direction == "r":
@@ -397,4 +397,4 @@ def derivative_field(u: Field, direction: str) -> Field:
         h * aP * aM * (aP + aM))
     if direction == "r":
         d[:, 0] = 0.0  # even in r on the axis
-    return Field(g, np.where(act, d, 0.0), u.n)
+    return Field(g, d, u.n)

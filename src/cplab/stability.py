@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MeridianGrid
 from .errors import EigenFailureError, IndefiniteOperatorError, UndefinedQuotientError
 from .nonlinearity import Nonlinearity
 from .solver import AxisymOperator, Field, derivative_field
@@ -63,30 +62,31 @@ class StabilityReport:
         return bool(self.lambda1 > self.margin)
 
 
-def _fprime_field(grid: MeridianGrid, nl: Nonlinearity, u: Field) -> np.ndarray:
-    return np.where(grid.inside, nl.eval_du(grid.R, grid.Z, u.values), 0.0)
+def _fprime_field(u: Field, nl: Nonlinearity) -> np.ndarray:
+    g = u.grid
+    return np.where(g.inside, nl.eval_du(g.R, g.Z, u.values), 0.0)
 
 
-def rayleigh_quotient(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
-                      phi: Field) -> float:
+def rayleigh_quotient(u: Field, nl: Nonlinearity, phi: Field) -> float:
     """(sum w |grad phi|^2 - sum w f_u phi^2) / (sum w phi^2).
 
     Gradients are the node-sampled derivative fields (zero-extended outside
-    the domain), w the axisymmetric volume weight. Raises for phi == 0.
+    the domain), w the axisymmetric volume weight on the grid and in the
+    dimension of u. Raises for phi == 0.
     """
-    op = AxisymOperator(grid, n)
-    pv = np.where(grid.inside, phi.values, 0.0)
+    op = AxisymOperator(u.grid, u.n)
+    pv = phi.values
     denom = op.dot(pv, pv)
     if denom == 0.0:
         raise UndefinedQuotientError("Rayleigh quotient of the zero field")
     dr = derivative_field(phi, "r").values
     dz = derivative_field(phi, "z").values
     grad2 = op.dot(dr, dr) + op.dot(dz, dz)
-    fp = _fprime_field(grid, nl, u)
+    fp = _fprime_field(u, nl)
     return (grad2 - op.dot(fp * pv, pv)) / denom
 
 
-def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
+def smallest_eigenvalue(u: Field, nl: Nonlinearity,
                         tol_eig: float = TOL_EIG_DEFAULT,
                         subdomain: str | None = None,
                         phi0: Field | None = None,
@@ -98,11 +98,13 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     the reflection half-domain is estimated. The reported lambda1 is
     the operator Rayleigh quotient of the last iterate, and its residual
     ||(-Lap - f_u) phi - lambda1 phi|| must fall to `tol_eig * max(1, |lambda1|)`
-    within MAX_EIG_ITER steps, or EigenFailureError is raised. `op`, when
-    given, is the full-domain operator of (grid, n) to factor; it cannot
-    be combined with a subdomain. The shift rule is the module's;
+    within MAX_EIG_ITER steps, or EigenFailureError is raised. The grid and
+    the dimension are those of u. `op`, when given, is the full-domain
+    operator of that grid and dimension to factor; it cannot be combined
+    with a subdomain. The shift rule is the module's;
     when its fallback factor fails too, EigenFailureError names the shift.
     """
+    grid = u.grid
     active = None
     if subdomain == "z>0":
         active = np.broadcast_to((grid.zs > 0.0)[:, None], grid.inside.shape)
@@ -111,8 +113,8 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     if op is not None and subdomain is not None:
         raise ValueError("op is a full-domain operator; a subdomain builds its own")
 
-    op = op or AxisymOperator(grid, n, active=active)
-    c = np.where(op.active, _fprime_field(grid, nl, u), 0.0)
+    op = op or AxisymOperator(grid, u.n, active=active)
+    c = np.where(op.active, _fprime_field(u, nl), 0.0)
 
     phi = np.where(op.active, 1.0, 0.0) if phi0 is None else np.where(op.active, phi0.values, 0.0)
     nrm = op.norm(phi)
@@ -157,7 +159,7 @@ def smallest_eigenvalue(grid: MeridianGrid, n: int, u: Field, nl: Nonlinearity,
     vals = phi[op.active]
     single_signed = bool(vals.min() * vals.max() > 0.0)
 
-    eigenfield = Field(grid, np.where(op.active, phi, 0.0), n)
+    eigenfield = Field(grid, np.where(op.active, phi, 0.0), u.n)
     return StabilityReport(
         lambda1=lam_op, eigenfield=eigenfield, iterations=iterations,
         residual=residual, shift=shift, single_signed=single_signed)

@@ -3,13 +3,15 @@
 Every conclusion becomes a measured margin with a resolution-aware
 tolerance:
 
-* axial symmetry        max |u(r, z) - u(r, -z)|        <= 10 * tol_pde
+* axial symmetry        max |u(r, z) - u(r, -z)|        <= 10 * TOL_PDE
 * monotonicity          max du/dz (z >= 2hz), max du/dr  <= eps_disc
 * moving plane          max of u(p) - u(p_lambda)        <= eps_disc
 * derivative PDE        || Lap v + f_u v + f_dir ||_inf  <= C * h
-* uniqueness            multi-start max pairwise gap     <= 10 * tol_pde
+* uniqueness            multi-start max pairwise gap     <= 10 * TOL_PDE
 * critical points       census = one nondegenerate max on the axis
 
+TOL_PDE is the Newton tolerance of `solver`, so the symmetry and
+uniqueness rows hold to ten times the residual every solve reaches.
 eps_disc = MONOTONICITY_C * h^2 and the derivative-residual constant are
 calibrated once on the torsion ball / a manufactured solution and reused
 unchanged everywhere (see tests); strict paper inequalities are asserted
@@ -30,7 +32,7 @@ from .errors import GeometryViolationError, IndefiniteOperatorError, InternalCon
 from .interp import Bicubic, safe_cells, cell_index
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
-from .solver import AxisymOperator, Field, TOL_PDE_DEFAULT, derivative_field, newton_solve
+from .solver import AxisymOperator, Field, TOL_PDE, derivative_field, newton_solve
 
 # Calibrated on the torsion ball at the acceptance grids (see
 # tests/test_verify.py): the largest observed derivative error divided by
@@ -73,8 +75,7 @@ def check_axial_symmetry(u: Field) -> float:
     reduction; the voxel oracle checks it independently.
     """
     g = u.grid
-    vals = np.where(g.inside, u.values, 0.0)
-    return float(np.abs(vals - vals[::-1, :])[g.inside].max(initial=0.0))
+    return float(np.abs(u.values - u.values[::-1, :])[g.inside].max(initial=0.0))
 
 
 def _bulk_mask(grid: MeridianGrid) -> np.ndarray:
@@ -141,8 +142,7 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
     if lambdas is None:
         lambdas = np.linspace(0.1, 0.9, 9) * r_max
 
-    vals = np.where(g.inside, u.values, 0.0)
-    interp = Bicubic(g.rs, g.zs, vals)
+    interp = Bicubic(g.rs, g.zs, u.values)
     cells = safe_cells(g.inside)
     R, Z = g.R, g.Z
 
@@ -164,7 +164,7 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
         ok = cells[jc, ic]
         if not ok.any():
             continue
-        w = vals[sel][ok] - interp.value(r_ref[ok], z_src[ok])
+        w = u.values[sel][ok] - interp.value(r_ref[ok], z_src[ok])
         worst = max(worst, float(w.max()))
     return worst
 
@@ -207,7 +207,6 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
 
 def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
                           seeds: int = UNIQUENESS_SEEDS, seed: int = 0,
-                          tol_pde: float = TOL_PDE_DEFAULT,
                           base: Field | None = None):
     """Max pairwise L-inf distance of converged multi-start solutions.
 
@@ -223,27 +222,22 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     """
     op = AxisymOperator(grid, n)
     if base is None:
-        base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), tol_pde=tol_pde, op=op)
+        base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), op=op)
         if not rep.converged:
             raise RuntimeError("baseline zero-guess solve did not converge")
     amp = 2.0 * max(base.max_inside(), 0.0)
     rng = np.random.default_rng(seed)
-    starts = [np.where(grid.inside, rng.uniform(0.0, amp, base.values.shape), 0.0)
-              for _ in range(seeds)]
+    starts = [Field(grid, rng.uniform(0.0, amp, base.values.shape), n) for _ in range(seeds)]
 
-    def run(u0_vals):
+    def run(u0):
         try:
-            f, r = newton_solve(grid, n, nl, Field(grid, u0_vals, n), tol_pde=tol_pde, op=op)
+            f, r = newton_solve(grid, n, nl, u0, op=op)
         except IndefiniteOperatorError:
             return None
         return f if r.converged else None
 
-    workers = max(1, min(worker_count(), seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=min(worker_count(), seeds)) as pool:
+        results = list(pool.map(run, starts))
 
     converged = [base] + [f for f in results if f is not None]
     failed = sum(1 for f in results if f is None)
@@ -283,10 +277,9 @@ class VerificationReport:
         return "\n".join(out)
 
 
-def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
-                     tol_pde: float = TOL_PDE_DEFAULT, seeds: int = UNIQUENESS_SEEDS,
+def run_verification(u: Field, nl: Nonlinearity, seeds: int = UNIQUENESS_SEEDS,
                      seed: int = 0, with_uniqueness: bool = True) -> VerificationReport:
-    """Full theorem-conclusion report on a solved field.
+    """Full theorem-conclusion report on a solved field, on its grid and dimension.
 
     Five conclusion lines (symmetry, axial monotonicity, transverse
     monotonicity, radial monotonicity, census) plus the moving-plane,
@@ -298,11 +291,12 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
     because the row set is the report's CSV contract. `uniqueness`
     fails, with margin nan, when no multistart seed converged.
     """
+    grid = u.grid
     eps = eps_disc(grid)
     rows = []
 
     sym = check_axial_symmetry(u)
-    rows.append(CheckRow("axial_symmetry", sym, 10.0 * tol_pde, sym <= 10.0 * tol_pde))
+    rows.append(CheckRow("axial_symmetry", sym, 10.0 * TOL_PDE, sym <= 10.0 * TOL_PDE))
 
     m_z, m_r, pct_z, pct_r = check_monotonicity(u)
     rows.append(CheckRow("monotone_axial", m_z, eps, monotone(m_z, pct_z, eps)))
@@ -329,11 +323,11 @@ def run_verification(grid: MeridianGrid, n: int, nl: Nonlinearity, u: Field,
     rows.append(CheckRow("derivative_residual", res, tol_res, res <= tol_res))
 
     if with_uniqueness:
-        worst, converged, _ = uniqueness_multistart(grid, n, nl, seeds=seeds, seed=seed,
-                                                    tol_pde=tol_pde, base=u)
+        worst, converged, _ = uniqueness_multistart(grid, u.n, nl, seeds=seeds, seed=seed,
+                                                    base=u)
         # With no converged seed nothing was compared: the margin is
         # undefined and the row fails.
         if converged == 0:
             worst = np.nan
-        rows.append(CheckRow("uniqueness", worst, 10.0 * tol_pde, worst <= 10.0 * tol_pde))
+        rows.append(CheckRow("uniqueness", worst, 10.0 * TOL_PDE, worst <= 10.0 * TOL_PDE))
     return VerificationReport(rows)

@@ -53,7 +53,7 @@ def scenarios(spheroid_torsion_129, gelfand_ball_129, spindle_torsion_129):
     }
     for key, (grid, u, nl, solve_time) in specs.items():
         t0 = time.perf_counter()
-        stab = st.smallest_eigenvalue(grid, 3, u, nl)
+        stab = st.smallest_eigenvalue(u, nl)
         census = mo.find_critical_points(u)
         sym = vf.check_axial_symmetry(u)
         m_z, m_r, pct_z, pct_r = vf.check_monotonicity(u)
@@ -114,8 +114,8 @@ def test_criterion_01_torsion_ball(torsion_ball_65, torsion_ball_129):
 def test_criterion_02_eigenvalue_regression(torsion_ball_129):
     grid, _, _, _ = torsion_ball_129
     u0 = sv.Field.zeros(grid, 3)
-    r0 = st.smallest_eigenvalue(grid, 3, u0, nlin.constant(1.0), tol_eig=1e-9)
-    r5 = st.smallest_eigenvalue(grid, 3, u0, nlin.affine(5.0, 1.0), tol_eig=1e-9)
+    r0 = st.smallest_eigenvalue(u0, nlin.constant(1.0), tol_eig=1e-9)
+    r5 = st.smallest_eigenvalue(u0, nlin.affine(5.0, 1.0), tol_eig=1e-9)
     rel = abs(r0.lambda1 / BALL_LAMBDA1 - 1.0)
     shift_err = abs(r5.lambda1 - (r0.lambda1 - 5.0))
     note(2, rel <= 1e-2 and shift_err <= 1e-10,
@@ -133,7 +133,7 @@ def test_criterion_03_theorem_suite(scenarios):
         ok = (census.unique_axis_max
               and p.signature == (3, 0, 0)
               and np.all(np.abs(ev) > census.tau_h)
-              and s["sym"] <= 10.0 * sv.TOL_PDE_DEFAULT
+              and s["sym"] <= 10.0 * sv.TOL_PDE
               and s["m_z"] <= eps and s["m_r"] <= eps
               and s["pct_z"] < 0.0 and s["pct_r"] < 0.0
               and s["stab"].stable

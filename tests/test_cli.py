@@ -36,7 +36,6 @@ def write_config(tmp_path, text, name="run.cfg"):
 def test_parse_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, TORSION_BALL))
     assert cfg.get_int("grid", "nr") == 49
-    assert cfg.get_float("solver", "tol_pde") == 1e-9
     assert cfg.get_int("oracle", "N") == 48
     assert cfg.get_int("run", "seed") == 7
     d = cfg.build_domain()
@@ -67,7 +66,7 @@ def test_duplicate_key_names_both_lines(tmp_path):
 
 
 def test_unknown_key_reports_line(tmp_path):
-    text = TORSION_BALL + "\n[solver]\nwibble = 3\n"
+    text = TORSION_BALL + "\n[grid]\nwibble = 3\n"
     with pytest.raises(ConfigError, match=r"run.cfg:\d+: unknown key 'wibble'"):
         parse_config(write_config(tmp_path, text))
 
@@ -251,7 +250,7 @@ def test_verify_field_matches_the_in_memory_verification(tmp_path, torsion_ball_
     out = tmp_path / "out"
     main(["verify", "--config", str(write_config(tmp_path, text)), "--out", str(out),
           "--field", str(field_path), "--quiet"])
-    expected = run_verification(grid, 3, nlin.constant(1.0), u, with_uniqueness=False)
+    expected = run_verification(u, nlin.constant(1.0), with_uniqueness=False)
     assert (out / "verification.csv").read_text() == fieldio.verification_csv(expected)
 
 

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from cplab.config import DEFAULTS, SCHEMA, parse_config
 from cplab.continuation import run_homotopy
 from cplab.errors import ConfigError
-from cplab.solver import newton_solve
 from cplab.verify import run_verification
 
 VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant\nc = 1.0\n"
 
 
 @pytest.mark.parametrize("data, message", [
-    (VALID + b"[solver]\ntol_pde = nan\n", r"cfg:9: \[solver\] tol_pde = 'nan' is not finite"),
     (VALID + b"[continuation]\nt_step0 = nan\n", r"cfg:9: \[continuation\] t_step0 .* not finite"),
-    (VALID + b"[solver]\ntol_lin = 1e-11\n", r"cfg:9: unknown key 'tol_lin' in \[solver\]"),
+    (VALID + b"[solver]\ntol_lin = 1e-11\n", r"cfg:8: unknown section \[solver\]"),
+    (VALID + b"[continuation]\nt_step_min = 1e-3\n",
+     r"cfg:9: unknown key 't_step_min' in \[continuation\]"),
     (VALID + b"[oracle]\nN = -4\n", r"cfg:9: \[oracle\] N must be >= 9"),
     (VALID + b"[oracle]\nN = 97\n", r"cfg:9: \[oracle\] N must be <= 96 \(desk scale\)"),
     (VALID + b"[continuation]\nt_step0 = 0.11\n", r"cfg:9: \[continuation\] t_step0 must be <= 0\.1$"),
@@ -62,10 +62,7 @@ def test_grid_below_nine_nodes_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("function, param, key", [
-    (newton_solve, "tol_pde", ("solver", "tol_pde")),
-    (newton_solve, "max_newton", ("solver", "max_newton")),
     (run_homotopy, "t_step0", ("continuation", "t_step0")),
-    (run_homotopy, "t_step_min", ("continuation", "t_step_min")),
     (run_homotopy, "uniqueness_seeds", ("run", "uniqueness_seeds")),
     (run_verification, "seeds", ("run", "uniqueness_seeds")),
 ])
@@ -81,8 +78,7 @@ GOOD = {
     "coeffs": ["1 0 -2 0 1", "1 -1"], "file": ["profile.dat"],
     "lambda": ["1", "0.5"], "c": ["1", "0"], "p": ["2", "1"],
     "alpha": ["0", "1"], "beta": ["1", "0"], "nr": ["9", "33"], "nz": ["9", "33"],
-    "tol_pde": ["1e-9"], "max_newton": ["30"],
-    "t_step0": ["0.05"], "t_step_min": ["1e-3"], "N": ["48", "9"],
+    "t_step0": ["0.05"], "N": ["48", "9"],
     "directory": ["out"], "emit_fields": ["false", "true"],
     "seed": ["0", "7"], "uniqueness_seeds": ["5", "1"],
 }

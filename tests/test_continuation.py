@@ -8,7 +8,7 @@ from cplab.continuation import run_homotopy, warm_start_transfer
 
 def test_warm_start_identity_on_same_grid(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
-    moved = warm_start_transfer(u, grid, grid)
+    moved = warm_start_transfer(u, grid)
     assert np.array_equal(moved.values[grid.inside], u.values[grid.inside])
 
 
@@ -19,7 +19,7 @@ def test_warm_start_zero_outside_shrunk_domain(torsion_ball_65):
     # shrink by targeting a smaller ball on the same bounding box
     target = dm.MeridianDomain(3, dm.spheroid(0.8, 0.8))
     shrunk = dm.build_grid(target, grid.nr, grid.nz, rmax=grid.rmax, zmax=grid.zmax)
-    moved = warm_start_transfer(u, small, shrunk)
+    moved = warm_start_transfer(u, shrunk)
     assert moved.values.min() >= 0.0
     assert np.all(moved.values[~shrunk.inside] == 0.0)
 
@@ -32,7 +32,7 @@ def test_warm_start_refuses_grids_with_other_nodes(torsion_ball_65):
     wider = dm.build_grid(ball, grid.nr, grid.nz, rmax=1.25 * grid.rmax, zmax=grid.zmax)
     for other in (finer, wider):
         with pytest.raises(ValueError, match="same nodes"):
-            warm_start_transfer(u, grid, other)
+            warm_start_transfer(u, other)
 
 
 def test_trivial_ball_target_completes_in_one_step():

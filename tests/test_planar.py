@@ -28,7 +28,7 @@ def test_disk_torsion_center_value(disk_torsion):
 
 def test_disk_first_eigenvalue(disk_torsion):
     grid, _ = disk_torsion
-    rep = st.smallest_eigenvalue(grid, 2, sv.Field.zeros(grid, 2), nlin.constant(1.0))
+    rep = st.smallest_eigenvalue(sv.Field.zeros(grid, 2), nlin.constant(1.0))
     exact = jn_zeros(0, 1)[0] ** 2
     assert rep.lambda1 == pytest.approx(exact, rel=0.01)
     assert rep.stable
@@ -45,6 +45,6 @@ def test_disk_census_and_hessian(disk_torsion):
 
 def test_disk_full_verification(disk_torsion):
     grid, u = disk_torsion
-    report = vf.run_verification(grid, 2, nlin.constant(1.0), u,
+    report = vf.run_verification(u, nlin.constant(1.0),
                                  seeds=2, seed=9)
     assert report.passed

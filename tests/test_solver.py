@@ -97,7 +97,7 @@ def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
     # shift-invert Arnoldi) pins it instead.
     profile = dm.ball(1.0) if b is None else dm.spheroid(1.0, b)
     grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
-    rep = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0),
+    rep = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0),
                                  tol_eig=1e-10)
     assert rep.shift == 0.0
     op = sv.AxisymOperator(grid, n)
@@ -146,7 +146,7 @@ def test_column_factor_agrees_with_default_supernodes(profile, nr, nz, n):
     # definiteness verdict on either side of the first eigenvalue.
     grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
     op = sv.AxisymOperator(grid, n)
-    lam = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0)).lambda1
+    lam = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0)).lambda1
     rhs = np.where(grid.inside, np.random.default_rng(n).standard_normal(grid.inside.shape), 0.0)
     for c in (0.0, 0.95 * lam):
         factor = sv.ShiftedFactor(op, c)
@@ -298,8 +298,9 @@ def test_derivative_field_is_exact_on_the_sampled_quadratic(a, b, nr, half):
 
 def test_newton_rejects_nonfinite_start(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
-    bad = sv.Field.zeros(grid, 3)
-    bad.values[grid.origin_index] = np.nan
+    vals = np.zeros(grid.inside.shape)
+    vals[grid.origin_index] = np.nan
+    bad = sv.Field(grid, vals, 3)
     with pytest.raises(ValueError):
         sv.newton_solve(grid, 3, nlin.constant(1.0), bad)
 
@@ -307,8 +308,19 @@ def test_newton_rejects_nonfinite_start(torsion_ball_65):
 def test_field_io_shape_contract(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     assert u.values.shape == (grid.nz, grid.nr)
-    assert u.min_inside() > 0.0
+    assert u.values[grid.inside].min() > 0.0
     assert u.t == grid.t == 1.0
+
+
+def test_a_field_zeroes_its_exterior_and_is_read_only(torsion_ball_65):
+    grid, _, _, _ = torsion_ball_65
+    vals = np.full(grid.inside.shape, 2.0)
+    f = sv.Field(grid, vals, 3)
+    assert np.all(f.values[~grid.inside] == 0.0)
+    assert np.all(f.values[grid.inside] == 2.0)
+    assert np.all(vals == 2.0)  # the caller's array is not written
+    with pytest.raises(ValueError):
+        f.values[grid.origin_index] = 1.0
 
 
 # -- Factor reuse inside AxisymOperator.keep_factor.

@@ -25,7 +25,7 @@ def first_ball_mode(grid):
 def test_rayleigh_quotient_of_first_mode(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     phi = first_ball_mode(grid)
-    q = st.rayleigh_quotient(grid, 3, u, nlin.constant(1.0), phi)
+    q = st.rayleigh_quotient(u, nlin.constant(1.0), phi)
     assert q == pytest.approx(BALL_LAMBDA1, rel=0.01)
 
 
@@ -34,27 +34,27 @@ def test_rayleigh_lower_bound(torsion_ball_65):
     rng = np.random.default_rng(5)
     for _ in range(5):
         vals = np.where(grid.inside, rng.uniform(0.1, 1.0, (grid.nz, grid.nr)), 0.0)
-        q = st.rayleigh_quotient(grid, 3, u, nlin.constant(1.0), sv.Field(grid, vals, 3))
+        q = st.rayleigh_quotient(u, nlin.constant(1.0), sv.Field(grid, vals, 3))
         assert q >= BALL_LAMBDA1 - 0.5
 
 
 def test_rayleigh_shift_identity_exact(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     phi = first_ball_mode(grid)
-    q0 = st.rayleigh_quotient(grid, 3, u, nlin.constant(1.0), phi)
-    q5 = st.rayleigh_quotient(grid, 3, u, nlin.affine(5.0, 1.0), phi)
+    q0 = st.rayleigh_quotient(u, nlin.constant(1.0), phi)
+    q5 = st.rayleigh_quotient(u, nlin.affine(5.0, 1.0), phi)
     assert q5 == pytest.approx(q0 - 5.0, abs=1e-12)
 
 
 def test_rayleigh_rejects_zero_field(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     with pytest.raises(UndefinedQuotientError):
-        st.rayleigh_quotient(grid, 3, u, nlin.constant(1.0), sv.Field.zeros(grid, 3))
+        st.rayleigh_quotient(u, nlin.constant(1.0), sv.Field.zeros(grid, 3))
 
 
 def test_smallest_eigenvalue_ball(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
-    rep = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0))
+    rep = st.smallest_eigenvalue(u, nlin.constant(1.0))
     assert rep.lambda1 == pytest.approx(BALL_LAMBDA1, rel=0.02)
     assert rep.stable
     assert rep.single_signed
@@ -69,8 +69,8 @@ def test_affine_shift_identity(torsion_ball_65, a):
     # is indefinite, and the eigen solve falls back to the shift max f_u = a,
     # so the unstable linearization is still measured and reported.
     grid, u, _, _ = torsion_ball_65
-    r0 = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), tol_eig=1e-9)
-    ra = st.smallest_eigenvalue(grid, 3, u, nlin.affine(a, 1.0), tol_eig=1e-9)
+    r0 = st.smallest_eigenvalue(u, nlin.constant(1.0), tol_eig=1e-9)
+    ra = st.smallest_eigenvalue(u, nlin.affine(a, 1.0), tol_eig=1e-9)
     assert abs(ra.lambda1 - (r0.lambda1 - a)) <= 1e-10
     unstable = a > BALL_LAMBDA1
     assert ra.shift == (a if unstable else 0.0)
@@ -88,7 +88,7 @@ def test_unit_ball_lambda1_is_the_squared_bessel_zero(n):
     errors = []
     for nr, nz in ((33, 65), (65, 129)):
         grid = dm.build_grid(dm.MeridianDomain(n, dm.ball(1.0)), nr, nz)
-        rep = st.smallest_eigenvalue(grid, n, sv.Field.zeros(grid, n), nlin.constant(1.0))
+        rep = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0))
         assert rep.stable and rep.shift == 0.0
         errors.append(abs(rep.lambda1 / exact - 1.0))
     print(f"n={n}: lambda1 rel err {errors[0]:.2e} -> {errors[1]:.2e}, "
@@ -100,15 +100,15 @@ def test_unit_ball_lambda1_is_the_squared_bessel_zero(n):
 
 def test_torsion_always_stable(spheroid_torsion_129):
     _, grid, u, _, _ = spheroid_torsion_129
-    rep = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0))
+    rep = st.smallest_eigenvalue(u, nlin.constant(1.0))
     assert rep.stable
     assert rep.lambda1 > 0
 
 
 def test_halfdomain_eigenvalue_monotonicity(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
-    full = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0))
-    half = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), subdomain="z>0")
+    full = st.smallest_eigenvalue(u, nlin.constant(1.0))
+    half = st.smallest_eigenvalue(u, nlin.constant(1.0), subdomain="z>0")
     assert half.lambda1 >= full.lambda1 - 1e-6
     # the hemisphere's first eigenvalue is markedly larger
     assert half.lambda1 > 1.5 * full.lambda1
@@ -116,7 +116,7 @@ def test_halfdomain_eigenvalue_monotonicity(torsion_ball_65):
 
 def test_stable_means_lambda1_strictly_above_ten_residuals(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
-    rep = st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0))
+    rep = st.smallest_eigenvalue(u, nlin.constant(1.0))
     assert rep.stable
     at_margin = dataclasses.replace(rep, residual=rep.lambda1 / 10.0)
     assert at_margin.margin == rep.lambda1
@@ -128,7 +128,7 @@ def test_stable_means_lambda1_strictly_above_ten_residuals(torsion_ball_65):
 
 def test_gelfand_stability(gelfand_ball_65):
     grid, u, _, _ = gelfand_ball_65
-    rep = st.smallest_eigenvalue(grid, 3, u, nlin.gelfand(1.0))
+    rep = st.smallest_eigenvalue(u, nlin.gelfand(1.0))
     assert rep.stable
     # lambda1(-Lap - e^u) < lambda1(-Lap) strictly
     assert rep.lambda1 < BALL_LAMBDA1 - 0.5
@@ -144,13 +144,13 @@ def assert_same_report(a, b):
 def test_eigen_solve_reuses_newtons_factor_bitwise(torsion_ball_65, factor_count):
     grid, u, _, _ = torsion_ball_65
     nl = nlin.constant(1.0)
-    plain = st.smallest_eigenvalue(grid, 3, u, nl)
+    plain = st.smallest_eigenvalue(u, nl)
     op = sv.AxisymOperator(grid, 3)
     with op.keep_factor():
         start = len(factor_count)
         solved, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
         assert rep.newton_iterations >= 1 and len(factor_count) == start + 1
-        kept = st.smallest_eigenvalue(grid, 3, solved, nl, op=op)
+        kept = st.smallest_eigenvalue(solved, nl, op=op)
         assert len(factor_count) == start + 1  # torsion: f_u = 0
     assert np.array_equal(solved.values, u.values)
     assert_same_report(kept, plain)
@@ -159,12 +159,12 @@ def test_eigen_solve_reuses_newtons_factor_bitwise(torsion_ball_65, factor_count
 def test_gelfand_eigen_solve_in_keep_factor_makes_a_fresh_factor(gelfand_ball_65, factor_count):
     grid, u, _, _ = gelfand_ball_65
     nl = nlin.gelfand(1.0)
-    plain = st.smallest_eigenvalue(grid, 3, u, nl)
+    plain = st.smallest_eigenvalue(u, nl)
     op = sv.AxisymOperator(grid, 3)
     with op.keep_factor():
         solved, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
         start = len(factor_count)
-        kept = st.smallest_eigenvalue(grid, 3, solved, nl, op=op)
+        kept = st.smallest_eigenvalue(solved, nl, op=op)
         assert len(factor_count) == start + 1  # f_u moved with u
     assert kept.shift == 0.0
     assert_same_report(kept, plain)
@@ -173,5 +173,5 @@ def test_gelfand_eigen_solve_in_keep_factor_makes_a_fresh_factor(gelfand_ball_65
 def test_subdomain_eigen_solve_refuses_a_full_domain_operator(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     with pytest.raises(ValueError):
-        st.smallest_eigenvalue(grid, 3, u, nlin.constant(1.0), subdomain="z>0",
+        st.smallest_eigenvalue(u, nlin.constant(1.0), subdomain="z>0",
                                op=sv.AxisymOperator(grid, 3))

@@ -30,7 +30,7 @@ def test_axial_symmetry_flags_injected_field(torsion_ball_65):
     margin = vf.check_axial_symmetry(u)
     zmax_inside = np.abs(np.meshgrid(grid.zs, grid.rs, indexing="ij")[0][grid.inside]).max()
     assert margin == pytest.approx(2.0 * zmax_inside, rel=1e-12)
-    assert margin > 10 * sv.TOL_PDE_DEFAULT
+    assert margin > 10 * sv.TOL_PDE
 
 
 def test_monotonicity_margins_torsion(torsion_ball_65):
@@ -149,9 +149,9 @@ def test_a_node_next_to_the_boundary_keeps_every_number_finite(b, n, log_eps, nl
     assert abs(grid.theta_e[grid.j_equator, -1] - eps) <= 2.0 ** -45
     try:
         u, rep = sv.newton_solve(grid, n, nl, sv.Field.zeros(grid, n))
-        stab = stability.smallest_eigenvalue(grid, n, u, nl)
+        stab = stability.smallest_eigenvalue(u, nl)
         census = find_critical_points(u)
-        report = vf.run_verification(grid, n, nl, u, seeds=2)
+        report = vf.run_verification(u, nl, seeds=2)
     except CplabError:
         return  # a typed failure is an allowed outcome; any other is not
     assert rep.converged and np.all(np.isfinite(u.values))
@@ -166,7 +166,7 @@ def test_uniqueness_multistart_linear(torsion_ball_65):
                                                         seeds=3, seed=11)
     assert converged == 3
     assert failed == 0
-    assert worst <= 10 * sv.TOL_PDE_DEFAULT
+    assert worst <= 10 * sv.TOL_PDE
 
 
 def test_uniqueness_multistart_gelfand(gelfand_ball_65):
@@ -233,14 +233,14 @@ def test_uniqueness_row_fails_when_no_seed_converged():
     u, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3))
     assert rep.converged
     assert vf.uniqueness_multistart(grid, 3, nl, seeds=5, base=u) == (0.0, 0, 5)
-    row = vf.run_verification(grid, 3, nl, u, seeds=5).row("uniqueness")
+    row = vf.run_verification(u, nl, seeds=5).row("uniqueness")
     assert np.isnan(row.margin)
     assert not row.passed
 
 
 def test_full_report_shape_and_pass(gelfand_ball_65):
     grid, u, _, _ = gelfand_ball_65
-    report = vf.run_verification(grid, 3, nlin.gelfand(1.0), u, seeds=2, seed=1)
+    report = vf.run_verification(u, nlin.gelfand(1.0), seeds=2, seed=1)
     names = [r.name for r in report.rows]
     assert names == ["axial_symmetry", "monotone_axial", "monotone_transverse",
                      "monotone_radial", "critical_point_census", "moving_plane",
@@ -253,7 +253,7 @@ def test_report_fails_on_asymmetric_field(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     vals = np.where(grid.inside, 0.1 + 0.05 * grid.zs[:, None], 0.0)
     u = sv.Field(grid, vals, 3)
-    report = vf.run_verification(grid, 3, nlin.constant(1.0), u, with_uniqueness=False)
+    report = vf.run_verification(u, nlin.constant(1.0), with_uniqueness=False)
     assert not report.passed
     assert not report.row("axial_symmetry").passed
 
@@ -316,9 +316,9 @@ def test_run_verification_reuses_the_field_as_the_multistart_baseline(gelfand_ba
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(vf, "newton_solve", counted)
-    report = vf.run_verification(grid, 3, nl, u, seeds=3, seed=5)
+    report = vf.run_verification(u, nl, seeds=3, seed=5)
     assert len(calls) == 3
-    assert all(start.linf() > 0.0 for start in calls)  # no zero-guess solve
+    assert all(start.max_inside() > 0.0 for start in calls)  # no zero-guess solve
     assert report.row("uniqueness").margin == zero_guess[0]
     assert vf.uniqueness_multistart(grid, 3, nl, seeds=3, seed=5, base=u) == zero_guess
 

@@ -3,7 +3,9 @@ import pytest
 
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
+from cplab import solver as sv
 from cplab.continuation import run_homotopy, warm_start_transfer
+from cplab.errors import CplabError
 
 
 def test_warm_start_identity_on_same_grid(torsion_ball_65):
@@ -48,6 +50,15 @@ def test_step_cap_validation():
     target = dm.MeridianDomain(3, dm.ball(1.0))
     with pytest.raises(ValueError):
         run_homotopy(target, nlin.constant(1.0), 49, 99, t_step0=0.2)
+
+
+def test_homotopy_newton_solves_keep_the_solver_budget(monkeypatch):
+    # gelfand(1) needs more than one Newton step from the zero guess, so with
+    # a budget of one the very first homotopy solve must stop unconverged.
+    monkeypatch.setattr(sv, "MAX_NEWTON", 1)
+    target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.8))
+    with pytest.raises(CplabError, match="homotopy setup failed on the ball"):
+        run_homotopy(target, nlin.gelfand(1.0), 33, 33, uniqueness_seeds=2)
 
 
 def test_small_homotopy_completes_and_replays():

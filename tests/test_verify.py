@@ -195,6 +195,14 @@ def test_uniqueness_multistart_is_independent_of_thread_count(gelfand_ball_65, m
     assert results[1] == results[0] and results[2] == results[0]
 
 
+def test_uniqueness_multistart_seeds_keep_the_solver_budget(gelfand_ball_65, monkeypatch):
+    # No random start reaches the solution in one Newton step: with a budget
+    # of one every seed is a basin failure.
+    grid, u, _, _ = gelfand_ball_65
+    monkeypatch.setattr(sv, "MAX_NEWTON", 1)
+    assert vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2, base=u) == (0.0, 0, 2)
+
+
 def test_uniqueness_multistart_near_fold():
     # close to the fold of the exponential branch: seeds may diverge (that is
     # a basin failure, reported separately), converged runs must agree.
@@ -256,6 +264,19 @@ def test_report_fails_on_asymmetric_field(torsion_ball_65):
     report = vf.run_verification(u, nlin.constant(1.0), with_uniqueness=False)
     assert not report.passed
     assert not report.row("axial_symmetry").passed
+
+
+def test_axial_symmetry_row_holds_ten_times_the_newton_tolerance(torsion_ball_65):
+    # 1e-4 added on the upper half is far above the Newton tolerance and
+    # far below any discretization error the other rows allow.
+    grid, u, _, _ = torsion_ball_65
+    shift = np.where(grid.zs[:, None] > 0.0, 1e-4, 0.0)
+    report = vf.run_verification(sv.Field(grid, u.values + shift, 3), nlin.constant(1.0),
+                                 with_uniqueness=False)
+    row = report.row("axial_symmetry")
+    assert row.tolerance == 10 * sv.TOL_PDE == pytest.approx(1e-8)
+    assert row.margin == pytest.approx(1e-4, rel=1e-6)
+    assert not row.passed
 
 
 def test_monotonicity_calibration_still_covers(torsion_ball_65, torsion_ball_129):

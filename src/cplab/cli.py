@@ -38,12 +38,16 @@ def _say(quiet, *parts):
         print(*parts)
 
 
-def _solve_from_config(cfg: RunConfig):
+def _solve_from_config(cfg: RunConfig, unconverged: str | None = None):
+    """The configured problem solved from zero; when `unconverged` is given, a
+    solve that does not converge raises a CplabError with that message."""
     d = cfg.build_domain()
     f = cfg.build_nonlinearity()
     nr, nz = cfg.grid_shape(d)
     grid = build_grid(d, nr, nz)
     u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n))
+    if unconverged is not None and not rep.converged:
+        raise CplabError(unconverged)
     return d, f, grid, u, rep
 
 
@@ -63,9 +67,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if ok else 1
 
     if subcommand == "eigen":
-        d, f, grid, u, rep = _solve_from_config(cfg)
-        if not rep.converged:
-            raise CplabError("eigen: the base solve did not converge")
+        d, f, grid, u, rep = _solve_from_config(cfg, "eigen: the base solve did not converge")
         report = smallest_eigenvalue(u, f)
         fieldio.write_field(report.eigenfield, out / "eigenfield.cpfield",
                             comments=[f"# eigen lambda1={fieldio.fmt(report.lambda1)}"])
@@ -75,9 +77,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if report.stable else 1
 
     if subcommand == "census":
-        d, f, grid, u, rep = _solve_from_config(cfg)
-        if not rep.converged:
-            raise CplabError("census: the base solve did not converge")
+        d, f, grid, u, rep = _solve_from_config(cfg, "census: the base solve did not converge")
         census = find_critical_points(u)
         (out / "census.csv").write_text(fieldio.census_csv(census, d.n))
         ok = census.unique_axis_max
@@ -91,10 +91,9 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
             u = fieldio.on_domain(fieldio.read_field(field_path)[0], d)
             report = run_verification(u, f, with_uniqueness=False)
         else:
-            d, f, grid, u, rep = _solve_from_config(cfg)
-            if not rep.converged:
-                raise CplabError("verify: the base solve did not converge")
-            report = run_verification(u, f, seeds=cfg.get_int("run", "uniqueness_seeds"),
+            d, f, grid, u, rep = _solve_from_config(cfg,
+                                                    "verify: the base solve did not converge")
+            report = run_verification(u, f, seeds=cfg.get("run", "uniqueness_seeds"),
                                       seed=seed)
         (out / "verification.csv").write_text(fieldio.verification_csv(report))
         _say(quiet, str(report))
@@ -105,7 +104,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         f = cfg.build_nonlinearity()
         nr, nz = cfg.grid_shape(d)
         sink = None
-        if cfg.get_bool("output", "emit_fields"):
+        if cfg.get("output", "emit_fields"):
             fd = out / "fields"
             fd.mkdir(parents=True, exist_ok=True)
 
@@ -113,10 +112,10 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
                 fieldio.write_field(field, fd / f"t_{t:.5f}.cpfield")
 
         rec = run_homotopy(d, f, nr, nz,
-                           t_step0=cfg.get_float("continuation", "t_step0"),
+                           t_step0=cfg.get("continuation", "t_step0"),
                            seed=seed,
-                           uniqueness_seeds=cfg.get_int("run", "uniqueness_seeds"),
-                           oracle_n=cfg.get_int("oracle", "N"),
+                           uniqueness_seeds=cfg.get("run", "uniqueness_seeds"),
+                           oracle_n=cfg.get("oracle", "N"),
                            field_sink=sink)
         (out / "continuation.csv").write_text(fieldio.continuation_csv(rec))
         if rec.final_verification is not None:
@@ -129,12 +128,11 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if rec.completed else 1
 
     if subcommand == "oracle3d":
-        if cfg.get_int("domain", "n") != 3:
+        if cfg.get("domain", "n") != 3:
             raise CplabError("oracle3d requires n = 3")
-        d, f, grid, u, rep = _solve_from_config(cfg)
-        if not rep.converged:
-            raise CplabError("oracle3d: the meridian solve did not converge")
-        vox = oracle3d.solve_3d(d, f, cfg.get_int("oracle", "N"))
+        d, f, grid, u, rep = _solve_from_config(
+            cfg, "oracle3d: the meridian solve did not converge")
+        vox = oracle3d.solve_3d(d, f, cfg.get("oracle", "N"))
         fieldio.write_voxels(vox, out / "oracle.cpvox")
         oc, ok = oracle3d.oracle_verdict(vox, u)
         (out / "oracle_compare.csv").write_text(fieldio.oracle_csv(oc))
@@ -223,9 +221,9 @@ def main(argv=None) -> int:
         if args.config is not None:
             cfg = parse_config(args.config)
         else:
-            cfg = RunConfig(raw={}, path="")
-        out = Path(args.out) if args.out else Path(str(cfg.get("output", "directory")))
-        seed = args.seed if args.seed is not None else cfg.get_int("run", "seed")
+            cfg = RunConfig()
+        out = Path(args.out) if args.out else Path(cfg.get("output", "directory"))
+        seed = args.seed if args.seed is not None else cfg.get("run", "seed")
         if seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {seed}")
         return run(args.command, cfg, out, seed,

@@ -1,12 +1,17 @@
 """Run configuration: line-based `key = value` files in `[section]` blocks.
 
-UTF-8, `#` comments, no nesting. Unknown keys or sections, duplicate keys,
-values of the wrong SCHEMA type (set keys the run does not read
-included), non-finite numbers and out-of-range values are hard errors
-with line numbers; missing required keys are reported together. Any file
-either parses into a RunConfig or raises ConfigError. `[domain] file` is
-a path: it stays a string here and is checked where it is read, by
-`build_domain` under `kind = tabulated`. Example:
+UTF-8, `#` comments, no nesting. SCHEMA gives every key one entry: the
+type its value parses to, its default and its inclusive bounds. Each set
+value is converted to its type once, at parse time, and RunConfig.get
+returns it, or the key's default when it is unset. Unknown keys or
+sections, duplicate keys, values of the wrong type (set keys the run
+does not read included) and non-finite numbers are reported together
+with their line numbers, as are missing required keys; then values
+outside their bounds and the rules no bound expresses are hard errors,
+one at a time. Any file either parses into a RunConfig or raises
+ConfigError. `[domain] file` is a path: it stays a string here and is
+checked where it is read, by `build_domain` under `kind = tabulated`.
+Example:
 
     [domain]
     kind = ball
@@ -30,121 +35,92 @@ from . import nonlinearity as nlin
 from . import oracle3d, verify
 from .errors import ConfigError, InvalidProfileError
 
-# Every section and key, with the type its value must parse as; a list is
-# a whitespace-separated list of finite numbers.
+
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: its value type, default and inclusive bounds.
+
+    A list is a whitespace-separated list of finite numbers. `note` is
+    appended to the message of a value above `high`.
+    """
+
+    type: type
+    default: object = None
+    low: float | None = None
+    high: float | None = None
+    note: str = ""
+    required: bool = False
+
+
+# Every section and key. The grid sizes and N take the node minimum of the
+# meridian grid (an unset nz is defaulted by grid_shape); a uniqueness
+# check needs at least one start.
 SCHEMA = {
-    "domain": {"kind": str, "a": float, "b": float, "coeffs": list, "file": str, "n": int},
-    "nonlinearity": {"form": str, "lambda": float, "c": float, "p": float,
-                     "alpha": float, "beta": float},
-    "grid": {"nr": int, "nz": int},
-    "continuation": {"t_step0": float},
-    "oracle": {"N": int},
-    "output": {"directory": str, "emit_fields": bool},
-    "run": {"seed": int, "uniqueness_seeds": int},
+    "domain": {"kind": Key(str, required=True), "a": Key(float), "b": Key(float),
+               "coeffs": Key(list), "file": Key(str), "n": Key(int, 3, low=2)},
+    "nonlinearity": {"form": Key(str, required=True), "lambda": Key(float),
+                     "c": Key(float), "p": Key(float), "alpha": Key(float),
+                     "beta": Key(float)},
+    "grid": {"nr": Key(int, 129, low=dom.MIN_NODES), "nz": Key(int, low=dom.MIN_NODES)},
+    "continuation": {"t_step0": Key(float, cont.T_STEP0_DEFAULT, high=cont.T_STEP0_MAX)},
+    "oracle": {"N": Key(int, 48, low=dom.MIN_NODES, high=oracle3d.N_MAX,
+                        note=" (desk scale)")},
+    "output": {"directory": Key(str, "out"), "emit_fields": Key(bool, False)},
+    "run": {"seed": Key(int, 0, low=0),
+            "uniqueness_seeds": Key(int, verify.UNIQUENESS_SEEDS, low=1)},
 }
 
-DEFAULTS = {
-    ("domain", "n"): 3,
-    ("grid", "nr"): 129,
-    ("continuation", "t_step0"): cont.T_STEP0_DEFAULT,
-    ("oracle", "N"): 48,
-    ("output", "directory"): "out",
-    ("output", "emit_fields"): False,
-    ("run", "seed"): 0,
-    ("run", "uniqueness_seeds"): verify.UNIQUENESS_SEEDS,
-}
 
-# Smallest accepted value of integer keys; [domain] n is checked by
-# build_domain. The grid sizes and N take the node minimum of the meridian
-# grid (an unset nz is defaulted by grid_shape); a uniqueness check needs
-# at least one start.
-INT_MINIMA = {
-    ("grid", "nr"): dom.MIN_NODES,
-    ("grid", "nz"): dom.MIN_NODES,
-    ("oracle", "N"): dom.MIN_NODES,
-    ("run", "seed"): 0,
-    ("run", "uniqueness_seeds"): 1,
-}
+def _typed(kind, text: str):
+    """`text` as a value of `kind`; a ValueError says why it is not one."""
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError("is not an integer") from None
+    if kind is bool:
+        if text.lower() in ("true", "yes", "1"):
+            return True
+        if text.lower() in ("false", "no", "0"):
+            return False
+        raise ValueError("is not a boolean")
+    try:
+        xs = [float(tok) for tok in text.split()] if kind is list else [float(text)]
+    except ValueError:
+        raise ValueError("is not a list of numbers" if kind is list
+                         else "is not a number") from None
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError("is not finite")
+    return xs if kind is list else xs[0]
 
 
 @dataclass
 class RunConfig:
-    """Typed view of a parsed configuration file."""
+    """The typed values of a parsed configuration file."""
 
-    raw: dict = field(default_factory=dict)  # (section, key) -> (value str, line)
+    values: dict = field(default_factory=dict)  # (section, key) -> (typed value, line)
     path: str = ""
 
     def get(self, section, key):
-        if (section, key) in self.raw:
-            return self.raw[(section, key)][0]
-        return DEFAULTS.get((section, key))
-
-    def get_float(self, section, key):
-        val = self.get(section, key)
-        if val is None:
-            return None
-        try:
-            x = float(val)
-        except (TypeError, ValueError):
-            raise self._error(section, key, f"= {val!r} is not a number") from None
-        if not math.isfinite(x):
-            raise self._error(section, key, f"= {val!r} is not finite")
-        return x
-
-    def get_int(self, section, key):
-        val = self.get(section, key)
-        if val is None:
-            return None
-        try:
-            return int(str(val))
-        except (TypeError, ValueError):
-            raise self._error(section, key, f"= {val!r} is not an integer") from None
-
-    def get_floats(self, section, key):
-        val = self.get(section, key)
-        if val is None:
-            return None
-        try:
-            xs = [float(tok) for tok in str(val).split()]
-        except ValueError:
-            raise self._error(section, key, f"= {val!r} is not a list of numbers") from None
-        if not all(math.isfinite(x) for x in xs):
-            raise self._error(section, key, f"= {val!r} is not finite")
-        return xs
-
-    def get_bool(self, section, key):
-        val = self.get(section, key)
-        if isinstance(val, bool) or val is None:
-            return val
-        text = str(val).strip().lower()
-        if text in ("true", "yes", "1"):
-            return True
-        if text in ("false", "no", "0"):
-            return False
-        raise self._error(section, key, f"= {val!r} is not a boolean")
-
-    def get_typed(self, section, key):
-        """The value read through the getter of the key's SCHEMA type."""
-        getter = {float: self.get_float, int: self.get_int, bool: self.get_bool,
-                  list: self.get_floats, str: self.get}[SCHEMA[section][key]]
-        return getter(section, key)
+        """The key's parsed value, or its SCHEMA default when the file leaves it unset."""
+        if (section, key) in self.values:
+            return self.values[(section, key)][0]
+        return SCHEMA[section][key].default
 
     # -- factories ------------------------------------------------------------
 
     def build_domain(self) -> dom.MeridianDomain:
         """The configured domain; a profile the parameters cannot make is a ConfigError."""
-        kind = str(self.get("domain", "kind"))
-        coeffs = self.get_floats("domain", "coeffs")
-        n = self.get_int("domain", "n")
-        if n < 2:
-            raise self._error("domain", "n", f"must be >= 2, got {n}")
+        kind = self.get("domain", "kind")
         try:
             if kind == "ball":
-                prof = dom.ball(self._require_float("domain", "a"))
+                prof = dom.ball(self._require("domain", "a"))
             elif kind == "spheroid":
-                prof = dom.spheroid(self._require_float("domain", "a"),
-                                    self._require_float("domain", "b"))
+                prof = dom.spheroid(self._require("domain", "a"), self._require("domain", "b"))
             elif kind == "bump":
+                coeffs = self.get("domain", "coeffs")
                 if not coeffs:
                     raise ConfigError(f"{self.path}: [domain] kind = bump requires coeffs")
                 prof = dom.polynomial_bump(coeffs)
@@ -159,14 +135,14 @@ class RunConfig:
                 raise self._error("domain", "kind", f"{kind!r} is unknown")
         except (ValueError, OSError, InvalidProfileError) as exc:
             raise self._error("domain", "kind", f"= {kind}: {exc}") from None
-        return dom.MeridianDomain(n, prof)
+        return dom.MeridianDomain(self.get("domain", "n"), prof)
 
     def build_nonlinearity(self) -> nlin.Nonlinearity:
         """The configured right-hand side; parameters out of range are a ConfigError."""
-        form = str(self.get("nonlinearity", "form"))
+        form = self.get("nonlinearity", "form")
 
         def num(key):
-            return self._require_float("nonlinearity", key)
+            return self._require("nonlinearity", key)
 
         try:
             if form == "constant":
@@ -188,8 +164,8 @@ class RunConfig:
 
     def grid_shape(self, d: dom.MeridianDomain):
         """(nr, nz) with nz defaulted to the isotropic hr = hz aspect."""
-        nr = self.get_int("grid", "nr")
-        nz = self.get_int("grid", "nz")
+        nr = self.get("grid", "nr")
+        nz = self.get("grid", "nz")
         if nz is None:
             hr = d.profile.R / (nr - 1)
             try:
@@ -200,33 +176,28 @@ class RunConfig:
         return nr, nz
 
     def validate(self):
-        for section, key in self.raw:
-            self.get_typed(section, key)
-        t_step0 = self.get_float("continuation", "t_step0")
-        if t_step0 <= 0:
+        for (section, key), (value, _) in self.values.items():
+            spec = SCHEMA[section][key]
+            if spec.low is not None and value < spec.low:
+                raise self._error(section, key, f"must be >= {spec.low}")
+            if spec.high is not None and value > spec.high:
+                raise self._error(section, key, f"must be <= {spec.high}{spec.note}")
+        if self.get("continuation", "t_step0") <= 0:
             raise self._error("continuation", "t_step0", "must be positive")
-        if t_step0 > cont.T_STEP0_MAX:
-            raise self._error("continuation", "t_step0", f"must be <= {cont.T_STEP0_MAX}")
-        for (section, key), low in INT_MINIMA.items():
-            value = self.get_int(section, key)
-            if value is not None and value < low:
-                raise self._error(section, key, f"must be >= {low}")
-        nz = self.get_int("grid", "nz")
+        nz = self.get("grid", "nz")
         if nz is not None and nz % 2 == 0:
             raise self._error("grid", "nz", f"must be odd, got {nz}")
-        if self.get_int("oracle", "N") > oracle3d.N_MAX:
-            raise self._error("oracle", "N", f"must be <= {oracle3d.N_MAX} (desk scale)")
         self.build_domain()
         self.build_nonlinearity()
 
-    def _require_float(self, section, key) -> float:
-        val = self.get_float(section, key)
+    def _require(self, section, key):
+        val = self.get(section, key)
         if val is None:
             raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
         return val
 
     def _error(self, section, key, message) -> ConfigError:
-        line = self.raw.get((section, key), (None, "?"))[1]
+        line = self.values.get((section, key), (None, "?"))[1]
         return ConfigError(f"{self.path}:{line}: [{section}] {key} {message}")
 
 
@@ -244,7 +215,7 @@ def parse_config(path) -> RunConfig:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
 
-    raw = {}
+    values = {}
     section = None
     errors = []
     for lineno, full in enumerate(lines, start=1):
@@ -267,20 +238,25 @@ def parse_config(path) -> RunConfig:
         if key not in SCHEMA[section]:
             errors.append(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
             continue
-        if (section, key) in raw:
-            first = raw[(section, key)][1]
+        if (section, key) in values:
+            first = values[(section, key)][1]
             errors.append(f"{path}:{lineno}: duplicate key [{section}] {key} "
                           f"(first set on line {first})")
             continue
-        raw[(section, key)] = (value, lineno)
+        try:
+            typed = _typed(SCHEMA[section][key].type, value)
+        except ValueError as exc:
+            errors.append(f"{path}:{lineno}: [{section}] {key} = {value!r} {exc}")
+            typed = None  # still recorded, so that a repeat of the key is a duplicate
+        values[(section, key)] = (typed, lineno)
 
-    missing = [f"[{s}] {k}" for s, k in (("domain", "kind"), ("nonlinearity", "form"))
-               if (s, k) not in raw]
+    missing = [f"[{s}] {k}" for s, keys in SCHEMA.items() for k, spec in keys.items()
+               if spec.required and (s, k) not in values]
     if missing:
         errors.append(f"{path}: missing required keys: {', '.join(missing)}")
     if errors:
         raise ConfigError("\n".join(errors))
 
-    cfg = RunConfig(raw=raw, path=path)
+    cfg = RunConfig(values=values, path=path)
     cfg.validate()
     return cfg

@@ -140,8 +140,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     Newton solve and the eigen gate, so a matrix that both factor (f_u
     independent of u) is factored once per grid.
     """
-    if t_step0 > T_STEP0_MAX:
-        raise ValueError(f"t_step0 must not exceed {T_STEP0_MAX}")
+    if not 0.0 < t_step0 <= T_STEP0_MAX:  # a zero step would never advance t
+        raise ValueError(f"t_step0 must lie in (0, {T_STEP0_MAX}]")
     n = target.n
     family = HomotopyFamily(target)
     rmax = max(family.a, target.profile.R)

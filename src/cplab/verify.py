@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import MeridianGrid, neighbours
-from .errors import GeometryViolationError, IndefiniteOperatorError, InternalContradictionError
+from .errors import (CplabError, GeometryViolationError, IndefiniteOperatorError,
+                     InternalContradictionError)
 from .interp import Bicubic, safe_cells, cell_index
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
@@ -214,17 +215,18 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     [0, 2*max(u_0)], and each converged solution is compared with the
     others and with the baseline u_0. The baseline is `base`, a solution
     the caller already holds, or else the zero-guess solution, which costs
-    one more Newton solve. A seed whose Newton solve does not converge, or
-    meets an indefinite linearization (IndefiniteOperatorError), is a
-    basin failure, not a uniqueness failure, and is reported separately;
-    any other error propagates. All solves share one operator, whose
+    one more Newton solve; if that solve does not converge, the result is
+    a CplabError. A seed whose Newton solve does not converge, or meets an
+    indefinite linearization (IndefiniteOperatorError), is a basin
+    failure, not a uniqueness failure, and is reported separately; any
+    other error propagates. All solves share one operator, whose
     factors are not kept: the pool threads would free each other's.
     """
     op = AxisymOperator(grid, n)
     if base is None:
         base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), op=op)
         if not rep.converged:
-            raise RuntimeError("baseline zero-guess solve did not converge")
+            raise CplabError("baseline zero-guess solve did not converge")
     amp = 2.0 * max(base.max_inside(), 0.0)
     rng = np.random.default_rng(seed)
     starts = [Field(grid, rng.uniform(0.0, amp, base.values.shape), n) for _ in range(seeds)]

@@ -35,9 +35,9 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 def test_parse_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, TORSION_BALL))
-    assert cfg.get_int("grid", "nr") == 49
-    assert cfg.get_int("oracle", "N") == 48
-    assert cfg.get_int("run", "seed") == 7
+    assert cfg.get("grid", "nr") == 49
+    assert cfg.get("oracle", "N") == 48
+    assert cfg.get("run", "seed") == 7
     d = cfg.build_domain()
     assert d.n == 3 and d.profile.kind == "ball"
     assert cfg.build_nonlinearity().form == "constant"
@@ -208,6 +208,29 @@ def test_oracle3d_refuses_n_other_than_3_before_solving(tmp_path, capsys, monkey
     assert status == 1
     assert "oracle3d requires n = 3" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("subcommand, message", [
+    ("solve", None),
+    ("eigen", "eigen: the base solve did not converge"),
+    ("census", "census: the base solve did not converge"),
+    ("verify", "verify: the base solve did not converge"),
+    ("oracle3d", "oracle3d: the meridian solve did not converge"),
+])
+def test_an_unconverged_solve_exits_1(tmp_path, capsys, monkeypatch, subcommand, message):
+    # gelfand(1) needs more than one Newton step from the zero guess.
+    monkeypatch.setattr(sv, "MAX_NEWTON", 1)
+    text = (TORSION_BALL.replace("form = constant\nc = 1.0", "form = gelfand\nlambda = 1.0")
+            .replace("nr = 49\nnz = 99", "nr = 17\nnz = 33"))
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    if message is None:  # solve writes its unconverged report and says so by the exit status
+        assert "error:" not in err
+        assert "false" in (out / "solve_report.csv").read_text()
+    else:
+        assert f"error: {message}\n" in err
 
 
 def test_report_with_no_artifacts_errors(tmp_path, capsys):

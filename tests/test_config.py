@@ -2,12 +2,13 @@
 
 import inspect
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cplab.config import DEFAULTS, SCHEMA, parse_config
+from cplab.config import SCHEMA, parse_config
 from cplab.continuation import run_homotopy
 from cplab.errors import ConfigError
 from cplab.verify import run_verification
@@ -49,8 +50,8 @@ def test_upper_limits_are_inclusive(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(VALID + b"[continuation]\nt_step0 = 0.1\n[oracle]\nN = 96\n")
     cfg = parse_config(path)
-    assert cfg.get_float("continuation", "t_step0") == 0.1
-    assert cfg.get_int("oracle", "N") == 96
+    assert cfg.get("continuation", "t_step0") == 0.1
+    assert cfg.get("oracle", "N") == 96
 
 
 def test_grid_below_nine_nodes_is_rejected(tmp_path):
@@ -61,13 +62,53 @@ def test_grid_below_nine_nodes_is_rejected(tmp_path):
             parse_config(path)
 
 
-@pytest.mark.parametrize("function, param, key", [
-    (run_homotopy, "t_step0", ("continuation", "t_step0")),
-    (run_homotopy, "uniqueness_seeds", ("run", "uniqueness_seeds")),
-    (run_verification, "seeds", ("run", "uniqueness_seeds")),
+@pytest.mark.parametrize("function, param, section, key", [
+    pytest.param(run_homotopy, "t_step0", "continuation", "t_step0",
+                 id="run_homotopy-t_step0"),
+    pytest.param(run_homotopy, "uniqueness_seeds", "run", "uniqueness_seeds",
+                 id="run_homotopy-uniqueness_seeds"),
+    pytest.param(run_verification, "seeds", "run", "uniqueness_seeds",
+                 id="run_verification-seeds"),
 ])
-def test_defaults_are_the_library_defaults(function, param, key):
-    assert DEFAULTS[key] == inspect.signature(function).parameters[param].default
+def test_defaults_are_the_library_defaults(function, param, section, key):
+    assert SCHEMA[section][key].default == inspect.signature(function).parameters[param].default
+
+
+# The required keys only: a section appended goes on line 7, its key on line 8.
+REQUIRED_ONLY = b"[domain]\nkind = ball\na = 1.0\n[nonlinearity]\nform = constant\nc = 1.0\n"
+BOUNDS = [pytest.param(section, key, bound, id=f"{section}-{key}-{bound}")
+          for section, keys in SCHEMA.items() for key, spec in keys.items()
+          for bound in ("low", "high") if getattr(spec, bound) is not None]
+
+
+@pytest.mark.parametrize("section, key, bound", BOUNDS)
+def test_every_bound_is_inclusive_and_rejects_one_step_beyond(tmp_path, section, key, bound):
+    spec = SCHEMA[section][key]
+    limit = getattr(spec, bound)
+    sign = -1 if bound == "low" else 1
+    beyond = limit + sign if spec.type is int else math.nextafter(limit, sign * math.inf)
+    path = tmp_path / "run.cfg"
+    path.write_bytes(REQUIRED_ONLY + f"[{section}]\n{key} = {limit!r}\n".encode())
+    assert parse_config(path).get(section, key) == limit
+    path.write_bytes(REQUIRED_ONLY + f"[{section}]\n{key} = {beyond!r}\n".encode())
+    relation = f">= {limit}" if bound == "low" else f"<= {limit}{spec.note}"
+    message = re.escape(f"cfg:8: [{section}] {key} must be {relation}") + "$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    pytest.param(section, key, id=f"{section}-{key}")
+    for section, keys in SCHEMA.items() for key, spec in keys.items()
+    if spec.default is not None])
+def test_an_unset_key_reads_its_default(tmp_path, section, key):
+    spec = SCHEMA[section][key]
+    assert isinstance(spec.default, spec.type)
+    assert spec.low is None or spec.default >= spec.low
+    assert spec.high is None or spec.default <= spec.high
+    path = tmp_path / "run.cfg"
+    path.write_bytes(REQUIRED_ONLY)
+    assert parse_config(path).get(section, key) == spec.default
 
 
 # A usable value for every key, so that many examples parse in full.
@@ -135,9 +176,9 @@ def test_any_config_parses_or_raises_config_error(tmp_path, data):
     path.write_bytes(data)
     try:
         cfg = parse_config(path)
-        for section, key in cfg.raw:
-            value = cfg.get_typed(section, key)
-            assert isinstance(value, SCHEMA[section][key])
+        for (section, key), (value, _) in cfg.values.items():
+            assert isinstance(value, SCHEMA[section][key].type)
+            assert value == cfg.get(section, key)
             if isinstance(value, list):
                 assert all(isinstance(x, float) and math.isfinite(x) for x in value)
         d = cfg.build_domain()

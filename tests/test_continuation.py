@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cplab import continuation as cont
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
@@ -46,10 +47,16 @@ def test_trivial_ball_target_completes_in_one_step():
     assert [s.t for s in rec.steps] == [0.0, 1.0]
 
 
-def test_step_cap_validation():
+def test_step_cap_validation(monkeypatch):
+    # A zero step never advances t: reject it before the first solve, not by hanging.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_homotopy solved with an invalid t_step0")
+
+    monkeypatch.setattr(cont, "_solve_and_gate", no_solve)
     target = dm.MeridianDomain(3, dm.ball(1.0))
-    with pytest.raises(ValueError):
-        run_homotopy(target, nlin.constant(1.0), 49, 99, t_step0=0.2)
+    for t_step0 in (0.2, 0.0, -0.05):
+        with pytest.raises(ValueError, match="t_step0"):
+            run_homotopy(target, nlin.constant(1.0), 49, 99, t_step0=t_step0)
 
 
 def test_homotopy_newton_solves_keep_the_solver_budget(monkeypatch):

@@ -203,6 +203,13 @@ def test_uniqueness_multistart_seeds_keep_the_solver_budget(gelfand_ball_65, mon
     assert vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2, base=u) == (0.0, 0, 2)
 
 
+def test_uniqueness_multistart_unconverged_baseline_is_a_cplab_error(monkeypatch):
+    monkeypatch.setattr(sv, "MAX_NEWTON", 1)
+    grid = dm.build_grid(dm.MeridianDomain(3, dm.ball(1.0)), 17, 33)
+    with pytest.raises(CplabError, match="baseline zero-guess solve did not converge"):
+        vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2)
+
+
 def test_uniqueness_multistart_near_fold():
     # close to the fold of the exponential branch: seeds may diverge (that is
     # a basin failure, reported separately), converged runs must agree.

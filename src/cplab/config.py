@@ -7,9 +7,10 @@ returns it, or the key's default when it is unset. Unknown keys or
 sections, duplicate keys, values of the wrong type (set keys the run
 does not read included) and non-finite numbers are reported together
 with their line numbers, as are missing required keys; then values
-outside their bounds and the rules no bound expresses are hard errors,
-one at a time. Any file either parses into a RunConfig or raises
-ConfigError. `[domain] file` is a path: it stays a string here and is
+outside their bounds and the rules no bound expresses (an odd nz, and a
+meridian grid, set or derived, of at most domain.MAX_NODES nodes) are
+hard errors, one at a time. Any file either parses into a RunConfig or
+raises ConfigError. `[domain] file` is a path: it stays a string here and is
 checked where it is read, by `build_domain` under `kind = tabulated`.
 Example:
 
@@ -187,7 +188,14 @@ class RunConfig:
         nz = self.get("grid", "nz")
         if nz is not None and nz % 2 == 0:
             raise self._error("grid", "nz", f"must be odd, got {nz}")
-        self.build_domain()
+        nr, nz_used = self.grid_shape(self.build_domain())
+        if nr * nz_used > dom.MAX_NODES:
+            size = (f"the {nr} x {nz_used} grid has {nr * nz_used} nodes, "
+                    f"above {dom.MAX_NODES} (desk scale)")
+            if nz is None:
+                raise ConfigError(f"{self.path}: [grid] nz derived from the domain's aspect: "
+                                  f"{size}; set [grid] nz or a smaller nr")
+            raise self._error("grid", "nz", f"= {nz}: {size}")
         self.build_nonlinearity()
 
     def _require(self, section, key):

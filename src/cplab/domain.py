@@ -24,6 +24,7 @@ from .errors import InvalidProfileError, ResolutionTooCoarseError
 
 _BISECT_STEPS = 45  # 2^-45 < 1e-13 relative arm tolerance; theta in [2^-46, 1 - 2^-46]
 MIN_NODES = 9  # fewest grid nodes along r or z
+MAX_NODES = 1025 * 1025  # most meridian grid nodes nr * nz a config may ask for: desk scale
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,7 @@ class CriticalPoint:
     hessian: np.ndarray
     signature: tuple  # (negative, zero, positive) inertia counts
     type: str         # max | min | saddle | degenerate | ring
-    value: float = np.nan
-    tau_h: float = np.nan
+    value: float
 
     @property
     def nondegenerate(self) -> bool:
@@ -295,7 +294,7 @@ def find_critical_points(u: Field) -> Census:
         if not on_axis:
             kind = "ring"
         points.append(CriticalPoint(r, z, on_axis, res, H, sig, kind,
-                                    value=float(uval.value(r, z)), tau_h=tau_h))
+                                    float(uval.value(r, z))))
     points.sort(key=lambda p: (-p.value, p.r, p.z))
 
     if not points:

@@ -86,10 +86,6 @@ class Field:
     def max_inside(self) -> float:
         return float(self.values[self.grid.inside].max())
 
-    @property
-    def t(self) -> float:
-        return self.grid.t
-
 
 @dataclass
 class SolveReport:
@@ -97,16 +93,17 @@ class SolveReport:
     final_residual: float
     converged: bool
     damping_events: int
-    min_value: float = np.nan
-    residual_history: list = None
+    min_value: float
+    residual_history: list
 
 
 class AxisymOperator:
     """Shortley-Weller discretization of -Lap on the active node set.
 
     `active` defaults to the grid's inside mask; passing a restricted mask
-    (e.g. the upper half plane) imposes a homogeneous Dirichlet line on the
-    removed nodes, which is how subdomain eigenvalues are computed.
+    (e.g. `grid.Z > 0`, the upper half plane) imposes a homogeneous
+    Dirichlet line on the removed nodes; `stability.smallest_eigenvalue`
+    on such an operator gives the eigenvalue of that region.
 
     The stencil is assembled once, as the CSR matrix `L` of Lap over the
     active nodes in the order of np.nonzero(active). `laplacian` and

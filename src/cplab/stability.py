@@ -4,10 +4,13 @@ A solution u is stable when the first Dirichlet eigenvalue of
 -Lap - f_u(., u) on the domain is positive. The smallest eigenvalue comes
 from inverse power iteration: the true Shortley-Weller operator
 -Lap - f_u is factored once and every iteration is one exact back-solve
-with that factor. The reported lambda1 is the operator Rayleigh quotient
+with that factor. The eigenvalue is that of the operator's active node
+set: the whole domain by default, or a part of it such as the reflection
+half-domain z > 0 when the caller passes an `AxisymOperator` built with
+that `active` mask. The reported lambda1 is the operator Rayleigh quotient
 (phi, (-Lap - f_u) phi) / (phi, phi), with the axisymmetric volume weight
 r^(n-2) (the angular measure factor cancels): the same quotient whose
-eigen residual the iteration drives below its tolerance, so the residual
+eigen residual the iteration drives below TOL_EIG, so the residual
 certifies the number that is reported. `rayleigh_quotient` evaluates the
 variational form of the quotient with node-sampled gradients; it is a
 cross-check, not part of the certificate.
@@ -32,7 +35,7 @@ from .errors import EigenFailureError, IndefiniteOperatorError, UndefinedQuotien
 from .nonlinearity import Nonlinearity
 from .solver import AxisymOperator, Field, derivative_field
 
-TOL_EIG_DEFAULT = 1e-8
+TOL_EIG = 1e-8
 MAX_EIG_ITER = 200
 
 
@@ -44,8 +47,8 @@ class StabilityReport:
     eigenfield: Field
     iterations: int
     residual: float
-    shift: float = 0.0
-    single_signed: bool = True
+    shift: float
+    single_signed: bool
 
     @property
     def margin(self) -> float:
@@ -86,34 +89,22 @@ def rayleigh_quotient(u: Field, nl: Nonlinearity, phi: Field) -> float:
     return (grad2 - op.dot(fp * pv, pv)) / denom
 
 
-def smallest_eigenvalue(u: Field, nl: Nonlinearity,
-                        tol_eig: float = TOL_EIG_DEFAULT,
-                        subdomain: str | None = None,
-                        phi0: Field | None = None,
+def smallest_eigenvalue(u: Field, nl: Nonlinearity, phi0: Field | None = None,
                         op: AxisymOperator | None = None) -> StabilityReport:
-    """Inverse power iteration for the first eigenvalue of -Lap - f_u.
+    """Inverse power iteration for the first eigenvalue of -Lap - f_u on op.active.
 
-    `subdomain` of 'z>0' masks the grid at the equatorial plane with a
-    Dirichlet line (reusing all stencils), which is how the eigenvalue on
-    the reflection half-domain is estimated. The reported lambda1 is
+    `op` is the operator to factor, on u's grid and in u's dimension; by
+    default the whole domain's. An operator built with a restricted
+    `active` mask, e.g. `AxisymOperator(grid, n, active=grid.Z > 0)` for
+    the reflection half-domain, gives the eigenvalue on that region,
+    with a Dirichlet line on the removed nodes. The reported lambda1 is
     the operator Rayleigh quotient of the last iterate, and its residual
-    ||(-Lap - f_u) phi - lambda1 phi|| must fall to `tol_eig * max(1, |lambda1|)`
-    within MAX_EIG_ITER steps, or EigenFailureError is raised. The grid and
-    the dimension are those of u. `op`, when given, is the full-domain
-    operator of that grid and dimension to factor; it cannot be combined
-    with a subdomain. The shift rule is the module's;
-    when its fallback factor fails too, EigenFailureError names the shift.
+    ||(-Lap - f_u) phi - lambda1 phi|| must fall to TOL_EIG * max(1, |lambda1|)
+    within MAX_EIG_ITER steps, or EigenFailureError is raised. The shift
+    rule is the module's; when its fallback factor fails too,
+    EigenFailureError names the shift. The eigenfield is 0 off op.active.
     """
-    grid = u.grid
-    active = None
-    if subdomain == "z>0":
-        active = np.broadcast_to((grid.zs > 0.0)[:, None], grid.inside.shape)
-    elif subdomain is not None:
-        raise ValueError("subdomain must be None or 'z>0'")
-    if op is not None and subdomain is not None:
-        raise ValueError("op is a full-domain operator; a subdomain builds its own")
-
-    op = op or AxisymOperator(grid, u.n, active=active)
+    op = op or AxisymOperator(u.grid, u.n)
     c = np.where(op.active, _fprime_field(u, nl), 0.0)
 
     phi = np.where(op.active, 1.0, 0.0) if phi0 is None else np.where(op.active, phi0.values, 0.0)
@@ -146,10 +137,10 @@ def smallest_eigenvalue(u: Field, nl: Nonlinearity,
         lam_op = op.dot(phi, Lphi)
         residual = op.norm(Lphi - lam_op * phi)
         iterations += 1
-        if residual <= tol_eig * max(1.0, abs(lam_op)):
+        if residual <= TOL_EIG * max(1.0, abs(lam_op)):
             break
 
-    if residual > tol_eig * max(1.0, abs(lam_op)):
+    if residual > TOL_EIG * max(1.0, abs(lam_op)):
         raise EigenFailureError(
             f"inverse iteration stalled at residual {residual:.3g} after {iterations} steps")
 
@@ -159,7 +150,7 @@ def smallest_eigenvalue(u: Field, nl: Nonlinearity,
     vals = phi[op.active]
     single_signed = bool(vals.min() * vals.max() > 0.0)
 
-    eigenfield = Field(grid, np.where(op.active, phi, 0.0), u.n)
+    eigenfield = Field(u.grid, np.where(op.active, phi, 0.0), u.n)
     return StabilityReport(
         lambda1=lam_op, eigenfield=eigenfield, iterations=iterations,
         residual=residual, shift=shift, single_signed=single_signed)

@@ -133,11 +133,17 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
     sample (r, z) is the 3-D point (r, 0, ..., 0, z) with r > lambda, and
     its reflection lands at radius |2*lambda - r| with the same z. For a
     monotone profile the reflected region stays inside the domain; this is
-    verified and a violation raises GeometryViolationError. Samples whose
-    reflected interpolation stencil touches the boundary are skipped (a
-    grid-width strip, consistent with checking the open reflected set).
+    verified against the grid's profile and a violation raises
+    GeometryViolationError; a grid with no profile (a field from
+    `read_field` that `fieldio.on_domain` has not rebuilt) raises
+    ValueError. Samples whose reflected interpolation stencil touches the
+    boundary are skipped (a grid-width strip, consistent with checking the
+    open reflected set).
     """
     g = u.grid
+    if g.g is None:
+        raise ValueError("the moving-plane check needs the grid's profile; "
+                         "a field from read_field gets it from fieldio.on_domain")
     inside_cols = np.nonzero(g.inside.any(axis=0))[0]
     r_max = g.rs[inside_cols[-1]] if inside_cols.size else 0.0
     if lambdas is None:
@@ -155,12 +161,9 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
         r_src = R[sel]
         z_src = Z[sel]
         r_ref = np.abs(2.0 * lam - r_src)
-        if g.g is not None:
-            gout = np.asarray(g.g(r_ref), float)
-            bad = np.abs(z_src) >= gout
-            if np.any(bad & (np.abs(z_src) < np.asarray(g.g(r_src), float))):
-                raise GeometryViolationError(
-                    f"reflection at lambda={lam:g} leaves the domain")
+        bad = np.abs(z_src) >= np.asarray(g.g(r_ref), float)
+        if np.any(bad & (np.abs(z_src) < np.asarray(g.g(r_src), float))):
+            raise GeometryViolationError(f"reflection at lambda={lam:g} leaves the domain")
         jc, ic = cell_index(g.rs, g.zs, r_ref, z_src)
         ok = cells[jc, ic]
         if not ok.any():

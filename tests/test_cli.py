@@ -86,7 +86,7 @@ def test_cpfield_round_trip_byte_identical(tmp_path, torsion_ball_65):
     fieldio.write_field(f2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(np.where(grid.inside, u.values, 0.0), f2.values)
-    assert f2.n == 3 and f2.t == 1.0
+    assert f2.n == 3 and f2.grid.t == 1.0
 
 
 def test_cpvox_round_trip(tmp_path):

@@ -34,6 +34,12 @@ VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant
     (VALID + b"[output]\nemit_fields = maybe\n",
      r"cfg:9: \[output\] emit_fields = 'maybe' is not a boolean"),
     (VALID + b"[grid]\nnz = 16\n", r"cfg:9: \[grid\] nz must be odd, got 16$"),
+    (VALID + b"[grid]\nnr = 100000\nnz = 100001\n",
+     r"cfg:10: \[grid\] nz = 100001: the 100000 x 100001 grid has 10000100000 nodes, "
+     r"above 1050625 \(desk scale\)$"),
+    (VALID.replace(b"kind = ball\na = 1.0", b"kind = spheroid\na = 0.01\nb = 100"),
+     r"cfg: \[grid\] nz derived from the domain's aspect: the 129 x 2560001 grid has "
+     r"330240129 nodes, above 1050625 \(desk scale\); set \[grid\] nz"),
     (VALID.replace(b"n = 3\n", b"n = 3\ncoeffs = abc\nfile = nowhere.dat\n"),
      r"cfg:5: \[domain\] coeffs = 'abc' is not a list of numbers"),
     (VALID.replace(b"kind = ball", b"kind = bump\ncoeffs = 1 nan 1"),
@@ -52,6 +58,14 @@ def test_upper_limits_are_inclusive(tmp_path):
     cfg = parse_config(path)
     assert cfg.get("continuation", "t_step0") == 0.1
     assert cfg.get("oracle", "N") == 96
+
+
+@pytest.mark.parametrize("nr, nz", [(385, 385), (1025, 1025)])
+def test_grids_up_to_the_node_bound_parse(tmp_path, nr, nz):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(VALID + f"[grid]\nnr = {nr}\nnz = {nz}\n".encode())
+    cfg = parse_config(path)
+    assert cfg.grid_shape(cfg.build_domain()) == (nr, nz)
 
 
 def test_grid_below_nine_nodes_is_rejected(tmp_path):

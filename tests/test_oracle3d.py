@@ -53,6 +53,21 @@ def test_gelfand_center_matches_shooting():
     assert center_value(v) == pytest.approx(GELFAND1_U0, rel=1e-2)
 
 
+def test_cg_budget_exhausted_is_an_oracle_failure(monkeypatch):
+    op = o3._VoxelOperator(dm.MeridianDomain(3, dm.ball(1.0)), 16)
+    rhs = np.ones(op.r.size)
+    cycles = []
+    v_cycle = o3._v_cycle
+    monkeypatch.setattr(o3, "_v_cycle", lambda levels, r: cycles.append(1) or v_cycle(levels, r))
+    op.solve_spd(0.0, rhs)
+    assert len(cycles) > 6  # solvable, but not within 5 iterations
+    cycles.clear()
+    monkeypatch.setattr(o3, "_CG_MAX_ITER", 5)
+    with pytest.raises(OracleFailureError, match="^voxel linear solve did not converge$"):
+        op.solve_spd(0.0, rhs)
+    assert len(cycles) <= 6
+
+
 def test_symmetry_witnesses_on_converged_solve(ball_torsion_vox):
     _, v = ball_torsion_vox
     rot, mir = o3.symmetry_witnesses(v)

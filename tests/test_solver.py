@@ -89,7 +89,7 @@ THRESHOLD_CASES = [(2, 49, 97, None), (3, 65, 129, None), (4, 49, 97, None),
 
 @pytest.mark.parametrize("n, nr, nz, b", THRESHOLD_CASES, ids=[
     f"{n}-{nr}-{nz}" + ("" if b is None else f"-spheroid{b}") for n, nr, nz, b in THRESHOLD_CASES])
-def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
+def test_definiteness_threshold_is_the_first_eigenvalue(monkeypatch, n, nr, nz, b):
     # The pivots test the operator that is solved: -Lap - c solves right
     # up to its first eigenvalue and raises just past it. For n >= 5 the
     # weighted operator is not a Z-matrix, so no M-matrix theorem backs
@@ -97,8 +97,8 @@ def test_definiteness_threshold_is_the_first_eigenvalue(n, nr, nz, b):
     # shift-invert Arnoldi) pins it instead.
     profile = dm.ball(1.0) if b is None else dm.spheroid(1.0, b)
     grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
-    rep = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0),
-                                 tol_eig=1e-10)
+    monkeypatch.setattr(st, "TOL_EIG", 1e-10)
+    rep = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0))
     assert rep.shift == 0.0
     op = sv.AxisymOperator(grid, n)
     phi = rep.eigenfield.values
@@ -309,7 +309,7 @@ def test_field_io_shape_contract(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     assert u.values.shape == (grid.nz, grid.nr)
     assert u.values[grid.inside].min() > 0.0
-    assert u.t == grid.t == 1.0
+    assert u.grid.t == grid.t == 1.0
 
 
 def test_a_field_zeroes_its_exterior_and_is_read_only(torsion_ball_65):

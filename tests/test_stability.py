@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cplab import domain as dm
 from cplab import nonlinearity as nlin
@@ -64,13 +66,14 @@ def test_smallest_eigenvalue_ball(torsion_ball_65):
 
 
 @pytest.mark.parametrize("a", [5.0, 25.0])
-def test_affine_shift_identity(torsion_ball_65, a):
+def test_affine_shift_identity(torsion_ball_65, monkeypatch, a):
     # lambda1(-Lap - a) = lambda1(-Lap) - a. Past pi^2 the factor at shift 0
     # is indefinite, and the eigen solve falls back to the shift max f_u = a,
     # so the unstable linearization is still measured and reported.
     grid, u, _, _ = torsion_ball_65
-    r0 = st.smallest_eigenvalue(u, nlin.constant(1.0), tol_eig=1e-9)
-    ra = st.smallest_eigenvalue(u, nlin.affine(a, 1.0), tol_eig=1e-9)
+    monkeypatch.setattr(st, "TOL_EIG", 1e-9)
+    r0 = st.smallest_eigenvalue(u, nlin.constant(1.0))
+    ra = st.smallest_eigenvalue(u, nlin.affine(a, 1.0))
     assert abs(ra.lambda1 - (r0.lambda1 - a)) <= 1e-10
     unstable = a > BALL_LAMBDA1
     assert ra.shift == (a if unstable else 0.0)
@@ -108,10 +111,37 @@ def test_torsion_always_stable(spheroid_torsion_129):
 def test_halfdomain_eigenvalue_monotonicity(torsion_ball_65):
     grid, u, _, _ = torsion_ball_65
     full = st.smallest_eigenvalue(u, nlin.constant(1.0))
-    half = st.smallest_eigenvalue(u, nlin.constant(1.0), subdomain="z>0")
+    half = st.smallest_eigenvalue(u, nlin.constant(1.0),
+                                  op=sv.AxisymOperator(grid, 3, active=grid.Z > 0))
     assert half.lambda1 >= full.lambda1 - 1e-6
     # the hemisphere's first eigenvalue is markedly larger
     assert half.lambda1 > 1.5 * full.lambda1
+
+
+def bump(height, power):
+    """height * (1 - r^2)^power: a cap for power 1, a spindle for power 2."""
+    return dm.polynomial_bump(height * (np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** power).coef)
+
+
+@settings(max_examples=25, deadline=None)
+@given(profile=hst.one_of(hst.builds(dm.spheroid, hst.floats(0.5, 1.5), hst.floats(0.3, 1.5)),
+                          hst.builds(bump, hst.floats(0.4, 1.5), hst.sampled_from([1, 2]))),
+       n=hst.sampled_from([3, 4, 5]),
+       lam=hst.none() | hst.floats(0.1, 1.0),
+       shape=hst.sampled_from([(17, 33), (33, 33), (33, 65)]))
+def test_halfdomain_eigenvalue_is_at_least_the_whole_domains(profile, n, lam, shape):
+    # Domain monotonicity: removing nodes cannot lower the first Dirichlet
+    # eigenvalue, whatever the potential f_u. lam None is f = 1 (f_u = 0).
+    grid = dm.build_grid(dm.MeridianDomain(n, profile), *shape)
+    nl = nlin.constant(1.0) if lam is None else nlin.gelfand(lam)
+    u, rep = sv.newton_solve(grid, n, nl, sv.Field.zeros(grid, n))
+    assert rep.converged
+    full = st.smallest_eigenvalue(u, nl)
+    half_op = sv.AxisymOperator(grid, n, active=grid.Z > 0)
+    half = st.smallest_eigenvalue(u, nl, op=half_op)
+    assert half.lambda1 >= full.lambda1 - (full.margin + half.margin)
+    assert np.all(half.eigenfield.values[~half_op.active] == 0.0)
+    assert half.single_signed
 
 
 def test_stable_means_lambda1_strictly_above_ten_residuals(torsion_ball_65):
@@ -168,10 +198,3 @@ def test_gelfand_eigen_solve_in_keep_factor_makes_a_fresh_factor(gelfand_ball_65
         assert len(factor_count) == start + 1  # f_u moved with u
     assert kept.shift == 0.0
     assert_same_report(kept, plain)
-
-
-def test_subdomain_eigen_solve_refuses_a_full_domain_operator(torsion_ball_65):
-    grid, u, _, _ = torsion_ball_65
-    with pytest.raises(ValueError):
-        st.smallest_eigenvalue(u, nlin.constant(1.0), subdomain="z>0",
-                               op=sv.AxisymOperator(grid, 3))

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
 from cplab import domain as dm
+from cplab import fieldio
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
 from cplab import stability
@@ -57,6 +58,15 @@ def test_moving_plane_torsion(torsion_ball_65):
     # near-empty slab as lambda -> a: margin still defined and small
     m_edge = vf.moving_plane_check(u, lambdas=[0.95])
     assert m_edge <= vf.eps_disc(grid)
+
+
+def test_moving_plane_needs_the_profile_of_a_read_back_field(tmp_path, torsion_ball_65, ball3):
+    grid, u, _, _ = torsion_ball_65
+    fieldio.write_field(u, tmp_path / "u.cpfield")
+    stored, _ = fieldio.read_field(tmp_path / "u.cpfield")
+    with pytest.raises(ValueError, match="fieldio.on_domain"):
+        vf.moving_plane_check(stored)
+    assert vf.moving_plane_check(fieldio.on_domain(stored, ball3)) == vf.moving_plane_check(u)
 
 
 def test_moving_plane_rejects_radially_increasing_field(torsion_ball_65):

@@ -144,8 +144,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         raise ValueError(f"t_step0 must lie in (0, {T_STEP0_MAX}]")
     n = target.n
     family = HomotopyFamily(target)
-    rmax = max(family.a, target.profile.R)
-    zmax = family.a
+    rmax, zmax = family.box
     record = ContinuationRecord()
 
     def grid_at(t):

@@ -185,6 +185,15 @@ class HomotopyFamily:
         """Radius of the starting ball: the target's half-height on the axis."""
         return self.target.profile.a0
 
+    @property
+    def box(self) -> tuple[float, float]:
+        """(rmax, zmax) of the one grid box that holds every g_t, t in [0, 1].
+
+        g_t <= t max g + (1 - t) a, and g may peak off the axis, above a.
+        """
+        prof = self.target.profile
+        return max(self.a, prof.R), max(self.a, profile_height(prof, prof.R))
+
     def profile_at(self, r, t: float):
         """g_t(r) = t*g(r) + (1-t)*sqrt(a^2 - r^2), both parts zero-extended."""
         if not 0.0 <= t <= 1.0:
@@ -313,13 +322,18 @@ def classify_nodes(inside: np.ndarray):
     return interior, inside & ~interior
 
 
+def profile_height(g, R: float) -> float:
+    """The sampled max of the profile g on [0, R]: a height that clips no off-axis peak."""
+    return float(np.max(g(np.linspace(0.0, R, 1025))))
+
+
 def build_grid(d, nr: int, nz: int, *, t: float | None = None,
                rmax: float | None = None, zmax: float | None = None) -> MeridianGrid:
     """Classify nodes and compute cut-arm fractions for a domain.
 
     `d` is a MeridianDomain, or a HomotopyFamily with the parameter `t`.
-    Explicit rmax/zmax let a fixed bounding box cover a whole homotopy run;
-    the default zmax, the sampled max of g on [0, R], clips no off-axis peak.
+    Explicit rmax/zmax let a fixed bounding box cover a whole homotopy run
+    (`HomotopyFamily.box`); the default zmax is `profile_height`.
     """
     if nr < MIN_NODES or nz < MIN_NODES:
         raise ValueError(f"nr and nz must be at least {MIN_NODES}")
@@ -341,8 +355,7 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     if not np.isfinite(g0) or g0 <= 0:
         raise InvalidProfileError("profile must be positive at r = 0")
     rmax = float(rmax) if rmax is not None else R_t
-    zmax = float(zmax) if zmax is not None else max(
-        g0, float(np.max(g(np.linspace(0.0, R_t, 1025)))))
+    zmax = float(zmax) if zmax is not None else max(g0, profile_height(g, R_t))
 
     rs, zs = node_axes(nr, nz, rmax, zmax)
     gvals = np.asarray(g(rs), dtype=float)

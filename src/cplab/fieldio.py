@@ -12,8 +12,9 @@ parse the data block with one `np.loadtxt`; the bytes are those of
 `float` applied token by token. A data line with the wrong number of
 values or a token that is not a number raises ConfigError naming the
 file and the line's 1-based number (header and comment lines counted),
-and so does a header size that no grid has (fewer than 2 nodes or
-voxels a side, or an even nz, which has no equator line).
+and so does a header value that no grid has: fewer than 2 nodes or
+voxels a side, an even nz (no equator line), an extent that is not
+finite and positive or a zmin other than -zmax, or a t outside [0, 1].
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ def read_field(path):
         if nr < 2 or nz < 2 or nz % 2 == 0:
             raise ConfigError(f"{path}:{k + 3}: grid {nr} {nz} needs nr >= 2 and an odd nz >= 3")
         rmax, zmin, zmax = (float(tok) for tok in lines[k + 3].split()[1:4])
+        if not (0.0 < rmax < np.inf and 0.0 < zmax < np.inf and zmin == -zmax):
+            raise ConfigError(f"{path}:{k + 4}: extent needs finite rmax, zmax > 0, zmin = -zmax")
         t = float(lines[k + 4].split()[1])
+        if not 0.0 <= t <= 1.0:
+            raise ConfigError(f"{path}:{k + 5}: t {t:g} must lie in [0, 1]")
         if lines[k + 5] != "data":
             raise ConfigError(f"{path}: missing 'data' marker")
     except (IndexError, ValueError) as exc:
@@ -209,6 +214,8 @@ def read_voxels(path) -> VoxelField:
         if N < 2:
             raise ConfigError(f"{path}:{k + 2}: N {N} needs at least 2 voxels a side")
         R, a0 = (float(tok) for tok in lines[k + 2].split()[1:3])
+        if not (0.0 < R < np.inf and 0.0 < a0 < np.inf):
+            raise ConfigError(f"{path}:{k + 3}: extent needs finite R, a0 > 0")
         if lines[k + 3] != "data":
             raise ConfigError(f"{path}: missing 'data' marker")
     except (IndexError, ValueError) as exc:
@@ -236,10 +243,10 @@ def solve_report_csv(report) -> str:
 
 def stability_csv(report) -> str:
     out = io.StringIO()
-    out.write("lambda1,residual,iterations,stable,margin,single_signed\n")
+    out.write("lambda1,residual,iterations,stable,margin,single_signed,shift\n")
     out.write(f"{fmt(report.lambda1)},{fmt(report.residual)},{report.iterations},"
               f"{fmt_bool(report.stable)},{fmt(report.margin)},"
-              f"{fmt_bool(report.single_signed)}\n")
+              f"{fmt_bool(report.single_signed)},{fmt(report.shift)}\n")
     return out.getvalue()
 
 

@@ -12,16 +12,17 @@ a cut arm of length theta*h carries the homogeneous boundary value at
 the cut point.
 
 The stencil is assembled once per operator, as the CSR matrix L of Lap
-over the active nodes; every product with the operator is a product with
-L. The discrete operator is self-adjoint under the axisymmetric volume
-weight w = r^(n-2) (exactly so in the bulk for n = 2 and n = 3; cut
-arms perturb symmetry locally). The operator holds B = W(-Lap), L's rows
-scaled by -w; the weighted operator W(-Lap - c) = B - diag(w c) is
-factored once by sparse LU (SuperLU, symmetric mode, diagonal pivots),
-and every solve is one exact back-solve with that factor. The same
-pivots test definiteness: a nonpositive pivot raises
-IndefiniteOperatorError — the numerical signature of an unstable
-linearization.
+over the active nodes; every product, factor and solve works on vectors
+over those nodes: a grid array enters as `values[op.nodes]`, a vector
+leaves as `op.field(v)`. The discrete operator is self-adjoint under the
+axisymmetric volume weight w = r^(n-2) (exactly so in the bulk for n = 2
+and n = 3; cut arms perturb symmetry locally). The operator holds
+B = W(-Lap), L's rows scaled by -w; the weighted operator
+W(-Lap - c) = B - diag(w c) is factored once by sparse LU (SuperLU,
+symmetric mode, diagonal pivots), and every solve is one exact
+back-solve with that factor. The same pivots test definiteness: a
+nonpositive pivot raises IndefiniteOperatorError — the numerical
+signature of an unstable linearization.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class AxisymOperator:
     on such an operator gives the eigenvalue of that region.
 
     The stencil is assembled once, as the CSR matrix `L` of Lap over the
-    active nodes in the order of np.nonzero(active). `laplacian` and
-    `apply` multiply by it; `B`, the matrix every factor shifts, is L's
-    pattern with each row scaled by minus the volume weight, and `nodes`
-    are the active nodes in its order.
+    active nodes `nodes`, in the order of np.nonzero(active). Every vector
+    the operator takes or returns is over those nodes, as are `r`, `z` and
+    the volume weight `w`; `field` makes a Field of one. `B`, the matrix
+    every factor shifts, is L's pattern with each row scaled by -w.
     """
 
     def __init__(self, grid: MeridianGrid, n: int, active: np.ndarray | None = None):
@@ -154,8 +155,9 @@ class AxisymOperator:
         g, n = self.grid, self.n
         hr, hz = g.hr, g.hz
         act = self.active
-        self._flat = np.flatnonzero(act)
-        nun = self._flat.size
+        self.nodes = np.nonzero(act)
+        nun = self.nodes[0].size
+        self.r, self.z = g.R[self.nodes], g.Z[self.nodes]
 
         # Rows in the order centre, E, W, N, S, so that a product adds its
         # terms in the order of the five-point stencil. A coupling runs to
@@ -176,7 +178,7 @@ class AxisymOperator:
         # control-volume average so the weighted operator stays symmetric.
         w = g.R ** (n - 2) if n > 2 else np.ones(act.shape)
         w[:, 0] = (hr / 2.0) ** (n - 1) / ((n - 1) * hr)
-        self.w = np.where(act, w, 0.0)
+        self.w = w[self.nodes]
         self.cell = hr * hz
         # B = W(-Lap), the weighted Laplacian that every factor shifts: L's
         # rows scaled by -w, on copies of L's index arrays, so that a
@@ -186,23 +188,21 @@ class AxisymOperator:
         # stays in that thread's malloc arena, which raised peak RSS by
         # 2.3 MB on the 97x97 spheroid homotopy.
         L = self.L
-        wrow = np.repeat(np.take(self.w, self._flat), np.diff(L.indptr))
+        wrow = np.repeat(self.w, np.diff(L.indptr))
         self.B = sp.csr_matrix((-L.data * wrow, L.indices.copy(), L.indptr.copy()),
                                shape=L.shape)
-        self.nodes = np.nonzero(act)  # the active nodes in the order of B's rows
+
+    def field(self, v: np.ndarray) -> Field:
+        """The vector v as a Field, 0 off the active set."""
+        values = np.zeros(self.active.shape)
+        values[self.nodes] = v
+        return Field(self.grid, values, self.n)
 
     # -- operator application ------------------------------------------------
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Discrete Lap applied to values (exterior entries ignored)."""
-        out = np.zeros(self.active.shape)
-        np.put(out, self._flat, self.L @ np.take(values, self._flat))
-        return out
-
-    def apply(self, values: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """(-Lap - c) applied to values."""
-        out = -self.laplacian(values) - c * values
-        return np.where(self.active, out, 0.0)
+    def apply(self, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """(-Lap - c) applied to v."""
+        return -(self.L @ v) - c * v
 
     # -- inner products and norms ---------------------------------------------
 
@@ -212,20 +212,17 @@ class AxisymOperator:
     def norm(self, a: np.ndarray) -> float:
         return np.sqrt(max(self.dot(a, a), 0.0))
 
-    def linf(self, a: np.ndarray) -> float:
-        return float(np.abs(a[self.active]).max(initial=0.0))
-
     # -- linear solves -----------------------------------------------------------
 
     @contextlib.contextmanager
     def keep_factor(self):
         """Within the block, `factor` returns its last factor for an equal system.
 
-        The factor is reused when `c` is equal on the active nodes, so a
-        Newton solve and an eigen solve of the same matrix share one
-        factorization. A different system drops the kept factor before it
-        factors, and leaving the block drops it, so at most one kept factor
-        is resident. Not for operators shared between threads.
+        The factor is reused for an equal `c`, so a Newton solve and an
+        eigen solve of the same matrix share one factorization. A different
+        system drops the kept factor before it factors, and leaving the
+        block drops it, so at most one kept factor is resident. Not for
+        operators shared between threads.
         """
         self._keeping = True
         try:
@@ -279,15 +276,14 @@ class ShiftedFactor:
     and the 97x97 spheroid, with the same pivots and a slightly smaller
     factor (one process, OpenBLAS on one thread).
 
-    The factor keeps the weight and the node index, not the operator, so
-    an operator that keeps its factor forms no reference cycle with it.
+    The factor keeps the weight, not the operator, so an operator that
+    keeps its factor forms no reference cycle with it.
     """
 
     def __init__(self, op: AxisymOperator, c: np.ndarray):
-        self._nodes = op.nodes
         self._w = op.w
-        self._c = np.broadcast_to(c, op.w.shape)[self._nodes]
-        A = op.B - sp.diags(self._w[self._nodes] * self._c)
+        self._c = np.broadcast_to(c, op.w.shape).copy()
+        A = op.B - sp.diags(self._w * self._c)
         try:
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            relax=1, panel_size=1, options=dict(SymmetricMode=True))
@@ -301,21 +297,17 @@ class ShiftedFactor:
         self._lu = lu
 
     def matches(self, c: np.ndarray) -> bool:
-        """Whether this factors (-Lap - c): equal c on the active nodes."""
-        return np.array_equal(np.broadcast_to(c, self._w.shape)[self._nodes], self._c)
+        """Whether this factors (-Lap - c): an equal c."""
+        return np.array_equal(np.broadcast_to(c, self._w.shape), self._c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Exact solve of (-Lap - c) x = rhs: one back-solve of W rhs."""
-        x = np.zeros_like(self._w)
-        x[self._nodes] = self._lu.solve((self._w * rhs)[self._nodes])
-        return x
+        return self._lu.solve(self._w * rhs)
 
 
-def pde_residual(op: AxisymOperator, nl: Nonlinearity, values: np.ndarray) -> np.ndarray:
-    """Residual Lap(u) + f(x, u) of the PDE in -Lap u = f form."""
-    g = op.grid
-    f = np.where(op.active, nl.eval(g.R, g.Z, values), 0.0)
-    return np.where(op.active, op.laplacian(values) + f, 0.0)
+def pde_residual(op: AxisymOperator, nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
+    """Residual Lap(u) + f(x, u) of the PDE in -Lap u = f form, u over op.nodes."""
+    return op.L @ u + nl.eval(op.r, op.z, u)
 
 
 def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
@@ -327,29 +319,28 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
     does not decrease. The solve converges when that residual falls to
     TOL_PDE and stops unconverged after MAX_NEWTON steps. An indefinite
     linearization propagates out as IndefiniteOperatorError: there is no
-    stable solution to converge to.
+    stable solution to converge to. The field is 0 off op's active nodes.
     """
     op = op or AxisymOperator(grid, n)
-    u = np.where(op.active, u0.values, 0.0)
-    if not np.all(np.isfinite(u[op.active])):
+    u = u0.values[op.nodes]
+    if not np.all(np.isfinite(u)):
         raise ValueError("initial guess contains non-finite values")
 
     resvec = pde_residual(op, nl, u)
-    res = op.linf(resvec)
+    res = float(np.abs(resvec).max(initial=0.0))
     history = [res]
     iters = 0
     damping_events = 0
     converged = res <= TOL_PDE
 
     while not converged and iters < MAX_NEWTON:
-        c = np.where(op.active, nl.eval_du(grid.R, grid.Z, u), 0.0)
-        delta = op.solve(c, resvec)
+        delta = op.solve(nl.eval_du(op.r, op.z, u), resvec)
         step = 1.0
         accepted = False
         for halving in range(21):
             u_try = u + step * delta
             res_try_vec = pde_residual(op, nl, u_try)
-            res_try = op.linf(res_try_vec)
+            res_try = float(np.abs(res_try_vec).max(initial=0.0))
             if np.isfinite(res_try) and res_try < res:
                 accepted = True
                 break
@@ -364,11 +355,10 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
         history.append(res)
         converged = res <= TOL_PDE
 
-    field = Field(grid, u, n)
-    min_value = float(u[op.active].min()) if np.any(op.active) else np.nan
+    min_value = float(u.min()) if u.size else np.nan
     if converged and nl.positive_at_zero and min_value <= 0.0:
         logger.warning("converged solution is not strictly positive (min %.3g)", min_value)
-    return field, SolveReport(iters, res, converged, damping_events, min_value, history)
+    return op.field(u), SolveReport(iters, res, converged, damping_events, min_value, history)
 
 
 def derivative_field(u: Field, direction: str) -> Field:

@@ -7,11 +7,13 @@ from inverse power iteration: the true Shortley-Weller operator
 with that factor. The eigenvalue is that of the operator's active node
 set: the whole domain by default, or a part of it such as the reflection
 half-domain z > 0 when the caller passes an `AxisymOperator` built with
-that `active` mask. The reported lambda1 is the operator Rayleigh quotient
-(phi, (-Lap - f_u) phi) / (phi, phi), with the axisymmetric volume weight
-r^(n-2) (the angular measure factor cancels): the same quotient whose
-eigen residual the iteration drives below TOL_EIG, so the residual
-certifies the number that is reported. `rayleigh_quotient` evaluates the
+that `active` mask. The iteration works on vectors over those nodes, in
+the order of `op.nodes`, and the eigenfield leaves through `op.field`,
+0 off the active set. The reported lambda1 is the operator Rayleigh
+quotient (phi, (-Lap - f_u) phi) / (phi, phi), with the axisymmetric
+volume weight r^(n-2) (the angular measure factor cancels): the same
+quotient whose eigen residual the iteration drives below TOL_EIG, so
+the residual certifies the number that is reported. `rayleigh_quotient` evaluates the
 variational form of the quotient with node-sampled gradients; it is a
 cross-check, not part of the certificate.
 
@@ -65,11 +67,6 @@ class StabilityReport:
         return bool(self.lambda1 > self.margin)
 
 
-def _fprime_field(u: Field, nl: Nonlinearity) -> np.ndarray:
-    g = u.grid
-    return np.where(g.inside, nl.eval_du(g.R, g.Z, u.values), 0.0)
-
-
 def rayleigh_quotient(u: Field, nl: Nonlinearity, phi: Field) -> float:
     """(sum w |grad phi|^2 - sum w f_u phi^2) / (sum w phi^2).
 
@@ -78,14 +75,14 @@ def rayleigh_quotient(u: Field, nl: Nonlinearity, phi: Field) -> float:
     dimension of u. Raises for phi == 0.
     """
     op = AxisymOperator(u.grid, u.n)
-    pv = phi.values
+    pv = phi.values[op.nodes]
     denom = op.dot(pv, pv)
     if denom == 0.0:
         raise UndefinedQuotientError("Rayleigh quotient of the zero field")
-    dr = derivative_field(phi, "r").values
-    dz = derivative_field(phi, "z").values
+    dr = derivative_field(phi, "r").values[op.nodes]
+    dz = derivative_field(phi, "z").values[op.nodes]
     grad2 = op.dot(dr, dr) + op.dot(dz, dz)
-    fp = _fprime_field(u, nl)
+    fp = nl.eval_du(op.r, op.z, u.values[op.nodes])
     return (grad2 - op.dot(fp * pv, pv)) / denom
 
 
@@ -105,9 +102,9 @@ def smallest_eigenvalue(u: Field, nl: Nonlinearity, phi0: Field | None = None,
     EigenFailureError names the shift. The eigenfield is 0 off op.active.
     """
     op = op or AxisymOperator(u.grid, u.n)
-    c = np.where(op.active, _fprime_field(u, nl), 0.0)
+    c = nl.eval_du(op.r, op.z, u.values[op.nodes])
 
-    phi = np.where(op.active, 1.0, 0.0) if phi0 is None else np.where(op.active, phi0.values, 0.0)
+    phi = np.ones(op.w.size) if phi0 is None else phi0.values[op.nodes]
     nrm = op.norm(phi)
     if nrm == 0.0:
         raise UndefinedQuotientError("empty active set for eigen iteration")
@@ -117,16 +114,13 @@ def smallest_eigenvalue(u: Field, nl: Nonlinearity, phi0: Field | None = None,
     try:
         lu = op.factor(c)
     except IndefiniteOperatorError:
-        shift = float(c[op.active].max())
+        shift = float(c.max())
         try:
             lu = op.factor(c - shift)
         except IndefiniteOperatorError as exc:
             raise EigenFailureError(f"eigen solve failed at shift {shift:.6g}: {exc}") from None
 
-    lam_op = None
-    residual = np.inf
-    iterations = 0
-    for _ in range(MAX_EIG_ITER):
+    for iterations in range(1, MAX_EIG_ITER + 1):
         x = lu.solve(phi)
         nrm = op.norm(x)
         if not np.isfinite(nrm) or nrm == 0.0:
@@ -136,21 +130,16 @@ def smallest_eigenvalue(u: Field, nl: Nonlinearity, phi0: Field | None = None,
         Lphi = op.apply(phi, c)
         lam_op = op.dot(phi, Lphi)
         residual = op.norm(Lphi - lam_op * phi)
-        iterations += 1
         if residual <= TOL_EIG * max(1.0, abs(lam_op)):
             break
-
-    if residual > TOL_EIG * max(1.0, abs(lam_op)):
+    else:
         raise EigenFailureError(
             f"inverse iteration stalled at residual {residual:.3g} after {iterations} steps")
 
     # First eigenfunction: orient positive and record single-signedness.
-    if np.sum(phi[op.active]) < 0.0:
+    if np.sum(phi) < 0.0:
         phi = -phi
-    vals = phi[op.active]
-    single_signed = bool(vals.min() * vals.max() > 0.0)
-
-    eigenfield = Field(u.grid, np.where(op.active, phi, 0.0), u.n)
+    single_signed = bool(phi.min() * phi.max() > 0.0)
     return StabilityReport(
-        lambda1=lam_op, eigenfield=eigenfield, iterations=iterations,
+        lambda1=lam_op, eigenfield=op.field(phi), iterations=iterations,
         residual=residual, shift=shift, single_signed=single_signed)

@@ -190,23 +190,24 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
     the axis, where v is even in r and the radial mode equation
     degenerates, is never scanned.
     """
-    g = u.grid
     n = u.n
-    v = derivative_field(u, direction).values
-    bulk = _bulk_mask(g)
+    dv = derivative_field(u, direction)
+    bulk = _bulk_mask(u.grid)
     if not bulk.any():
         return np.nan
-    R, Z = g.R, g.Z
-    fu = nl.eval_du(R, Z, u.values)
-    lap = AxisymOperator(g, n).laplacian(v)
+    op = AxisymOperator(u.grid, n)
+    r, z, scan = op.r, op.z, bulk[op.nodes]
+    uv, v = u.values[op.nodes], dv.values[op.nodes]
+    fu = nl.eval_du(r, z, uv)
+    lap = op.L @ v
     if direction == "z":
-        fdir = nl.eval_dz(R, Z, u.values)
+        fdir = nl.eval_dz(r, z, uv)
     else:
-        fdir = nl.eval_dr(R, Z, u.values)
-        lap[bulk] -= (n - 2) / (R[bulk] * R[bulk]) * v[bulk]
+        fdir = nl.eval_dr(r, z, uv)
+        lap[scan] -= (n - 2) / (r[scan] * r[scan]) * v[scan]
 
     resid = lap + fu * v + fdir
-    return float(np.abs(resid[bulk]).max())
+    return float(np.abs(resid[scan]).max())
 
 
 def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,

@@ -145,12 +145,12 @@ class SlicingStencil:
     def apply(self, values, c):
         return np.where(self.active, -self.laplacian(values) - c * values, 0.0)
 
-    def weighted_matrix(self, w):
+    def weighted_matrix(self, wn):
+        """The weighted matrix for the weight `wn` over the active nodes in C order."""
         nun = int(np.count_nonzero(self.active))
         idx = -np.ones(self.active.shape, dtype=np.int64)
         idx[self.active] = np.arange(nun)
         jj, ii = np.nonzero(self.active)
-        wn = w[jj, ii]
         rows, cols, data = [idx[jj, ii]], [idx[jj, ii]], [-self.cP[jj, ii] * wn]
         for coeff, dj, di in ((self.cE, 0, 1), (self.cW, 0, -1), (self.cN, 1, 0), (self.cS, -1, 0)):
             cvals = coeff[jj, ii]

@@ -68,6 +68,31 @@ def test_homotopy_newton_solves_keep_the_solver_budget(monkeypatch):
         run_homotopy(target, nlin.gelfand(1.0), 33, 33, uniqueness_seeds=2)
 
 
+def test_homotopy_box_holds_a_target_that_peaks_off_the_axis():
+    # g(0) = 0.3 but max g = 0.5: a box of height g(0) would cut the target
+    # off at |z| = 0.3. Every grid of the run must have build_grid's height.
+    target = dm.MeridianDomain(3, dm.tabulated([0.0, 0.3, 0.55, 0.8, 1.0],
+                                               [0.3, 0.4, 0.5, 0.35, 0.0]))
+    family = dm.HomotopyFamily(target)
+    rmax, zmax = family.box
+    assert (rmax, zmax) == (1.0, dm.build_grid(target, 65, 65).zmax)
+    assert zmax > 0.49
+    assert not dm.build_grid(family, 65, 65, t=1.0, rmax=rmax, zmax=zmax).inside[-1].any()
+
+    class Stop(Exception):
+        pass
+
+    grids = []
+
+    def sink(t, u):  # the ball's grid is enough: stop after the t = 0 solve
+        grids.append(u.grid)
+        raise Stop
+
+    with pytest.raises(Stop):
+        run_homotopy(target, nlin.constant(1.0), 65, 65, field_sink=sink)
+    assert (grids[0].rmax, grids[0].zmax) == (rmax, zmax)
+
+
 def test_small_homotopy_completes_and_replays():
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.6))
     kw = dict(t_step0=0.1, uniqueness_seeds=2, seed=4)

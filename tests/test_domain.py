@@ -290,7 +290,8 @@ def test_a_stored_field_gets_the_classes_of_build_grid(tmp_path_factory, case, t
         g = dm.build_grid(d, nr, nz)
     else:
         family = dm.HomotopyFamily(d)
-        g = dm.build_grid(family, nr, nz, t=t, rmax=max(family.a, d.profile.R), zmax=family.a)
+        rmax, zmax = family.box
+        g = dm.build_grid(family, nr, nz, t=t, rmax=rmax, zmax=zmax)
     path = tmp_path_factory.mktemp("cpfield") / "u.cpfield"
     fieldio.write_field(Field(g, np.where(g.inside, 1.0, 0.0), 3), path)
     stored = fieldio.read_field(path)[0].grid

@@ -219,14 +219,14 @@ def test_verify_field_with_a_short_row_is_a_config_error(tmp_path, capsys):
 # -- Impossible header sizes: ConfigError naming the header line.
 
 
-def cpfield_text(nr, nz):
+def cpfield_text(nr, nz, extent="1 -1 1", t="1"):
     rows = "".join(" ".join(["0"] * max(nr, 0)) + "\n" for _ in range(max(nz, 0)))
-    return f"# sizes\nCPFIELD 1\nn 3\ngrid {nr} {nz}\nextent 1 -1 1\nt 1\ndata\n" + rows
+    return f"# sizes\nCPFIELD 1\nn 3\ngrid {nr} {nz}\nextent {extent}\nt {t}\ndata\n" + rows
 
 
-def cpvox_text(N):
+def cpvox_text(N, extent="1 1"):
     rows = "".join(" ".join(["0"] * max(N, 0)) + "\n" for _ in range(max(N, 0) ** 2))
-    return f"# sizes\nCPVOX 1\nN {N}\nextent 1 1\ndata\n" + rows
+    return f"# sizes\nCPVOX 1\nN {N}\nextent {extent}\ndata\n" + rows
 
 
 @pytest.mark.parametrize("kind, text, line", [
@@ -234,9 +234,23 @@ def cpvox_text(N):
     ("cpfield", cpfield_text(3, 1), 4),
     ("cpfield", cpfield_text(0, 0), 4),
     ("cpfield", cpfield_text(3, 4), 4),
+    ("cpfield", cpfield_text(3, 3, extent="1 -0.5 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="1 1 -1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="nan -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="0 -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="inf -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="1 -0 0"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="1 nan nan"), 5),
+    ("cpfield", cpfield_text(3, 3, t="1.5"), 6),
+    ("cpfield", cpfield_text(3, 3, t="-0.25"), 6),
+    ("cpfield", cpfield_text(3, 3, t="nan"), 6),
     ("cpvox", cpvox_text(1), 3),
     ("cpvox", cpvox_text(0), 3),
     ("cpvox", cpvox_text(-2), 3),
+    ("cpvox", cpvox_text(2, extent="nan 1"), 4),
+    ("cpvox", cpvox_text(2, extent="1 0"), 4),
+    ("cpvox", cpvox_text(2, extent="-1 1"), 4),
+    ("cpvox", cpvox_text(2, extent="1 inf"), 4),
 ])
 def test_impossible_header_size_is_a_config_error_naming_its_line(tmp_path, kind, text, line):
     path = tmp_path / f"f.{kind}"

@@ -21,65 +21,54 @@ from oracles import (GELFAND1_U0, SlicingStencil, gelfand_radial_shoot, manufact
 def test_laplacian_exact_on_quadratic(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     u = sv.Field.from_function(grid, 3, lambda R, Z: (1 - R ** 2 - Z ** 2) / 6.0)
-    lap = sv.AxisymOperator(grid, 3).laplacian(u.values)
+    op = sv.AxisymOperator(grid, 3)
+    lap = op.L @ u.values[op.nodes]
     # Interior nodes: exact up to rounding. Cut arms are covered by
     # test_torsion_is_exact_on_balls_and_spheroids.
-    assert np.abs(lap[grid.interior] + 1.0).max() < 1e-9
+    assert np.abs(lap[grid.interior[op.nodes]] + 1.0).max() < 1e-9
 
 
 def test_laplacian_trivial_fields(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     op = sv.AxisymOperator(grid, 3)
-    zero = sv.Field.zeros(grid, 3)
-    assert op.linf(op.laplacian(zero.values)) == 0.0
-    lin = sv.Field.from_function(grid, 3, lambda R, Z: Z)
-    lap = op.laplacian(lin.values)
-    assert np.abs(lap[grid.interior]).max() < 1e-9
+    assert not (op.L @ np.zeros(op.r.size)).any()
+    lap = op.L @ op.z
+    assert np.abs(lap[grid.interior[op.nodes]]).max() < 1e-9
 
 
 def test_solve_linear_torsion(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
-    rhs = sv.Field.from_function(grid, 3, lambda R, Z: np.ones_like(R))
-    c = sv.Field.zeros(grid, 3)
-    phi = sv.AxisymOperator(grid, 3).solve(c.values, rhs.values)
-    assert phi[grid.origin_index] == pytest.approx(1.0 / 6.0, rel=2e-4)
+    op = sv.AxisymOperator(grid, 3)
+    phi = op.field(op.solve(0.0, np.ones(op.r.size)))
+    assert phi.values[grid.origin_index] == pytest.approx(1.0 / 6.0, rel=2e-4)
 
 
 def test_solve_linear_zero_rhs(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     op = sv.AxisymOperator(grid, 3)
-    phi = op.solve(sv.Field.zeros(grid, 3).values, sv.Field.zeros(grid, 3).values)
-    assert op.linf(phi) == 0.0
+    phi = op.solve(np.zeros(op.r.size), np.zeros(op.r.size))
+    assert phi.shape == (op.r.size,) and not phi.any()
 
 
 def test_solve_linear_definiteness_threshold(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
-    rhs = sv.Field.from_function(grid, 3, lambda R, Z: np.ones_like(R))
     lam1 = np.pi ** 2
     op = sv.AxisymOperator(grid, 3)
-    ok = op.solve(
-        sv.Field.from_function(grid, 3, lambda R, Z: 0.5 * lam1 * np.ones_like(R)).values,
-        rhs.values)
-    assert np.isfinite(op.linf(ok))
+    rhs = np.ones(op.r.size)
+    assert np.all(np.isfinite(op.solve(np.full(op.r.size, 0.5 * lam1), rhs)))
     with pytest.raises(IndefiniteOperatorError):
-        op.solve(sv.Field.from_function(grid, 3, lambda R, Z: 2.0 * lam1 * np.ones_like(R)).values,
-                 rhs.values)
+        op.solve(np.full(op.r.size, 2.0 * lam1), rhs)
 
 
 def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
     # The discrete lambda1 of the unit ball is ~pi^2: -Lap - 9 is positive
     # definite, -Lap - 10.5 is not, and the pivots of the factor say so.
     grid, _, _, _ = torsion_ball_65
-    rhs = sv.Field.from_function(grid, 3, lambda R, Z: np.ones_like(R))
-
-    def const(value):
-        return sv.Field.from_function(grid, 3, lambda R, Z: value * np.ones_like(R))
-
     op = sv.AxisymOperator(grid, 3)
-    phi = op.solve(const(9.0).values, rhs.values)
-    assert phi[grid.inside].min() > 0.0
+    rhs = np.ones(op.r.size)
+    assert op.solve(np.full(op.r.size, 9.0), rhs).min() > 0.0
     with pytest.raises(IndefiniteOperatorError, match="pivot"):
-        op.solve(const(10.5).values, rhs.values)
+        op.solve(np.full(op.r.size, 10.5), rhs)
 
 
 THRESHOLD_CASES = [(2, 49, 97, None), (3, 65, 129, None), (4, 49, 97, None),
@@ -101,22 +90,18 @@ def test_definiteness_threshold_is_the_first_eigenvalue(monkeypatch, n, nr, nz, 
     rep = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0))
     assert rep.shift == 0.0
     op = sv.AxisymOperator(grid, n)
-    phi = rep.eigenfield.values
+    phi = rep.eigenfield.values[op.nodes]
     lam = op.dot(phi, op.apply(phi, 0.0)) / op.dot(phi, phi)
-    W_inv = sp.diags(1.0 / op.w[op.active])
+    W_inv = sp.diags(1.0 / op.w)
     arnoldi = spla.eigs((W_inv @ op.B).tocsc(), k=1, sigma=0.0,
                         return_eigenvectors=False)[0]
     assert abs(arnoldi.imag) <= 1e-9 * lam
     assert lam == pytest.approx(arnoldi.real, rel=1e-9)
-    rhs = sv.Field.from_function(grid, n, lambda R, Z: np.ones_like(R))
-
-    def const(value):
-        return sv.Field.from_function(grid, n, lambda R, Z: value * np.ones_like(R))
-
+    rhs = np.ones(op.r.size)
     for c in (lam - 1e-4, lam - 0.05):
-        assert op.solve(const(c).values, rhs.values)[grid.inside].min() > 0.0
+        assert op.solve(np.full(op.r.size, c), rhs).min() > 0.0
     with pytest.raises(IndefiniteOperatorError, match="pivot"):
-        op.solve(const(lam + 1e-4).values, rhs.values)
+        op.solve(np.full(op.r.size, lam + 1e-4), rhs)
 
 
 def default_supernode_factor(op, c):
@@ -125,7 +110,7 @@ def default_supernode_factor(op, c):
     Returns the factor, or None where ShiftedFactor's definiteness test
     (diagonal pivots, all positive) fails on it.
     """
-    A = (op.B - sp.diags(op.w[op.active] * c)).tocsc()
+    A = (op.B - sp.diags(op.w * c)).tocsc()
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     definite = np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0.0
@@ -147,15 +132,14 @@ def test_column_factor_agrees_with_default_supernodes(profile, nr, nz, n):
     grid = dm.build_grid(dm.MeridianDomain(n, profile), nr, nz)
     op = sv.AxisymOperator(grid, n)
     lam = st.smallest_eigenvalue(sv.Field.zeros(grid, n), nlin.constant(1.0)).lambda1
-    rhs = np.where(grid.inside, np.random.default_rng(n).standard_normal(grid.inside.shape), 0.0)
+    rhs = np.random.default_rng(n).standard_normal(op.r.size)
     for c in (0.0, 0.95 * lam):
         factor = sv.ShiftedFactor(op, c)
         assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
         ref = default_supernode_factor(op, c)
         assert ref is not None
         x = factor.solve(rhs)
-        x_ref = np.zeros_like(x)
-        x_ref[op.active] = ref.solve((op.w * rhs)[op.active])
+        x_ref = ref.solve(op.w * rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     with pytest.raises(IndefiniteOperatorError):
         sv.ShiftedFactor(op, 1.05 * lam)
@@ -235,11 +219,10 @@ def test_manufactured_solution_convergence_order():
         g = dm.build_grid(d, nr, nz)
         ustar, F, _, _ = manufactured_problem(3)
         op = sv.AxisymOperator(g, 3)
-        Z, R = np.meshgrid(g.zs, g.rs, indexing="ij")
         ref = SlicingStencil(g, 3, g.inside)
-        rhs = np.where(g.inside, F(R, Z), 0.0) + ref.dirichlet_rhs(ustar)
-        x = op.solve(np.zeros_like(rhs), rhs)
-        err = np.abs(x - np.where(g.inside, ustar(R, Z), 0.0))[g.inside].max()
+        rhs = F(op.r, op.z) + ref.dirichlet_rhs(ustar)[op.nodes]
+        x = op.solve(0.0, rhs)
+        err = np.abs(x - ustar(op.r, op.z)).max()
         errors[nr] = err
     ratio = errors[65] / errors[129]
     assert ratio >= 3.4, f"observed ratio {ratio:.2f}"
@@ -296,6 +279,18 @@ def test_derivative_field_is_exact_on_the_sampled_quadratic(a, b, nr, half):
         assert np.all(err <= 1e-9 * gmax + slack[grid.inside]), (direction, err.max() / gmax)
 
 
+def test_newton_on_a_restricted_operator_solves_on_its_active_nodes(torsion_ball_65):
+    # The half-domain z > 0, with a Dirichlet line on the removed nodes.
+    grid, _, _, _ = torsion_ball_65
+    op = sv.AxisymOperator(grid, 3, active=grid.Z > 0)
+    nl = nlin.gelfand(1.0)
+    u, rep = sv.newton_solve(grid, 3, nl, sv.Field.zeros(grid, 3), op=op)
+    assert rep.converged and rep.newton_iterations > 1
+    assert not u.values[~op.active].any()
+    assert u.values[op.nodes].min() > 0.0
+    assert np.abs(sv.pde_residual(op, nl, u.values[op.nodes])).max() <= sv.TOL_PDE
+
+
 def test_newton_rejects_nonfinite_start(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     vals = np.zeros(grid.inside.shape)
@@ -329,7 +324,7 @@ def test_a_field_zeroes_its_exterior_and_is_read_only(torsion_ball_65):
 def test_factor_outside_keep_factor_is_fresh(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     op = sv.AxisymOperator(grid, 3)
-    c = np.zeros(grid.inside.shape)
+    c = np.zeros(op.r.size)
     assert op.factor(c) is not op.factor(c)
     with op.keep_factor():
         kept = op.factor(c)
@@ -339,23 +334,22 @@ def test_factor_outside_keep_factor_is_fresh(torsion_ball_65):
 def test_kept_factor_is_reused_for_an_equal_system_only(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     op = sv.AxisymOperator(grid, 3)
-    c = np.zeros(grid.inside.shape)
+    c = np.zeros(op.r.size)
     with op.keep_factor():
         kept = op.factor(c)
-        # Values outside the active nodes are not part of the system.
-        assert op.factor(np.where(grid.inside, c, 7.0)) is kept
         assert op.factor(c - 0.0) is kept
         shifted = op.factor(c - 1.0)
         assert shifted is not kept
         assert op.factor(c - 1.0) is shifted
-        other = op.factor(np.where(grid.inside, 1.0, 0.0) - 1.0)
-        assert other is not shifted
+        # The shifted factor replaced the first one: c is factored afresh.
+        other = op.factor(c)
+        assert other is not shifted and other is not kept
 
 
 def test_dropping_an_operator_frees_its_kept_factor(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
-    c = np.zeros(grid.inside.shape)
-    rhs = np.where(grid.inside, 1.0, 0.0)
+    c = np.zeros(int(grid.inside.sum()))
+    rhs = np.ones_like(c)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -402,8 +396,8 @@ def test_csr_operator_is_the_slicing_stencil():
                 ref = SlicingStencil(grid, n, op.active)
                 rng = np.random.default_rng(100 * n + nr)
                 v, c = rng.standard_normal((2,) + grid.inside.shape)
-                assert_bitwise(op.laplacian(v), ref.laplacian(v))
-                assert_bitwise(op.apply(v, c), ref.apply(v, c))
+                assert_bitwise(op.L @ v[op.nodes], ref.laplacian(v)[op.nodes])
+                assert_bitwise(op.apply(v[op.nodes], c[op.nodes]), ref.apply(v, c)[op.nodes])
                 B, B_ref = op.B.tocsc(), ref.weighted_matrix(op.w).tocsc()
                 assert_bitwise(B.data, B_ref.data)
                 assert np.array_equal(B.indices, B_ref.indices)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from cplab import domain as dm
+from cplab import fieldio
 from cplab import nonlinearity as nlin
 from cplab import solver as sv
 from cplab import stability as st
-from cplab.errors import UndefinedQuotientError
+from cplab.errors import EigenFailureError, UndefinedQuotientError
 
 from oracles import BALL_LAMBDA1, ball_lambda1
 
@@ -62,7 +63,14 @@ def test_smallest_eigenvalue_ball(torsion_ball_65):
     assert rep.single_signed
     # unit norm in the weighted discrete L2
     op = sv.AxisymOperator(grid, 3)
-    assert op.norm(rep.eigenfield.values) == pytest.approx(1.0, abs=1e-10)
+    assert op.norm(rep.eigenfield.values[op.nodes]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_eigen_iteration_past_its_budget_raises(torsion_ball_65, monkeypatch):
+    _, u, _, _ = torsion_ball_65
+    monkeypatch.setattr(st, "MAX_EIG_ITER", 2)
+    with pytest.raises(EigenFailureError, match="stalled at residual .* after 2 steps"):
+        st.smallest_eigenvalue(u, nlin.constant(1.0))
 
 
 @pytest.mark.parametrize("a", [5.0, 25.0])
@@ -79,6 +87,9 @@ def test_affine_shift_identity(torsion_ball_65, monkeypatch, a):
     assert ra.shift == (a if unstable else 0.0)
     assert ra.stable is not unstable
     assert ra.single_signed
+    # eigen_report.csv records the shift its lambda1 was measured at.
+    header, row = fieldio.stability_csv(ra).splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["shift"]) == ra.shift
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])

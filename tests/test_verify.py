@@ -316,11 +316,9 @@ def test_derivative_residual_calibration_still_covers():
     grid = dm.build_grid(d, 65, 129)
     ustar, F, Fr, Fz = manufactured_problem(3)
     op = sv.AxisymOperator(grid, 3)
-    Z, R = np.meshgrid(grid.zs, grid.rs, indexing="ij")
     ref = SlicingStencil(grid, 3, grid.inside)
-    rhs = np.where(grid.inside, F(R, Z), 0.0) + ref.dirichlet_rhs(ustar)
-    x = op.solve(np.zeros_like(rhs), rhs)
-    u = sv.Field(grid, x, 3)
+    rhs = F(op.r, op.z) + ref.dirichlet_rhs(ustar)[op.nodes]
+    u = op.field(op.solve(0.0, rhs))
     # The u-independent source f(r, z): f_u = 0, analytic spatial partials.
     src = SimpleNamespace(eval_du=lambda r, z, u: np.zeros_like(u),
                           eval_dz=lambda r, z, u: Fz(r, z),

@@ -9,9 +9,9 @@ target domain and along the explicit homotopy from a ball to it.
 """
 
 from .continuation import ContinuationRecord, run_homotopy, warm_start_transfer
-from .domain import (HomotopyFamily, MeridianDomain, MeridianGrid,
-                     ProfileFunction, ball, build_grid, polynomial_bump,
-                     spheroid, tabulated, tabulated_from_file, validate_simple_domain)
+from .domain import (MeridianDomain, MeridianGrid, ProfileFunction, ball, build_grid,
+                     polynomial_bump, spheroid, tabulated, tabulated_from_file,
+                     validate_simple_domain)
 from .morse import Census, CriticalPoint, classify, find_critical_points, hessian_at
 from .nonlinearity import (Nonlinearity, affine, check_hypotheses, constant,
                            gelfand, power, separable, tabulated_phi)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle3d
-from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, build_grid
+from .domain import MeridianDomain, MeridianGrid, build_grid
 from .errors import CplabError, IndefiniteOperatorError, EigenFailureError
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
@@ -143,12 +143,11 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     if not 0.0 < t_step0 <= T_STEP0_MAX:  # a zero step would never advance t
         raise ValueError(f"t_step0 must lie in (0, {T_STEP0_MAX}]")
     n = target.n
-    family = HomotopyFamily(target)
-    rmax, zmax = family.box
+    rmax, zmax = target.homotopy_box
     record = ContinuationRecord()
 
     def grid_at(t):
-        return build_grid(family, nr, nz, t=t, rmax=rmax, zmax=zmax)
+        return build_grid(target, nr, nz, t=t, rmax=rmax, zmax=zmax)
 
     t0 = time.perf_counter()
     grid = grid_at(0.0)
@@ -162,8 +161,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
 
     # A target identical to the ball keeps the family constant; jump to 1.
     probe = np.linspace(0.0, rmax, 257)
-    trivial = bool(np.max(np.abs(family.profile_at(probe, 1.0)
-                                 - family.profile_at(probe, 0.0))) <= 1e-13 * max(family.a, 1.0))
+    trivial = bool(np.max(np.abs(target.profile_at(probe, 1.0) - target.profile_at(probe, 0.0)))
+                   <= 1e-13 * max(target.profile.a0, 1.0))
 
     t = 0.0
     step = t_step0 if not trivial else 1.0

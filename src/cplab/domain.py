@@ -16,6 +16,7 @@ a = g(0) (t = 0) and the target profile (t = 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -158,7 +159,12 @@ def _first_zero_of(f, hi: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class MeridianDomain:
-    """A simple rotationally symmetric domain in R^n along the x_n axis."""
+    """A simple rotationally symmetric domain in R^n along the x_n axis.
+
+    It also carries the homotopy from the ball B_a, a = profile.a0 (t = 0),
+    to itself (t = 1): the profile g_t of `profile_at`, its first zero
+    `first_zero(t)` and the one grid box `homotopy_box` that holds them all.
+    """
 
     n: int
     profile: ProfileFunction
@@ -173,42 +179,32 @@ class MeridianDomain:
         z = np.asarray(z, dtype=float)
         return (r >= 0) & (np.abs(z) < self.profile(r))
 
-
-@dataclass(frozen=True)
-class HomotopyFamily:
-    """Continuous deformation from the ball B_a (t=0) to the target (t=1)."""
-
-    target: MeridianDomain
-
-    @property
-    def a(self) -> float:
-        """Radius of the starting ball: the target's half-height on the axis."""
-        return self.target.profile.a0
-
-    @property
-    def box(self) -> tuple[float, float]:
-        """(rmax, zmax) of the one grid box that holds every g_t, t in [0, 1].
-
-        g_t <= t max g + (1 - t) a, and g may peak off the axis, above a.
-        """
-        prof = self.target.profile
-        return max(self.a, prof.R), max(self.a, profile_height(prof, prof.R))
-
     def profile_at(self, r, t: float):
         """g_t(r) = t*g(r) + (1-t)*sqrt(a^2 - r^2), both parts zero-extended."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("homotopy parameter t must lie in [0, 1]")
         r = np.asarray(r, dtype=float)
-        cap = np.sqrt(np.maximum(self.a * self.a - r * r, 0.0))
-        return t * self.target.profile(r) + (1.0 - t) * cap
+        a = self.profile.a0
+        cap = np.sqrt(np.maximum(a * a - r * r, 0.0))
+        return t * self.profile(r) + (1.0 - t) * cap
 
     def first_zero(self, t: float) -> float:
-        R = self.target.profile.R
+        """R_t, the first zero of g_t: a at t = 0, R at t = 1, max(a, R) between."""
+        a, R = self.profile.a0, self.profile.R
         if t <= 0.0:
-            return self.a
+            return a
         if t >= 1.0:
             return R
-        return max(self.a, R)
+        return max(a, R)
+
+    @property
+    def homotopy_box(self) -> tuple[float, float]:
+        """(rmax, zmax) of the one grid box that holds every g_t, t in [0, 1].
+
+        g_t <= t max g + (1 - t) a, and g may peak off the axis, above a.
+        """
+        prof = self.profile
+        return max(prof.a0, prof.R), max(prof.a0, profile_height(prof, prof.R))
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,12 @@ class MeridianGrid:
     `full_arms`) and the bisected boundary distance, in (0, 1), where the
     arm crosses the boundary. The solver's operator and derivatives take
     their arm lengths from them as they are, for any active set within
-    `inside`. Mirror symmetry in z is exact by construction. x_n stays on
-    the vertical axis of the plot plane: the node (i=0, j=j_equator) is the
-    origin o.
+    `inside`. The mirror z -> -z is bit-exact although `build_grid`
+    bisects the arms of both half-planes: `zs` is bitwise even, the
+    membership test reads |z|, and IEEE rounding is symmetric in sign, so a
+    lower node's S arm repeats its upper mirror's N arm step for step. x_n
+    stays on the vertical axis of the plot plane: the node (i=0,
+    j=j_equator) is the origin o.
 
     Stored are the node axes `rs` and `zs` (from `node_axes`), the
     `inside` mask, the arm lengths, the homotopy parameter `t` and the
@@ -327,30 +326,23 @@ def profile_height(g, R: float) -> float:
     return float(np.max(g(np.linspace(0.0, R, 1025))))
 
 
-def build_grid(d, nr: int, nz: int, *, t: float | None = None,
+def build_grid(d: MeridianDomain, nr: int, nz: int, *, t: float = 1.0,
                rmax: float | None = None, zmax: float | None = None) -> MeridianGrid:
-    """Classify nodes and compute cut-arm fractions for a domain.
+    """Classify nodes and compute cut-arm fractions for d at homotopy step t.
 
-    `d` is a MeridianDomain, or a HomotopyFamily with the parameter `t`.
-    Explicit rmax/zmax let a fixed bounding box cover a whole homotopy run
-    (`HomotopyFamily.box`); the default zmax is `profile_height`.
+    The grid is that of g_t (`MeridianDomain.profile_at`); t = 1 is d
+    itself. Explicit rmax/zmax let a fixed bounding box cover a whole
+    homotopy run (`MeridianDomain.homotopy_box`); the defaults are R_t and
+    `profile_height`. Every arm that is not full is bisected where it lies,
+    in both half-planes.
     """
     if nr < MIN_NODES or nz < MIN_NODES:
         raise ValueError(f"nr and nz must be at least {MIN_NODES}")
     if nz % 2 == 0:
         raise ValueError("nz must be odd so the equator z = 0 is a grid line")
 
-    if isinstance(d, HomotopyFamily):
-        if t is None:
-            raise ValueError("build_grid on a HomotopyFamily requires t")
-        g = lambda r: d.profile_at(r, t)
-        R_t = d.first_zero(t)
-        t_val = float(t)
-    else:
-        g = d.profile
-        R_t = d.profile.R
-        t_val = 1.0 if t is None else float(t)
-
+    g = d.profile if t == 1.0 else partial(d.profile_at, t=t)
+    R_t = d.first_zero(t)
     g0 = float(g(np.array(0.0)))
     if not np.isfinite(g0) or g0 <= 0:
         raise InvalidProfileError("profile must be positive at r = 0")
@@ -362,50 +354,42 @@ def build_grid(d, nr: int, nz: int, *, t: float | None = None,
     if not np.all(np.isfinite(gvals)):
         raise InvalidProfileError("profile returned non-finite values on the grid")
 
-    # Classify the upper half (z >= 0) and mirror; |zs| is bitwise even.
     # Every arm starts full; the bisection below shortens the cut ones.
     grid = MeridianGrid(rs, zs, np.abs(zs)[:, None] < gvals[None, :],
-                        *(np.ones((nz, nr)) for _ in range(4)), t=t_val, g=g)
-    hr, hz, jmid = grid.hr, grid.hz, grid.j_equator
-
+                        *(np.ones((nz, nr)) for _ in range(4)), t=float(t), g=g)
+    hr, hz = grid.hr, grid.hz
     if 2.0 * g0 < 3.0 * hz or R_t < 3.0 * hr:
         raise ResolutionTooCoarseError(
             f"domain core ({2 * g0:.3g} x {R_t:.3g}) thinner than 3 cells at "
             f"spacing ({hz:.3g}, {hr:.3g})")
 
-    def inside_pt(r, z):
-        return np.abs(z) < np.asarray(g(np.maximum(r, 0.0)), dtype=float)
-
-    def cut_fraction(target, mask, dr, dz):
-        """Bisect the inside/outside transition along one arm direction."""
-        jj, ii = np.nonzero(mask)
+    for theta, full, dr, dz in zip((grid.theta_e, grid.theta_w, grid.theta_n, grid.theta_s),
+                                   full_arms(grid.inside),
+                                   (hr, -hr, 0.0, 0.0), (0.0, 0.0, hz, -hz)):
+        jj, ii = np.nonzero(grid.inside & ~full)
         if jj.size == 0:
-            return
-        r0, z0 = grid.R[jj, ii], grid.Z[jj, ii]
-        lo = np.zeros(jj.size)
-        hi = np.ones(jj.size)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            ok = inside_pt(r0 + mid * dr, z0 + mid * dz)
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        target[jj, ii] = 0.5 * (lo + hi)
-
-    upper = np.zeros_like(grid.inside)
-    upper[jmid:, :] = grid.inside[jmid:, :]
-    theta_e, theta_w, theta_n, theta_s = grid.theta_e, grid.theta_w, grid.theta_n, grid.theta_s
-
-    # Bisect the arms that are not full, in the upper half.
-    for target, full, dr, dz in zip((theta_e, theta_w, theta_n, theta_s), full_arms(grid.inside),
-                                    (hr, -hr, 0.0, 0.0), (0.0, 0.0, hz, -hz)):
-        cut_fraction(target, upper & ~full, dr, dz)
-
-    # Mirror the upper half onto the lower half: N and S swap.
-    theta_e[:jmid, :] = theta_e[nz - 1:jmid:-1, :]
-    theta_w[:jmid, :] = theta_w[nz - 1:jmid:-1, :]
-    theta_n[:jmid, :] = theta_s[nz - 1:jmid:-1, :]
-    theta_s[:jmid, :] = theta_n[nz - 1:jmid:-1, :]
+            continue
+        r0, z0 = rs[ii], zs[jj]
+        if dz == 0.0:  # a horizontal arm: |z| stays, r moves
+            z_abs = np.abs(z0)
+            inside_at = lambda s: z_abs < g(np.maximum(r0 + s * dr, 0.0))
+        else:  # a vertical arm: r stays, so g is read once per node
+            g_r0 = g(r0)
+            inside_at = lambda s: np.abs(z0 + s * dz) < g_r0
+        theta[jj, ii] = _bisect(inside_at, jj.size)
     return grid
+
+
+def _bisect(inside_at, size: int) -> np.ndarray:
+    """The midpoint of the final bracket of the inside/outside transition on [0, 1]."""
+    lo = np.zeros(size)
+    hi = np.ones(size)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        ok = inside_at(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import HomotopyFamily, MeridianDomain, MeridianGrid, build_grid, node_axes
+from .domain import MeridianDomain, MeridianGrid, build_grid, node_axes
 from .errors import ConfigError, GeometryViolationError
 from .solver import Field
 
@@ -139,17 +139,16 @@ def read_field(path):
 def on_domain(f: Field, d: MeridianDomain) -> Field:
     """A field from `read_field` on the grid that domain d gives its header.
 
-    The grid is rebuilt from d (the homotopy family at the file's t when
-    t < 1) with the file's resolution and extent, so cut-arm fractions and
-    the profile are the true ones. A file whose dimension or nan pattern
-    disagrees with that grid raises GeometryViolationError.
+    The grid is `build_grid` of d at the file's t (the homotopy step; t = 1
+    is d itself) with the file's resolution and extent, so cut-arm
+    fractions and the profile are the true ones. A file whose dimension or
+    nan pattern disagrees with that grid raises GeometryViolationError.
     """
     g = f.grid
     if f.n != d.n:
         raise GeometryViolationError(f"field has n = {f.n}, the domain has n = {d.n}")
     try:
-        grid = build_grid(d if g.t == 1.0 else HomotopyFamily(d), g.nr, g.nz,
-                          t=g.t, rmax=g.rmax, zmax=g.zmax)
+        grid = build_grid(d, g.nr, g.nz, t=g.t, rmax=g.rmax, zmax=g.zmax)
     except ValueError as exc:
         raise GeometryViolationError(f"field grid does not fit the domain: {exc}") from None
     differ = int(np.count_nonzero(grid.inside != g.inside))
@@ -186,13 +185,11 @@ def _symmetric_coords(extent: float, N: int) -> np.ndarray:
     return (np.arange(N) - (N - 1) / 2.0) * dx
 
 
-def write_voxels(v: VoxelField, path, comments=()) -> None:
+def write_voxels(v: VoxelField, path) -> None:
     vals = np.where(v.mask, v.values, np.nan)
     R = float(v.xs[-1])
     a0 = float(v.zs[-1])
     with open(path, "w") as fh:
-        for line in comments:
-            fh.write(line.rstrip("\n") + "\n")
         fh.write("CPVOX 1\n")
         fh.write(f"N {v.N}\n")
         fh.write(f"extent {fmt(R)} {fmt(a0)}\n")

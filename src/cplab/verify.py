@@ -225,7 +225,10 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     failure, not a uniqueness failure, and is reported separately; any
     other error propagates. All solves share one operator, whose
     factors are not kept: the pool threads would free each other's.
+    `seeds` below 1 is a ValueError, raised before any solve.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     op = AxisymOperator(grid, n)
     if base is None:
         base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), op=op)

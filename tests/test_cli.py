@@ -330,15 +330,3 @@ def test_verify_field_on_a_mismatched_domain_exits_1(tmp_path, torsion_ball_65, 
     assert "nan pattern differs from the domain's inside mask" in capsys.readouterr().err
     assert not (out / "verification.csv").exists()
 
-
-def test_on_domain_rebuilds_a_homotopy_grid(tmp_path):
-    from cplab import domain as dm
-    d = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
-    grid = dm.build_grid(dm.HomotopyFamily(d), 33, 33, t=0.375, rmax=1.0, zmax=1.0)
-    path = tmp_path / "step.cpfield"
-    fieldio.write_field(sv.Field.zeros(grid, 3), path)
-    stored, _ = fieldio.read_field(path)
-    rebuilt = fieldio.on_domain(stored, d).grid
-    assert rebuilt.t == 0.375 and rebuilt.g is not None
-    for name in ("inside", "interior", "theta_e", "theta_w", "theta_n", "theta_s"):
-        assert np.array_equal(getattr(rebuilt, name), getattr(grid, name)), name

@@ -73,11 +73,10 @@ def test_homotopy_box_holds_a_target_that_peaks_off_the_axis():
     # off at |z| = 0.3. Every grid of the run must have build_grid's height.
     target = dm.MeridianDomain(3, dm.tabulated([0.0, 0.3, 0.55, 0.8, 1.0],
                                                [0.3, 0.4, 0.5, 0.35, 0.0]))
-    family = dm.HomotopyFamily(target)
-    rmax, zmax = family.box
+    rmax, zmax = target.homotopy_box
     assert (rmax, zmax) == (1.0, dm.build_grid(target, 65, 65).zmax)
     assert zmax > 0.49
-    assert not dm.build_grid(family, 65, 65, t=1.0, rmax=rmax, zmax=zmax).inside[-1].any()
+    assert not dm.build_grid(target, 65, 65, t=1.0, rmax=rmax, zmax=zmax).inside[-1].any()
 
     class Stop(Exception):
         pass
@@ -139,3 +138,18 @@ def test_homotopy_never_factors_one_system_twice_on_a_grid(b, factor_count):
         per_grid.setdefault(id(f._w), []).append(f._c.tobytes())
     assert len(per_grid) == len(rec.steps) + len(rec.rejections)
     assert all(len(systems) == 1 for systems in per_grid.values())
+
+
+def test_lambda1_jump_gate_rejects_and_halves_the_step(monkeypatch):
+    # With a factor of 1e-12 every lambda1 change after the first three
+    # accepted ones is a jump: the step halves on each rejection until it
+    # underflows T_STEP_MIN, and the last tried t is the first failure.
+    monkeypatch.setattr(cont, "LAMBDA_JUMP_FACTOR", 1e-12)
+    target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
+    rec = run_homotopy(target, nlin.constant(1.0), 33, 33, uniqueness_seeds=1)
+    assert [s.t for s in rec.steps] == pytest.approx([0.0, 0.05, 0.1, 0.15], abs=1e-15)
+    tried = [t for t, _ in rec.rejections]
+    assert tried == pytest.approx([0.15 + 0.05 / 2 ** k for k in range(6)], abs=1e-15)
+    assert all(reason.startswith("lambda1 jump") for _, reason in rec.rejections)
+    assert rec.first_failure_t == pytest.approx(0.1515625, abs=1e-15)
+    assert not rec.completed and rec.final_verification is None

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cplab import domain as dm
@@ -83,43 +83,39 @@ def test_tabulated_from_file(tmp_path):
 
 
 def test_profile_at_t_ball_cap():
-    h = dm.HomotopyFamily(dm.MeridianDomain(3, dm.ball(1.0)))
-    assert float(h.profile_at(0.6, 0.0)) == pytest.approx(0.8, abs=1e-14)
+    d = dm.MeridianDomain(3, dm.ball(1.0))
+    assert float(d.profile_at(0.6, 0.0)) == pytest.approx(0.8, abs=1e-14)
 
 
 def test_profile_at_t_endpoint_identity():
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
-    h = dm.HomotopyFamily(target)
     # a := g(0), so the r = 0 value is a for every t.
     for t in (0.0, 0.3, 1.0):
-        assert float(h.profile_at(0.0, t)) == pytest.approx(0.5, abs=1e-14)
+        assert float(target.profile_at(0.0, t)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_profile_at_t_bump_midpoint():
     target = dm.MeridianDomain(3, dm.polynomial_bump([1, 0, -2, 0, 1]))
-    h = dm.HomotopyFamily(target)
     # 0.5 * (1 - 0.25)^2 + 0.5 * sqrt(1 - 0.25)
     expected = 0.5 * 0.5625 + 0.5 * np.sqrt(0.75)
-    assert float(h.profile_at(0.5, 0.5)) == pytest.approx(expected, rel=1e-13)
+    assert float(target.profile_at(0.5, 0.5)) == pytest.approx(expected, rel=1e-13)
     assert expected == pytest.approx(0.7142627018922193, rel=1e-12)
 
 
 def test_profile_at_t_monotone_in_r():
     target = dm.MeridianDomain(3, dm.polynomial_bump([1, 0, -2, 0, 1]))
-    h = dm.HomotopyFamily(target)
     rs = np.linspace(0.0, 1.0, 513)
     for t in np.linspace(0.0, 1.0, 11):
-        vals = h.profile_at(rs, t)
+        vals = target.profile_at(rs, t)
         assert np.all(np.diff(vals) <= 1e-12)
 
 
 def test_profile_at_t_matches_ball_and_target():
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
-    h = dm.HomotopyFamily(target)
     rs = np.linspace(0.0, 0.999, 301)
     cap = np.sqrt(np.maximum(0.25 - rs ** 2, 0.0))
-    assert np.max(np.abs(h.profile_at(rs, 0.0) - cap)) <= 1e-14 * 0.5
-    assert np.max(np.abs(h.profile_at(rs, 1.0) - target.profile(rs))) == 0.0
+    assert np.max(np.abs(target.profile_at(rs, 0.0) - cap)) <= 1e-14 * 0.5
+    assert np.max(np.abs(target.profile_at(rs, 1.0) - target.profile(rs))) == 0.0
 
 
 def test_inside_membership():
@@ -178,8 +174,7 @@ def test_homotopy_t1_exact_at_tabulated_knots():
     knots = [0.0, 0.3, 0.7, 1.0]
     values = [0.8, 0.6, 0.25, 0.0]
     target = dm.MeridianDomain(3, dm.tabulated(knots, values))
-    h = dm.HomotopyFamily(target)
-    got = h.profile_at(np.array(knots[:-1]), 1.0)
+    got = target.profile_at(np.array(knots[:-1]), 1.0)
     assert np.array_equal(got, np.array(values[:-1]))
 
 
@@ -202,20 +197,21 @@ def test_build_grid_errors():
     thin = dm.MeridianDomain(3, dm.spheroid(1.0, 0.01))
     with pytest.raises(ResolutionTooCoarseError):
         dm.build_grid(thin, 17, 9, zmax=1.0)
+    with pytest.raises(ValueError, match="homotopy parameter t"):
+        dm.build_grid(d, 33, 65, t=1.5)
 
 
 def test_homotopy_first_zero_cases():
     # R < a: the interpolated profile keeps a positive sliver out to a.
     tall = dm.tabulated([0.0, 0.25, 0.5], [1.0, 0.6, 0.0])
-    h = dm.HomotopyFamily(dm.MeridianDomain(3, tall))
-    assert h.first_zero(0.0) == 1.0
-    assert h.first_zero(1.0) == 0.5
-    assert h.first_zero(0.5) == 1.0
+    d = dm.MeridianDomain(3, tall)
+    assert d.first_zero(0.0) == 1.0
+    assert d.first_zero(1.0) == 0.5
+    assert d.first_zero(0.5) == 1.0
     # R > a: the target sticks out radially for any t > 0.
     wide = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
-    hw = dm.HomotopyFamily(wide)
-    assert hw.first_zero(0.0) == 0.5
-    assert hw.first_zero(0.7) == 1.0
+    assert wide.first_zero(0.0) == 0.5
+    assert wide.first_zero(0.7) == 1.0
 
 
 @st.composite
@@ -233,11 +229,26 @@ def monotone_tabulated(draw):
     return dm.tabulated(knots, np.append(values, 0.0))
 
 
+def grid_at(d, nr, nz, t):
+    """The target's own grid at t = 1, or a homotopy step's on the box run_homotopy uses."""
+    if t == 1.0:
+        return dm.build_grid(d, nr, nz)
+    rmax, zmax = d.homotopy_box
+    return dm.build_grid(d, nr, nz, t=t, rmax=rmax, zmax=zmax)
+
+
 @settings(max_examples=60, deadline=None)
-@given(monotone_tabulated(), st.integers(9, 40), st.integers(4, 40))
-def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half):
-    g = dm.build_grid(dm.MeridianDomain(3, prof), nr, 2 * half + 1)
-    # The mirror z -> -z is bit-exact: coordinates, classes and arms.
+@given(monotone_tabulated(), st.integers(9, 40), st.integers(4, 40), st.floats(0.0, 1.0))
+def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half, t):
+    try:
+        g = grid_at(dm.MeridianDomain(3, prof), nr, 2 * half + 1, t)
+    except ResolutionTooCoarseError:
+        if t != 0.0:
+            raise
+        reject()  # the t = 0 ball is narrower than 3 cells of a box as wide as R
+    assert g.t == t
+    # The mirror z -> -z is bit-exact, though build_grid bisects both
+    # half-planes: coordinates, classes and arms.
     assert np.array_equal(g.zs[::-1], -g.zs)
     for a in (g.inside, g.interior, g.boundary_adjacent, g.theta_e, g.theta_w):
         assert np.array_equal(a, a[::-1, :])
@@ -281,22 +292,38 @@ def test_arm_lengths_are_one_toward_every_neighbour_in_the_mask(g):
 
 @settings(max_examples=40, deadline=None)
 @given(spheroid_or_bump_domains(), st.one_of(st.just(1.0), st.floats(0.05, 0.95)))
+@example(case=(dm.MeridianDomain(3, dm.spheroid(1.0, 0.5)), 33, 33), t=0.375)
 def test_a_stored_field_gets_the_classes_of_build_grid(tmp_path_factory, case, t):
     # The grid read back from a CPFIELD is the grid the field was solved
     # on, in everything it derives: the target's own grid at t = 1, or a
-    # homotopy step's on the fixed box that run_homotopy uses.
+    # homotopy step's on the fixed box that run_homotopy uses. on_domain
+    # rebuilds the true grid, cut arms and profile included, at the file's t.
     d, nr, nz = case
-    if t == 1.0:
-        g = dm.build_grid(d, nr, nz)
-    else:
-        family = dm.HomotopyFamily(d)
-        rmax, zmax = family.box
-        g = dm.build_grid(family, nr, nz, t=t, rmax=rmax, zmax=zmax)
+    g = grid_at(d, nr, nz, t)
     path = tmp_path_factory.mktemp("cpfield") / "u.cpfield"
     fieldio.write_field(Field(g, np.where(g.inside, 1.0, 0.0), 3), path)
-    stored = fieldio.read_field(path)[0].grid
-    assert stored.rs.tobytes() == g.rs.tobytes() and stored.zs.tobytes() == g.zs.tobytes()
+    stored = fieldio.read_field(path)[0]
+    assert stored.grid.rs.tobytes() == g.rs.tobytes()
+    assert stored.grid.zs.tobytes() == g.zs.tobytes()
     for name in ("nr", "nz", "hr", "hz", "h", "rmax", "zmax", "j_equator", "t"):
-        assert getattr(stored, name) == getattr(g, name), name
+        assert getattr(stored.grid, name) == getattr(g, name), name
     for name in ("R", "Z", "inside", "interior", "boundary_adjacent"):
-        assert np.array_equal(getattr(stored, name), getattr(g, name)), name
+        assert np.array_equal(getattr(stored.grid, name), getattr(g, name)), name
+    rebuilt = fieldio.on_domain(stored, d).grid
+    assert rebuilt.t == t and rebuilt.g is not None
+    for name in ("inside", "theta_e", "theta_w", "theta_n", "theta_s"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(g, name)), name
+
+
+def test_a_grid_at_t_is_the_grid_of_g_t(tmp_path):
+    # build_grid(d, t=0.5) is the grid of g_0.5, not d's own grid with the
+    # label t = 0.5, so a field stored from it reads back on d.
+    d = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
+    g = dm.build_grid(d, 33, 33, t=0.5)
+    own = dm.build_grid(d, 33, 33, rmax=g.rmax, zmax=g.zmax)
+    assert np.count_nonzero(g.inside != own.inside) == 204
+    path = tmp_path / "u.cpfield"
+    fieldio.write_field(Field.zeros(g, 3), path)
+    rebuilt = fieldio.on_domain(fieldio.read_field(path)[0], d).grid
+    for name in ("inside", "theta_e", "theta_w", "theta_n", "theta_s"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(g, name)), name

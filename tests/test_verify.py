@@ -213,6 +213,21 @@ def test_uniqueness_multistart_seeds_keep_the_solver_budget(gelfand_ball_65, mon
     assert vf.uniqueness_multistart(grid, 3, nlin.gelfand(1.0), seeds=2, base=u) == (0.0, 0, 2)
 
 
+def test_no_seeds_is_a_value_error_before_any_solve(gelfand_ball_65, monkeypatch):
+    grid, u, _, _ = gelfand_ball_65
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Newton solve ran")
+
+    monkeypatch.setattr(vf, "newton_solve", no_solve)
+    nl = nlin.gelfand(1.0)
+    for seeds in (0, -1):
+        with pytest.raises(ValueError, match="seeds must be at least 1"):
+            vf.uniqueness_multistart(grid, 3, nl, seeds=seeds)
+        with pytest.raises(ValueError, match="seeds must be at least 1"):
+            vf.run_verification(u, nl, seeds=seeds)
+
+
 def test_uniqueness_multistart_unconverged_baseline_is_a_cplab_error(monkeypatch):
     monkeypatch.setattr(sv, "MAX_NEWTON", 1)
     grid = dm.build_grid(dm.MeridianDomain(3, dm.ball(1.0)), 17, 33)

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import oracle3d
 from .domain import MeridianDomain, MeridianGrid, build_grid
-from .errors import CplabError, IndefiniteOperatorError, EigenFailureError
+from .errors import (CplabError, IndefiniteOperatorError, EigenFailureError,
+                     ResolutionTooCoarseError)
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
 from .solver import AxisymOperator, Field, newton_solve
@@ -150,7 +151,15 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         return build_grid(target, nr, nz, t=t, rmax=rmax, zmax=zmax)
 
     t0 = time.perf_counter()
-    grid = grid_at(0.0)
+    try:
+        grid = grid_at(0.0)
+    except ResolutionTooCoarseError:
+        # build_grid names the core of g_0, a domain the user never gave.
+        raise ResolutionTooCoarseError(
+            f"the homotopy's starting ball (t = 0), of radius {target.profile.a0:.3g}, is "
+            f"thinner than 3 cells of the {nr}x{nz} grid on the target's box "
+            f"r <= {rmax:.3g}, |z| <= {zmax:.3g} (hr = {rmax / (nr - 1):.3g}, "
+            f"hz = {2 * zmax / (nz - 1):.3g})") from None
     failure, u, metrics, phi = _solve_and_gate(Field.zeros(grid, n), nl, None)
     if failure is not None:
         raise CplabError(f"homotopy setup failed on the ball: {failure}")

@@ -1,20 +1,30 @@
 """File formats: CPFIELD / CPVOX field persistence and CSV emission.
 
-Both field formats are plain ASCII with a fixed header and one data line
-per z level, values printed with 17 significant digits so that
+CPFIELD is plain ASCII with a fixed header and one data line per z
+level, values printed with 17 significant digits so that
 write -> read -> write round-trips byte-identically and runs with the
 same configuration produce byte-identical artifacts. Exterior nodes are
 written as `nan`.
 
-Writers format a whole block of rows with one %-format call and readers
-parse the data block with one `np.loadtxt`; the bytes are those of
-`fmt` applied value by value, and the parsed values are those of
-`float` applied token by token. A data line with the wrong number of
-values or a token that is not a number raises ConfigError naming the
-file and the line's 1-based number (header and comment lines counted),
-and so does a header value that no grid has: fewer than 2 nodes or
-voxels a side, an even nz (no equator line), an extent that is not
-finite and positive or a zmin other than -zmax, or a t outside [0, 1].
+`write_field` and `heatmap_csv` format a whole block of rows with one
+%-format call and `read_field` parses the data block with one
+`np.loadtxt`; the bytes are those of `fmt` applied value by value, and
+the parsed values are those of `float` applied token by token. A data
+line with the wrong number of values or a token that is not a number
+raises ConfigError naming the file and the line's 1-based number (header
+and comment lines counted).
+
+CPVOX 2 has an ASCII header of the same kind and then, after its `data`
+line, the N^3 voxel values as raw little-endian IEEE-754 doubles, z-major,
+exterior voxels `nan`: exactly 8 N^3 bytes, written and read without any
+text conversion, so write -> read -> write is byte-identical too. A
+payload of any other length is a ConfigError naming the file and both
+byte counts.
+
+Either reader raises a ConfigError naming the line for a header value
+that no grid has: fewer than 2 nodes or voxels a side, an even nz (no
+equator line), an extent that is not finite and positive or a zmin other
+than -zmax, or a t outside [0, 1].
 """
 
 from __future__ import annotations
@@ -179,6 +189,9 @@ class VoxelField:
                 self.zs[1] - self.zs[0])
 
 
+VOXEL_DTYPE = "<f8"  # the CPVOX 2 payload: little-endian IEEE-754 doubles
+
+
 def _symmetric_coords(extent: float, N: int) -> np.ndarray:
     # (i - (N-1)/2) * dx is bitwise antisymmetric under i -> N-1-i.
     dx = 2.0 * extent / (N - 1)
@@ -189,38 +202,41 @@ def write_voxels(v: VoxelField, path) -> None:
     vals = np.where(v.mask, v.values, np.nan)
     R = float(v.xs[-1])
     a0 = float(v.zs[-1])
-    with open(path, "w") as fh:
-        fh.write("CPVOX 1\n")
-        fh.write(f"N {v.N}\n")
-        fh.write(f"extent {fmt(R)} {fmt(a0)}\n")
-        fh.write("data\n")
-        for slab in vals:
-            fh.write(_format_rows(slab))
+    with open(path, "wb") as fh:
+        fh.write(f"CPVOX 2\nN {v.N}\nextent {fmt(R)} {fmt(a0)}\ndata\n".encode())
+        fh.write(vals.astype(VOXEL_DTYPE).tobytes())
 
 
 def read_voxels(path) -> VoxelField:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    k = 0
-    while k < len(lines) and lines[k].startswith("#"):
-        k += 1
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # Leading '#' lines, then the four header lines; the payload follows.
+    k, lines, pos = 0, [], 0
+    while len(lines) < 4 and (end := raw.find(b"\n", pos)) >= 0:
+        line = raw[pos:end].decode("latin-1")
+        pos = end + 1
+        if lines or not line.startswith("#"):
+            lines.append(line)
+        else:
+            k += 1
     try:
-        if lines[k] != "CPVOX 1":
-            raise ConfigError(f"{path}: expected 'CPVOX 1' header")
-        N = int(lines[k + 1].split()[1])
+        if lines[0] != "CPVOX 2":
+            raise ConfigError(f"{path}: expected 'CPVOX 2' header")
+        N = int(lines[1].split()[1])
         if N < 2:
             raise ConfigError(f"{path}:{k + 2}: N {N} needs at least 2 voxels a side")
-        R, a0 = (float(tok) for tok in lines[k + 2].split()[1:3])
+        R, a0 = (float(tok) for tok in lines[2].split()[1:3])
         if not (0.0 < R < np.inf and 0.0 < a0 < np.inf):
             raise ConfigError(f"{path}:{k + 3}: extent needs finite R, a0 > 0")
-        if lines[k + 3] != "data":
+        if lines[3] != "data":
             raise ConfigError(f"{path}: missing 'data' marker")
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed CPVOX header: {exc}") from exc
-    rows = lines[k + 4:k + 4 + N * N]
-    if len(rows) != N * N:
-        raise ConfigError(f"{path}: expected {N * N} data lines")
-    vals = _parse_rows(path, rows, k + 5, N).reshape(N, N, N)
+    expected, found = 8 * N ** 3, len(raw) - pos
+    if found != expected:
+        raise ConfigError(f"{path}: expected {expected} payload bytes after 'data', "
+                          f"found {found}")
+    vals = np.frombuffer(raw, dtype=VOXEL_DTYPE, offset=pos).reshape(N, N, N)
     mask = ~np.isnan(vals)
     return VoxelField(N, _symmetric_coords(R, N), _symmetric_coords(R, N),
                       _symmetric_coords(a0, N), mask, np.where(mask, vals, 0.0))

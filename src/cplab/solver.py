@@ -45,10 +45,12 @@ logger = logging.getLogger(__name__)
 TOL_PDE = 1e-9     # Newton stops at this discrete L-inf residual of the PDE
 MAX_NEWTON = 30    # Newton iterations before a solve counts as unconverged
 
-# Bounds peak memory, not speed. SuperLU releases the GIL, so two threads
-# factor 1.3-1.8x faster than one, but each factor in flight holds its own
-# L and U: without the lock, `cplab verify` with 5 seeds on the 97x193
-# ball ran 25-30% faster and peaked 13-15% higher in RSS (90 -> 104 MB).
+# Bounds peak memory. It costs no factoring speed: with SciPy 1.17.1 on two
+# cores, 10 factors of the 97x193 ball matrix took 0.45-0.48 s in one thread
+# and 0.40-0.50 s as 5 + 5 in two, CPU time equal to wall time (an earlier
+# measurement had two threads 1.3-1.8x faster). Each factor in flight holds
+# its own L and U: without the lock `cplab verify` with 5 seeds on the 97x193
+# ball ran 0-15% faster and peaked 15% higher in RSS (88.5 -> 102.5 MB).
 # AxisymOperator.solve holds this lock from factor to back-solve, so the
 # threads that share an operator keep at most one factor resident between
 # them. A factor kept by `keep_factor` lives outside the lock and is for

@@ -173,7 +173,8 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
     return worst
 
 
-def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float:
+def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str,
+                            op: AxisymOperator | None = None) -> float:
     """L-inf residual of the differentiated PDE on the bulk of the domain.
 
     Differentiating -Lap u = f(x, u) in x_n gives, for v = du/dz,
@@ -188,14 +189,15 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
     node has four full arms, so Lap v there is the centred five-point
     stencil whatever v holds on the boundary-adjacent nodes, and r >= 3hr:
     the axis, where v is even in r and the radial mode equation
-    degenerates, is never scanned.
+    degenerates, is never scanned. `op`, when given, is the operator of
+    u's grid and dimension, which the call then does not assemble.
     """
     n = u.n
     dv = derivative_field(u, direction)
     bulk = _bulk_mask(u.grid)
     if not bulk.any():
         return np.nan
-    op = AxisymOperator(u.grid, n)
+    op = op or AxisymOperator(u.grid, n)
     r, z, scan = op.r, op.z, bulk[op.nodes]
     uv, v = u.values[op.nodes], dv.values[op.nodes]
     fu = nl.eval_du(r, z, uv)
@@ -212,7 +214,7 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str) -> float
 
 def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
                           seeds: int = UNIQUENESS_SEEDS, seed: int = 0,
-                          base: Field | None = None):
+                          base: Field | None = None, op: AxisymOperator | None = None):
     """Max pairwise L-inf distance of converged multi-start solutions.
 
     Newton runs from `seeds` random nonnegative initial fields, uniform in
@@ -223,13 +225,14 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     a CplabError. A seed whose Newton solve does not converge, or meets an
     indefinite linearization (IndefiniteOperatorError), is a basin
     failure, not a uniqueness failure, and is reported separately; any
-    other error propagates. All solves share one operator, whose
-    factors are not kept: the pool threads would free each other's.
+    other error propagates. All solves share one operator: `op` when given
+    (built for this grid and n), else a new one. Its factors are not kept:
+    the pool threads would free each other's.
     `seeds` below 1 is a ValueError, raised before any solve.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    op = AxisymOperator(grid, n)
+    op = op or AxisymOperator(grid, n)
     if base is None:
         base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), op=op)
         if not rep.converged:
@@ -326,14 +329,16 @@ def run_verification(u: Field, nl: Nonlinearity, seeds: int = UNIQUENESS_SEEDS,
     mp = moving_plane_check(u)
     rows.append(CheckRow("moving_plane", mp, eps, mp <= eps))
 
-    res = max(derivative_pde_residual(u, nl, "z"),
-              derivative_pde_residual(u, nl, "r"))
+    # One operator serves the residual rows and the multistart.
+    op = AxisymOperator(grid, u.n)
+    res = max(derivative_pde_residual(u, nl, "z", op=op),
+              derivative_pde_residual(u, nl, "r", op=op))
     tol_res = DERIV_RESIDUAL_C * grid.h
     rows.append(CheckRow("derivative_residual", res, tol_res, res <= tol_res))
 
     if with_uniqueness:
         worst, converged, _ = uniqueness_multistart(grid, u.n, nl, seeds=seeds, seed=seed,
-                                                    base=u)
+                                                    base=u, op=op)
         # With no converged seed nothing was compared: the margin is
         # undefined and the row fails.
         if converged == 0:

@@ -182,6 +182,35 @@ def test_continue_subcommand_with_field_dumps(tmp_path):
     assert (out / "verification.csv").exists()
 
 
+FLAT_SPHEROID = """
+[domain]
+kind = spheroid
+a = 1.0
+b = 0.1
+n = 3
+
+[nonlinearity]
+form = constant
+c = 1.0
+
+[grid]
+nr = 17
+nz = 33
+"""
+
+
+def test_continue_names_the_starting_ball_it_cannot_resolve(tmp_path, capsys):
+    # The target itself solves; the t = 0 ball of radius b on the target's
+    # box is what is too thin.
+    cfg = write_config(tmp_path, FLAT_SPHEROID)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["continue", "--config", str(cfg), "--out", str(tmp_path / "c"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the homotopy's starting ball (t = 0), of radius 0.1, is thinner than 3 cells "
+        "of the 17x33 grid on the target's box r <= 1, |z| <= 0.1 (hr = 0.0625, hz = 0.00625)\n")
+
+
 def test_oracle3d_subcommand(tmp_path):
     text = TORSION_BALL + "\n[oracle]\nN = 24\n"
     cfg = write_config(tmp_path, text)

@@ -86,18 +86,6 @@ def reference_write_field(f, path, comments=()):
             fh.write(" ".join(fmt(v) for v in vals[j, :]) + "\n")
 
 
-def reference_write_voxels(v, path):
-    vals = np.where(v.mask, v.values, np.nan)
-    with open(path, "w") as fh:
-        fh.write("CPVOX 1\n")
-        fh.write(f"N {v.N}\n")
-        fh.write(f"extent {fmt(float(v.xs[-1]))} {fmt(float(v.zs[-1]))}\n")
-        fh.write("data\n")
-        for k in range(v.N):
-            for j in range(v.N):
-                fh.write(" ".join(fmt(x) for x in vals[k, j, :]) + "\n")
-
-
 def reference_heatmap_csv(f):
     g = f.grid
     vals = np.where(g.inside, f.values, np.nan)
@@ -129,15 +117,25 @@ def test_write_field_bytes_equal_the_per_value_writer(tmp_path_factory, f, data)
     assert (d / "new.cpfield").read_bytes() == (d / "ref.cpfield").read_bytes()
 
 
+def cpvox_header(v):
+    return f"CPVOX 2\nN {v.N}\nextent {fmt(float(v.xs[-1]))} {fmt(float(v.zs[-1]))}\ndata\n".encode()
+
+
 @settings(max_examples=60, deadline=None)
 @given(voxel_fields(), st.data())
-def test_write_voxels_bytes_equal_the_per_value_writer(tmp_path_factory, v, data):
+def test_write_voxels_payload_is_the_raw_little_endian_doubles(tmp_path_factory, v, data):
+    # Exterior entries are arbitrary too: the writer must store them as nan.
     v = VoxelField(v.N, v.xs, v.ys, v.zs, v.mask,
                    data.draw(arrays(float, v.values.shape, elements=ANY_DOUBLE)))
-    d = tmp_path_factory.mktemp("golden")
-    fieldio.write_voxels(v, d / "new.cpvox")
-    reference_write_voxels(v, d / "ref.cpvox")
-    assert (d / "new.cpvox").read_bytes() == (d / "ref.cpvox").read_bytes()
+    stored = np.where(v.mask, v.values, np.nan)
+    path = tmp_path_factory.mktemp("cpvox2") / "v.cpvox"
+    fieldio.write_voxels(v, path)
+    assert path.read_bytes() == cpvox_header(v) + stored.astype("<f8").tobytes()
+    # Decoding is bitwise: signed zeros, subnormals and infinities come back as written.
+    w = fieldio.read_voxels(path)
+    assert np.array_equal(w.mask, ~np.isnan(stored))
+    assert w.values[w.mask].tobytes() == stored[w.mask].tobytes()
+    assert not w.values[~w.mask].any()
 
 
 def ball_field(nr, nz):
@@ -160,19 +158,9 @@ DEFECTS = {"short row": (lambda toks: toks[:-1], "expected {n} values, found {m}
 
 
 def write_with_comments(kind, path):
-    """A small valid file with two comment lines; returns (data rows, first data line).
-
-    The CPVOX writer prints no comments, so they are put in front of its bytes here.
-    """
-    comments = ["# first", "# second"]
-    if kind == "cpfield":
-        fieldio.write_field(ball_field(9, 17), path, comments=comments)
-        return 17, 2 + 6 + 1
-    xs = _symmetric_coords(1.0, 4)
-    mask = np.ones((4, 4, 4), dtype=bool)
-    fieldio.write_voxels(VoxelField(4, xs, xs, xs, mask, np.arange(64.0).reshape(4, 4, 4)), path)
-    path.write_text("".join(line + "\n" for line in comments) + path.read_text())
-    return 16, 2 + 4 + 1
+    """A small valid CPFIELD with two comment lines; returns (data rows, first data line)."""
+    fieldio.write_field(ball_field(9, 17), path, comments=["# first", "# second"])
+    return 17, 2 + 6 + 1
 
 
 def corrupt(path, line, defect):
@@ -187,9 +175,10 @@ def corrupt(path, line, defect):
 READERS = {"cpfield": fieldio.read_field, "cpvox": fieldio.read_voxels}
 
 
+# CPVOX 2 has no data lines; its payload-length cases are below.
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 @pytest.mark.parametrize("which", ["first", "last"])
-@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("kind", ["cpfield"])
 def test_malformed_data_line_is_a_config_error_naming_its_line(tmp_path, kind, which, defect):
     path = tmp_path / f"f.{kind}"
     rows, first = write_with_comments(kind, path)
@@ -199,6 +188,42 @@ def test_malformed_data_line_is_a_config_error_naming_its_line(tmp_path, kind, w
         READERS[kind](path)
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert detail in str(err.value)
+
+
+def cpvox_with_comments(path):
+    """A valid 4^3 CPVOX 2 file behind two comment lines; returns its payload offset.
+
+    The CPVOX writer prints no comments, so they are put in front of its bytes here.
+    """
+    xs = _symmetric_coords(1.0, 4)
+    v = VoxelField(4, xs, xs, xs, np.ones((4, 4, 4), dtype=bool),
+                   np.arange(64.0).reshape(4, 4, 4))
+    fieldio.write_voxels(v, path)
+    comments = b"# first\n# second\n"
+    path.write_bytes(comments + path.read_bytes())
+    return len(comments) + len(cpvox_header(v))
+
+
+@pytest.mark.parametrize("change, found", [("8 bytes short", 8 * 64 - 8),
+                                           ("1 byte long", 8 * 64 + 1),
+                                           ("empty", 0)])
+def test_cpvox_payload_of_the_wrong_length_is_a_config_error(tmp_path, change, found):
+    path = tmp_path / "f.cpvox"
+    start = cpvox_with_comments(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:start] + (data[start:] + b"\0")[:found])
+    with pytest.raises(ConfigError) as err:
+        fieldio.read_voxels(path)
+    assert str(err.value) == (f"{path}: expected {8 * 64} payload bytes after 'data', "
+                              f"found {found}")
+
+
+def test_cpvox_1_text_file_is_a_config_error(tmp_path):
+    path = tmp_path / "f.cpvox"
+    path.write_text("# text\nCPVOX 1\nN 2\nextent 1 1\ndata\n" + "0 0\n" * 4)
+    with pytest.raises(ConfigError) as err:
+        fieldio.read_voxels(path)
+    assert str(err.value) == f"{path}: expected 'CPVOX 2' header"
 
 
 def test_verify_field_with_a_short_row_is_a_config_error(tmp_path, capsys):
@@ -224,9 +249,13 @@ def cpfield_text(nr, nz, extent="1 -1 1", t="1"):
     return f"# sizes\nCPFIELD 1\nn 3\ngrid {nr} {nz}\nextent {extent}\nt {t}\ndata\n" + rows
 
 
-def cpvox_text(N, extent="1 1"):
-    rows = "".join(" ".join(["0"] * max(N, 0)) + "\n" for _ in range(max(N, 0) ** 2))
-    return f"# sizes\nCPVOX 1\nN {N}\nextent {extent}\ndata\n" + rows
+def cpvox_bytes(N, extent="1 1"):
+    payload = bytes(8 * max(N, 0) ** 3)
+    return f"# sizes\nCPVOX 2\nN {N}\nextent {extent}\ndata\n".encode() + payload
+
+
+def write_sized(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
 
 
 @pytest.mark.parametrize("kind, text, line", [
@@ -244,17 +273,17 @@ def cpvox_text(N, extent="1 1"):
     ("cpfield", cpfield_text(3, 3, t="1.5"), 6),
     ("cpfield", cpfield_text(3, 3, t="-0.25"), 6),
     ("cpfield", cpfield_text(3, 3, t="nan"), 6),
-    ("cpvox", cpvox_text(1), 3),
-    ("cpvox", cpvox_text(0), 3),
-    ("cpvox", cpvox_text(-2), 3),
-    ("cpvox", cpvox_text(2, extent="nan 1"), 4),
-    ("cpvox", cpvox_text(2, extent="1 0"), 4),
-    ("cpvox", cpvox_text(2, extent="-1 1"), 4),
-    ("cpvox", cpvox_text(2, extent="1 inf"), 4),
+    ("cpvox", cpvox_bytes(1), 3),
+    ("cpvox", cpvox_bytes(0), 3),
+    ("cpvox", cpvox_bytes(-2), 3),
+    ("cpvox", cpvox_bytes(2, extent="nan 1"), 4),
+    ("cpvox", cpvox_bytes(2, extent="1 0"), 4),
+    ("cpvox", cpvox_bytes(2, extent="-1 1"), 4),
+    ("cpvox", cpvox_bytes(2, extent="1 inf"), 4),
 ])
 def test_impossible_header_size_is_a_config_error_naming_its_line(tmp_path, kind, text, line):
     path = tmp_path / f"f.{kind}"
-    path.write_text(text)
+    write_sized(path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError) as err:
@@ -263,10 +292,10 @@ def test_impossible_header_size_is_a_config_error_naming_its_line(tmp_path, kind
 
 
 @pytest.mark.parametrize("kind, text", [("cpfield", cpfield_text(2, 3)),
-                                        ("cpvox", cpvox_text(2))])
+                                        ("cpvox", cpvox_bytes(2))])
 def test_header_size_two_reads(tmp_path, kind, text):
     path = tmp_path / f"f.{kind}"
-    path.write_text(text)
+    write_sized(path, text)
     READERS[kind](path)
 
 

@@ -374,6 +374,24 @@ def test_run_verification_reuses_the_field_as_the_multistart_baseline(gelfand_ba
     assert vf.uniqueness_multistart(grid, 3, nl, seeds=3, seed=5, base=u) == zero_guess
 
 
+def test_run_verification_assembles_one_operator(gelfand_ball_65, monkeypatch):
+    grid, u, _, _ = gelfand_ball_65
+    nl = nlin.gelfand(1.0)
+    residual = max(vf.derivative_pde_residual(u, nl, d) for d in ("z", "r"))
+    built = []
+    real = sv.AxisymOperator
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vf, "AxisymOperator", counted)
+    monkeypatch.setattr(sv, "AxisymOperator", counted)
+    report = vf.run_verification(u, nl, seeds=2, seed=5)
+    assert len(built) == 1
+    assert report.row("derivative_residual").margin == residual
+
+
 @st.composite
 def masks_2d(draw):
     """Boolean masks up to 14x14, mostly one value with scattered flips."""

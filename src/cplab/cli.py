@@ -7,8 +7,9 @@ Each writes its artifacts into the output directory and exits 0 iff all
 executed checks pass; module errors exit nonzero with a message on
 stderr. `verify --field <file>` checks a stored CPFIELD (e.g. an
 injected field) instead of solving, on the grid that the config's domain
-gives the file's header. CPL_THREADS caps the threads of the uniqueness
-multi-start.
+gives the file's header. `continue` runs the homotopy, then on its t = 1
+field the `verify` step and, at n = 3, the `oracle3d` step. CPL_THREADS
+caps the threads of the uniqueness multi-start.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .solver import Field, newton_solve
 from .stability import smallest_eigenvalue
 from .verify import run_verification
 
-logger = logging.getLogger(__name__)
-
 SUBCOMMANDS = ("solve", "eigen", "census", "verify", "continue", "oracle3d", "report")
 
 
@@ -38,17 +37,39 @@ def _say(quiet, *parts):
         print(*parts)
 
 
+def _problem(cfg: RunConfig):
+    """The configured domain, nonlinearity and grid shape: (d, f, nr, nz)."""
+    d = cfg.build_domain()
+    return (d, cfg.build_nonlinearity(), *cfg.grid_shape(d))
+
+
 def _solve_from_config(cfg: RunConfig, unconverged: str | None = None):
     """The configured problem solved from zero; when `unconverged` is given, a
     solve that does not converge raises a CplabError with that message."""
-    d = cfg.build_domain()
-    f = cfg.build_nonlinearity()
-    nr, nz = cfg.grid_shape(d)
+    d, f, nr, nz = _problem(cfg)
     grid = build_grid(d, nr, nz)
     u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n))
     if unconverged is not None and not rep.converged:
         raise CplabError(unconverged)
-    return d, f, grid, u, rep
+    return d, f, u, rep
+
+
+def _verify_step(out: Path, u, f, cfg: RunConfig, seed: int, with_uniqueness=True):
+    """The verification report on u, written to verification.csv."""
+    report = run_verification(u, f, seeds=cfg.get("run", "uniqueness_seeds"), seed=seed,
+                              with_uniqueness=with_uniqueness)
+    (out / "verification.csv").write_text(fieldio.verification_csv(report))
+    return report
+
+
+def _oracle_step(out: Path, d, f, u, cfg: RunConfig, keep_voxels=False):
+    """The voxel oracle's verdict on u, written to oracle_compare.csv: (row, agreement)."""
+    vox = oracle3d.solve_3d(d, f, cfg.get("oracle", "N"))
+    if keep_voxels:
+        fieldio.write_voxels(vox, out / "oracle.cpvox")
+    oc, ok = oracle3d.oracle_verdict(vox, u)
+    (out / "oracle_compare.csv").write_text(fieldio.oracle_csv(oc))
+    return oc, ok
 
 
 def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
@@ -57,7 +78,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
     out.mkdir(parents=True, exist_ok=True)
 
     if subcommand == "solve":
-        d, f, grid, u, rep = _solve_from_config(cfg)
+        d, f, u, rep = _solve_from_config(cfg)
         fieldio.write_field(u, out / "u.cpfield")
         (out / "solve_report.csv").write_text(fieldio.solve_report_csv(rep))
         ok = rep.converged and (rep.min_value > 0.0 if f.positive_at_zero else True)
@@ -67,7 +88,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if ok else 1
 
     if subcommand == "eigen":
-        d, f, grid, u, rep = _solve_from_config(cfg, "eigen: the base solve did not converge")
+        d, f, u, rep = _solve_from_config(cfg, "eigen: the base solve did not converge")
         report = smallest_eigenvalue(u, f)
         fieldio.write_field(report.eigenfield, out / "eigenfield.cpfield",
                             comments=[f"# eigen lambda1={fieldio.fmt(report.lambda1)}"])
@@ -77,7 +98,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if report.stable else 1
 
     if subcommand == "census":
-        d, f, grid, u, rep = _solve_from_config(cfg, "census: the base solve did not converge")
+        d, f, u, rep = _solve_from_config(cfg, "census: the base solve did not converge")
         census = find_critical_points(u)
         (out / "census.csv").write_text(fieldio.census_csv(census, d.n))
         ok = census.unique_axis_max
@@ -87,22 +108,16 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
 
     if subcommand == "verify":
         if field_path:
-            d, f = cfg.build_domain(), cfg.build_nonlinearity()
+            d, f, _, _ = _problem(cfg)
             u = fieldio.on_domain(fieldio.read_field(field_path)[0], d)
-            report = run_verification(u, f, with_uniqueness=False)
         else:
-            d, f, grid, u, rep = _solve_from_config(cfg,
-                                                    "verify: the base solve did not converge")
-            report = run_verification(u, f, seeds=cfg.get("run", "uniqueness_seeds"),
-                                      seed=seed)
-        (out / "verification.csv").write_text(fieldio.verification_csv(report))
+            d, f, u, rep = _solve_from_config(cfg, "verify: the base solve did not converge")
+        report = _verify_step(out, u, f, cfg, seed, with_uniqueness=not field_path)
         _say(quiet, str(report))
         return 0 if report.passed else 1
 
     if subcommand == "continue":
-        d = cfg.build_domain()
-        f = cfg.build_nonlinearity()
-        nr, nz = cfg.grid_shape(d)
+        d, f, nr, nz = _problem(cfg)
         sink = None
         if cfg.get("output", "emit_fields"):
             fd = out / "fields"
@@ -111,31 +126,23 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
             def sink(t, field):
                 fieldio.write_field(field, fd / f"t_{t:.5f}.cpfield")
 
-        rec = run_homotopy(d, f, nr, nz,
-                           t_step0=cfg.get("continuation", "t_step0"),
-                           seed=seed,
-                           uniqueness_seeds=cfg.get("run", "uniqueness_seeds"),
-                           oracle_n=cfg.get("oracle", "N"),
+        rec = run_homotopy(d, f, nr, nz, t_step0=cfg.get("continuation", "t_step0"),
                            field_sink=sink)
         (out / "continuation.csv").write_text(fieldio.continuation_csv(rec))
-        if rec.final_verification is not None:
-            (out / "verification.csv").write_text(
-                fieldio.verification_csv(rec.final_verification))
-        if rec.oracle_comparison and "linf_rel" in rec.oracle_comparison:
-            (out / "oracle_compare.csv").write_text(fieldio.oracle_csv(rec.oracle_comparison))
+        ok = rec.completed
+        if ok:
+            ok = _verify_step(out, rec.field, f, cfg, seed).passed
+            if d.n == 3:
+                ok = _oracle_step(out, d, f, rec.field, cfg)[1] and ok
         _say(quiet, f"continue: reached t={rec.final_t:g} in {len(rec.steps)} steps, "
-                    f"completed={rec.completed}, first_failure_t={rec.first_failure_t}")
-        return 0 if rec.completed else 1
+                    f"completed={ok}, first_failure_t={rec.first_failure_t}")
+        return 0 if ok else 1
 
     if subcommand == "oracle3d":
         if cfg.get("domain", "n") != 3:
             raise CplabError("oracle3d requires n = 3")
-        d, f, grid, u, rep = _solve_from_config(
-            cfg, "oracle3d: the meridian solve did not converge")
-        vox = oracle3d.solve_3d(d, f, cfg.get("oracle", "N"))
-        fieldio.write_voxels(vox, out / "oracle.cpvox")
-        oc, ok = oracle3d.oracle_verdict(vox, u)
-        (out / "oracle_compare.csv").write_text(fieldio.oracle_csv(oc))
+        d, f, u, rep = _solve_from_config(cfg, "oracle3d: the meridian solve did not converge")
+        oc, ok = _oracle_step(out, d, f, u, cfg, keep_voxels=True)
         _say(quiet, f"oracle3d: linf_rel={oc['linf_rel']:.3e} "
                     f"offset={oc['cp_offset_cells']:.2f} cells witnesses="
                     f"({oc['rotation_witness']:.2e}, {oc['mirror_witness']:.2e})")
@@ -218,10 +225,7 @@ def main(argv=None) -> int:
                         level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config)
-        else:
-            cfg = RunConfig()
+        cfg = parse_config(args.config) if args.config is not None else RunConfig()
         out = Path(args.out) if args.out else Path(cfg.get("output", "directory"))
         seed = args.seed if args.seed is not None else cfg.get("run", "seed")
         if seed < 0:

@@ -10,8 +10,8 @@ halves the step and retries from the last good parameter; once the step
 underflows T_STEP_MIN the failing parameter is recorded as
 first_failure_t — the numerical analogue of the infimum at which the
 conclusions would break. A completed run reaches t = 1 with every gate
-green and the full verification suite (plus, in three dimensions, the
-voxel-oracle comparison) passing at the target.
+green; its record keeps the last accepted field, on which the caller runs
+the full verification suite (and, in three dimensions, the voxel oracle).
 
 Grid resolution is fixed across t on a bounding box covering the whole
 family, so fields at different t are directly comparable and the warm
@@ -20,13 +20,12 @@ start is an identity wherever the domain did not move.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle3d
 from .domain import MeridianDomain, MeridianGrid, build_grid
 from .errors import (CplabError, IndefiniteOperatorError, EigenFailureError,
                      ResolutionTooCoarseError)
@@ -34,8 +33,7 @@ from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
 from .solver import AxisymOperator, Field, newton_solve
 from .stability import smallest_eigenvalue
-from .verify import (UNIQUENESS_SEEDS, check_monotonicity, eps_disc, monotone,
-                     run_verification)
+from .verify import check_monotonicity, eps_disc, monotone
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +43,7 @@ T_STEP_MIN = 1e-3
 LAMBDA_JUMP_FACTOR = 10.0
 
 
-@dataclass
+@dataclasses.dataclass
 class StepRecord:
     """An accepted step: its solve converged and passed every gate."""
 
@@ -57,18 +55,21 @@ class StepRecord:
     runtime_s: float
 
 
-@dataclass
+@dataclasses.dataclass
 class ContinuationRecord:
-    steps: list = field(default_factory=list)
-    rejections: list = field(default_factory=list)  # (t, reason)
+    steps: list = dataclasses.field(default_factory=list)
+    rejections: list = dataclasses.field(default_factory=list)  # (t, reason)
     first_failure_t: float | None = None
-    completed: bool = False
-    final_verification: object = None
-    oracle_comparison: dict | None = None
+    field: Field | None = None  # the last accepted solution
 
     @property
     def final_t(self) -> float:
         return self.steps[-1].t if self.steps else np.nan
+
+    @property
+    def completed(self) -> bool:
+        """t = 1 was reached with every step gate green."""
+        return self.first_failure_t is None and self.final_t >= 1.0
 
 
 def warm_start_transfer(u_prev: Field, grid_next: MeridianGrid) -> Field:
@@ -92,15 +93,17 @@ def _solve_and_gate(u0, nl, phi0):
     """Newton from u0 on its grid, then the per-step gate set.
 
     Returns (failure, u, metrics, eigenfield), failure None when every gate
-    passed. One operator serves the grid and keeps its factor from Newton
-    into the eigen gate, so the two share it when they factor the same
-    matrix. An indefinite Newton linearization raises
-    IndefiniteOperatorError.
+    passed; an indefinite Newton linearization is a failure too. One
+    operator serves the grid and keeps its factor from Newton into the
+    eigen gate, so the two share it when they factor the same matrix.
     """
     grid = u0.grid
     op = AxisymOperator(grid, u0.n)
     with op.keep_factor():
-        u, rep = newton_solve(grid, u0.n, nl, u0, op=op)
+        try:
+            u, rep = newton_solve(grid, u0.n, nl, u0, op=op)
+        except IndefiniteOperatorError as exc:
+            return f"indefinite linearization: {exc}", u0, {}, None
         if not rep.converged:
             return f"Newton stalled at residual {rep.final_residual:.3g}", u, {}, None
         try:
@@ -127,15 +130,13 @@ def _solve_and_gate(u0, nl, phi0):
 
 
 def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
-                 t_step0: float = T_STEP0_DEFAULT,
-                 seed: int = 0, uniqueness_seeds: int = UNIQUENESS_SEEDS,
-                 oracle_n: int = 0, field_sink=None) -> ContinuationRecord:
+                 t_step0: float = T_STEP0_DEFAULT, field_sink=None) -> ContinuationRecord:
     """Drive the homotopy from the ball to the target domain.
 
-    `oracle_n` > 0 runs the voxel oracle comparison at t = 1 when n = 3;
-    other dimensions skip it. The t = 0 solve must succeed for a catalog
-    nonlinearity; its failure is a setup error, not a recorded one.
-    `field_sink(t, field)` is called for every accepted step when given.
+    The record keeps the steps, rejections and last accepted field. The
+    t = 0 solve must succeed for a catalog nonlinearity; its failure is a
+    setup error, not a recorded one. `field_sink(t, field)` is called for
+    every accepted step when given.
 
     Each tried grid gets one operator, which keeps its factor across the
     Newton solve and the eigen gate, so a matrix that both factor (f_u
@@ -163,8 +164,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
     failure, u, metrics, phi = _solve_and_gate(Field.zeros(grid, n), nl, None)
     if failure is not None:
         raise CplabError(f"homotopy setup failed on the ball: {failure}")
-    record.steps.append(StepRecord(0.0, metrics["lambda1"], metrics["cp_count"],
-                                   metrics["m_z"], metrics["m_r"], time.perf_counter() - t0))
+    record.steps.append(StepRecord(0.0, **metrics, runtime_s=time.perf_counter() - t0))
     if field_sink is not None:
         field_sink(0.0, u)
 
@@ -183,10 +183,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         grid_next = grid_at(t_next)
         u_start = warm_start_transfer(u, grid_next)
         phi_start = warm_start_transfer(Field(grid, np.abs(phi.values), n), grid_next)
-        try:
-            failure, u_next, metrics, phi_next = _solve_and_gate(u_start, nl, phi_start)
-        except IndefiniteOperatorError as exc:
-            failure = f"indefinite linearization: {exc}"
+        failure, u_next, metrics, phi_next = _solve_and_gate(u_start, nl, phi_start)
 
         if failure is None and len(jumps) >= 3:
             jump = abs(metrics["lambda1"] - record.steps[-1].lambda1)
@@ -205,9 +202,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             continue
 
         jumps.append(abs(metrics["lambda1"] - record.steps[-1].lambda1))
-        record.steps.append(StepRecord(t_next, metrics["lambda1"], metrics["cp_count"],
-                                       metrics["m_z"], metrics["m_r"],
-                                       time.perf_counter() - t_try0))
+        record.steps.append(StepRecord(t_next, **metrics, runtime_s=time.perf_counter() - t_try0))
         t, grid, u, phi = t_next, grid_next, u_next, phi_next
         if field_sink is not None:
             field_sink(t, u)
@@ -216,19 +211,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             step = min(2.0 * step, t_step0)
             consecutive = 0
 
-    if t >= 1.0 and record.first_failure_t is None:
-        report = run_verification(u, nl, seeds=uniqueness_seeds, seed=seed)
-        record.final_verification = report
-        oracle_ok = True
-        if oracle_n > 0 and n == 3:
-            try:
-                vox = oracle3d.solve_3d(target, nl, oracle_n)
-                record.oracle_comparison, oracle_ok = oracle3d.oracle_verdict(vox, u)
-            except CplabError as exc:
-                logger.warning("oracle comparison failed: %s", exc)
-                record.oracle_comparison = {"error": str(exc)}
-                oracle_ok = False
-        record.completed = bool(report.passed and oracle_ok)
+    record.field = u
     return record
 
 

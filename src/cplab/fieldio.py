@@ -21,10 +21,11 @@ text conversion, so write -> read -> write is byte-identical too. A
 payload of any other length is a ConfigError naming the file and both
 byte counts.
 
-Either reader raises a ConfigError naming the line for a header value
-that no grid has: fewer than 2 nodes or voxels a side, an even nz (no
-equator line), an extent that is not finite and positive or a zmin other
-than -zmax, or a t outside [0, 1].
+Either reader raises a ConfigError naming the line for a header line
+without its keyword or its values, or with a value that no grid has: a
+dimension n below 2, fewer than 2 nodes or voxels a side, an even nz (no
+equator line), an extent that is not finite and positive or a zmin
+other than -zmax, or a t outside [0, 1].
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def _format_rows(block: np.ndarray, sep: str = " ") -> str:
     """
     nrows, ncols = block.shape
     return ((sep.join(["%.17g"] * ncols) + "\n") * nrows) % tuple(block.ravel().tolist())
+
+
+def _keyed(path, lineno: int, line: str, key: str, kind, count: int) -> list:
+    """The first `count` values after `key` on header line `lineno`, as `kind`."""
+    tokens = line.split()
+    if tokens[:1] != [key] or len(tokens) <= count:
+        raise ConfigError(f"{path}:{lineno}: expected '{key}' and {count} value(s), got {line!r}")
+    return [kind(tok) for tok in tokens[1:count + 1]]
 
 
 def _parse_rows(path, rows: list[str], first_line: int, ncols: int) -> np.ndarray:
@@ -122,14 +131,16 @@ def read_field(path):
     try:
         if lines[k] != "CPFIELD 1":
             raise ConfigError(f"{path}: expected 'CPFIELD 1' header")
-        n = int(lines[k + 1].split()[1])
-        nr, nz = (int(tok) for tok in lines[k + 2].split()[1:3])
+        (n,) = _keyed(path, k + 2, lines[k + 1], "n", int, 1)
+        if n < 2:
+            raise ConfigError(f"{path}:{k + 2}: n {n} needs a dimension n >= 2")
+        nr, nz = _keyed(path, k + 3, lines[k + 2], "grid", int, 2)
         if nr < 2 or nz < 2 or nz % 2 == 0:
             raise ConfigError(f"{path}:{k + 3}: grid {nr} {nz} needs nr >= 2 and an odd nz >= 3")
-        rmax, zmin, zmax = (float(tok) for tok in lines[k + 3].split()[1:4])
+        rmax, zmin, zmax = _keyed(path, k + 4, lines[k + 3], "extent", float, 3)
         if not (0.0 < rmax < np.inf and 0.0 < zmax < np.inf and zmin == -zmax):
             raise ConfigError(f"{path}:{k + 4}: extent needs finite rmax, zmax > 0, zmin = -zmax")
-        t = float(lines[k + 4].split()[1])
+        (t,) = _keyed(path, k + 5, lines[k + 4], "t", float, 1)
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"{path}:{k + 5}: t {t:g} must lie in [0, 1]")
         if lines[k + 5] != "data":
@@ -222,10 +233,10 @@ def read_voxels(path) -> VoxelField:
     try:
         if lines[0] != "CPVOX 2":
             raise ConfigError(f"{path}: expected 'CPVOX 2' header")
-        N = int(lines[1].split()[1])
+        (N,) = _keyed(path, k + 2, lines[1], "N", int, 1)
         if N < 2:
             raise ConfigError(f"{path}:{k + 2}: N {N} needs at least 2 voxels a side")
-        R, a0 = (float(tok) for tok in lines[2].split()[1:3])
+        R, a0 = _keyed(path, k + 3, lines[2], "extent", float, 2)
         if not (0.0 < R < np.inf and 0.0 < a0 < np.inf):
             raise ConfigError(f"{path}:{k + 3}: extent needs finite R, a0 > 0")
         if lines[3] != "data":

@@ -211,6 +211,35 @@ def test_continue_names_the_starting_ball_it_cannot_resolve(tmp_path, capsys):
         "of the 17x33 grid on the target's box r <= 1, |z| <= 0.1 (hr = 0.0625, hz = 0.00625)\n")
 
 
+def test_continue_reports_an_indefinite_ball_solve_as_a_setup_failure(tmp_path, capsys):
+    # gelfand(3.5) is past the unit ball's turning point: Newton from zero
+    # meets an indefinite linearization on the t = 0 ball itself.
+    text = (TORSION_BALL.replace("form = constant\nc = 1.0", "form = gelfand\nlambda = 3.5")
+            .replace("nr = 49\nnz = 99", "nr = 33\nnz = 33"))
+    cfg = write_config(tmp_path, text)
+    assert main(["continue", "--config", str(cfg), "--out", str(tmp_path / "c"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: homotopy setup failed on the ball: indefinite linearization: ")
+
+
+def test_continue_stops_at_an_oracle_failure_after_the_verification(tmp_path, capsys,
+                                                                     monkeypatch):
+    from cplab import oracle3d
+    from cplab.errors import OracleFailureError
+
+    def failing_oracle(*args, **kw):
+        raise OracleFailureError("multigrid stalled")
+
+    monkeypatch.setattr(oracle3d, "solve_3d", failing_oracle)
+    text = TORSION_BALL.replace("nr = 49\nnz = 99", "nr = 17\nnz = 33") + "[oracle]\nN = 16\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: multigrid stalled\n"
+    assert (out / "continuation.csv").exists() and (out / "verification.csv").exists()
+    assert not (out / "oracle_compare.csv").exists()
+
+
 def test_oracle3d_subcommand(tmp_path):
     text = TORSION_BALL + "\n[oracle]\nN = 24\n"
     cfg = write_config(tmp_path, text)

@@ -79,8 +79,6 @@ def test_grid_below_nine_nodes_is_rejected(tmp_path):
 @pytest.mark.parametrize("function, param, section, key", [
     pytest.param(run_homotopy, "t_step0", "continuation", "t_step0",
                  id="run_homotopy-t_step0"),
-    pytest.param(run_homotopy, "uniqueness_seeds", "run", "uniqueness_seeds",
-                 id="run_homotopy-uniqueness_seeds"),
     pytest.param(run_verification, "seeds", "run", "uniqueness_seeds",
                  id="run_verification-seeds"),
 ])

@@ -7,6 +7,7 @@ from cplab import nonlinearity as nlin
 from cplab import solver as sv
 from cplab.continuation import run_homotopy, warm_start_transfer
 from cplab.errors import CplabError
+from cplab.verify import run_verification
 
 
 def test_warm_start_identity_on_same_grid(torsion_ball_65):
@@ -40,11 +41,11 @@ def test_warm_start_refuses_grids_with_other_nodes(torsion_ball_65):
 
 def test_trivial_ball_target_completes_in_one_step():
     target = dm.MeridianDomain(3, dm.ball(1.0))
-    rec = run_homotopy(target, nlin.constant(1.0), 49, 99, t_step0=0.05,
-                       uniqueness_seeds=2)
+    rec = run_homotopy(target, nlin.constant(1.0), 49, 99, t_step0=0.05)
     assert rec.completed
     assert rec.first_failure_t is None
     assert [s.t for s in rec.steps] == [0.0, 1.0]
+    assert run_verification(rec.field, nlin.constant(1.0), seeds=2).passed
 
 
 def test_step_cap_validation(monkeypatch):
@@ -65,7 +66,7 @@ def test_homotopy_newton_solves_keep_the_solver_budget(monkeypatch):
     monkeypatch.setattr(sv, "MAX_NEWTON", 1)
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.8))
     with pytest.raises(CplabError, match="homotopy setup failed on the ball"):
-        run_homotopy(target, nlin.gelfand(1.0), 33, 33, uniqueness_seeds=2)
+        run_homotopy(target, nlin.gelfand(1.0), 33, 33)
 
 
 def test_homotopy_box_holds_a_target_that_peaks_off_the_axis():
@@ -94,17 +95,17 @@ def test_homotopy_box_holds_a_target_that_peaks_off_the_axis():
 
 def test_small_homotopy_completes_and_replays():
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.6))
-    kw = dict(t_step0=0.1, uniqueness_seeds=2, seed=4)
-    rec1 = run_homotopy(target, nlin.constant(1.0), 49, 65, **kw)
+    rec1 = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1)
     assert rec1.completed
     assert rec1.first_failure_t is None
+    assert run_verification(rec1.field, nlin.constant(1.0), seeds=2, seed=4).passed
     ts = [s.t for s in rec1.steps]
     assert ts == sorted(ts)
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert all(s.cp_count == 1 for s in rec1.steps)
     assert all(np.isfinite(s.lambda1) for s in rec1.steps)
 
-    rec2 = run_homotopy(target, nlin.constant(1.0), 49, 65, **kw)
+    rec2 = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1)
     assert [s.t for s in rec2.steps] == ts
     for a, b in zip(rec1.steps, rec2.steps):
         assert a.lambda1 == b.lambda1
@@ -115,24 +116,26 @@ def test_field_sink_receives_steps(tmp_path):
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.7))
     seen = []
     rec = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1,
-                       uniqueness_seeds=2,
-                       field_sink=lambda t, f: seen.append((t, f.max_inside())))
+                       field_sink=lambda t, f: seen.append((t, f)))
     assert rec.completed
     assert len(seen) == len(rec.steps)
     assert seen[0][0] == 0.0 and seen[-1][0] == 1.0
+    assert seen[-1][1] is rec.field  # the record keeps the last accepted field
+    assert run_verification(rec.field, nlin.constant(1.0), seeds=2).passed
 
 
 @pytest.mark.parametrize("b", [0.5, 0.6])
 def test_homotopy_never_factors_one_system_twice_on_a_grid(b, factor_count):
     # Torsion: f_u = 0, so Newton and the eigen gate factor the same matrix
     # on a grid, and the eigen shift is 0 because that factor is definite.
-    # The final multistart factors once per seed.
+    # The verification's multistart on the final field factors once per seed.
     target = dm.MeridianDomain(3, dm.spheroid(1.0, b))
-    rec = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1,
-                       uniqueness_seeds=2, seed=4)
+    rec = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1)
     assert rec.completed
-    homotopy, seeds = factor_count[:-2], factor_count[-2:]
-    assert all(not f._c.any() for f in seeds)
+    homotopy = list(factor_count)
+    assert run_verification(rec.field, nlin.constant(1.0), seeds=2, seed=4).passed
+    seeds = factor_count[len(homotopy):]
+    assert len(seeds) == 2 and all(not f._c.any() for f in seeds)
     per_grid = {}
     for f in homotopy:  # the factors keep their operator's weight array alive
         per_grid.setdefault(id(f._w), []).append(f._c.tobytes())
@@ -146,10 +149,11 @@ def test_lambda1_jump_gate_rejects_and_halves_the_step(monkeypatch):
     # underflows T_STEP_MIN, and the last tried t is the first failure.
     monkeypatch.setattr(cont, "LAMBDA_JUMP_FACTOR", 1e-12)
     target = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
-    rec = run_homotopy(target, nlin.constant(1.0), 33, 33, uniqueness_seeds=1)
+    rec = run_homotopy(target, nlin.constant(1.0), 33, 33)
     assert [s.t for s in rec.steps] == pytest.approx([0.0, 0.05, 0.1, 0.15], abs=1e-15)
     tried = [t for t, _ in rec.rejections]
     assert tried == pytest.approx([0.15 + 0.05 / 2 ** k for k in range(6)], abs=1e-15)
     assert all(reason.startswith("lambda1 jump") for _, reason in rec.rejections)
     assert rec.first_failure_t == pytest.approx(0.1515625, abs=1e-15)
-    assert not rec.completed and rec.final_verification is None
+    assert not rec.completed
+    assert rec.field.grid.t == rec.final_t  # the last accepted field, not a rejected one

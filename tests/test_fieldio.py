@@ -241,17 +241,20 @@ def test_verify_field_with_a_short_row_is_a_config_error(tmp_path, capsys):
             == f"config error: {path}:{first + 3}: expected 9 values, found 8\n")
 
 
-# -- Impossible header sizes: ConfigError naming the header line.
+# -- Impossible headers: ConfigError naming the header line.
+# Each helper takes the header lines whole, so a row can change one of them.
 
 
-def cpfield_text(nr, nz, extent="1 -1 1", t="1"):
+def cpfield_text(nr, nz, n="n 3", grid=None, extent="extent 1 -1 1", t="t 1"):
+    grid = grid or f"grid {nr} {nz}"
     rows = "".join(" ".join(["0"] * max(nr, 0)) + "\n" for _ in range(max(nz, 0)))
-    return f"# sizes\nCPFIELD 1\nn 3\ngrid {nr} {nz}\nextent {extent}\nt {t}\ndata\n" + rows
+    return f"# sizes\nCPFIELD 1\n{n}\n{grid}\n{extent}\n{t}\ndata\n" + rows
 
 
-def cpvox_bytes(N, extent="1 1"):
+def cpvox_bytes(N, size=None, extent="extent 1 1"):
+    size = size or f"N {N}"
     payload = bytes(8 * max(N, 0) ** 3)
-    return f"# sizes\nCPVOX 2\nN {N}\nextent {extent}\ndata\n".encode() + payload
+    return f"# sizes\nCPVOX 2\n{size}\n{extent}\ndata\n".encode() + payload
 
 
 def write_sized(path, data):
@@ -263,23 +266,35 @@ def write_sized(path, data):
     ("cpfield", cpfield_text(3, 1), 4),
     ("cpfield", cpfield_text(0, 0), 4),
     ("cpfield", cpfield_text(3, 4), 4),
-    ("cpfield", cpfield_text(3, 3, extent="1 -0.5 1"), 5),
-    ("cpfield", cpfield_text(3, 3, extent="1 1 -1"), 5),
-    ("cpfield", cpfield_text(3, 3, extent="nan -1 1"), 5),
-    ("cpfield", cpfield_text(3, 3, extent="0 -1 1"), 5),
-    ("cpfield", cpfield_text(3, 3, extent="inf -1 1"), 5),
-    ("cpfield", cpfield_text(3, 3, extent="1 -0 0"), 5),
-    ("cpfield", cpfield_text(3, 3, extent="1 nan nan"), 5),
-    ("cpfield", cpfield_text(3, 3, t="1.5"), 6),
-    ("cpfield", cpfield_text(3, 3, t="-0.25"), 6),
-    ("cpfield", cpfield_text(3, 3, t="nan"), 6),
+    ("cpfield", cpfield_text(3, 3, extent="extent 1 -0.5 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="extent 1 1 -1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="extent nan -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="extent 0 -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="extent inf -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="extent 1 -0 0"), 5),
+    ("cpfield", cpfield_text(3, 3, extent="extent 1 nan nan"), 5),
+    ("cpfield", cpfield_text(3, 3, t="t 1.5"), 6),
+    ("cpfield", cpfield_text(3, 3, t="t -0.25"), 6),
+    ("cpfield", cpfield_text(3, 3, t="t nan"), 6),
+    ("cpfield", cpfield_text(3, 3, n="n 0"), 3),
+    ("cpfield", cpfield_text(3, 3, n="n -4"), 3),
+    ("cpfield", cpfield_text(3, 3, n="n 1"), 3),
+    ("cpfield", cpfield_text(3, 3, n="dim 3"), 3),
+    ("cpfield", cpfield_text(9, 9, grid="size 9 9"), 4),
+    ("cpfield", cpfield_text(3, 3, extent="box 1 -1 1"), 5),
+    ("cpfield", cpfield_text(3, 3, t="time 1"), 6),
+    ("cpfield", cpfield_text(3, 3, n="n"), 3),
+    ("cpfield", cpfield_text(3, 3, grid="grid 3"), 4),
     ("cpvox", cpvox_bytes(1), 3),
     ("cpvox", cpvox_bytes(0), 3),
     ("cpvox", cpvox_bytes(-2), 3),
-    ("cpvox", cpvox_bytes(2, extent="nan 1"), 4),
-    ("cpvox", cpvox_bytes(2, extent="1 0"), 4),
-    ("cpvox", cpvox_bytes(2, extent="-1 1"), 4),
-    ("cpvox", cpvox_bytes(2, extent="1 inf"), 4),
+    ("cpvox", cpvox_bytes(2, extent="extent nan 1"), 4),
+    ("cpvox", cpvox_bytes(2, extent="extent 1 0"), 4),
+    ("cpvox", cpvox_bytes(2, extent="extent -1 1"), 4),
+    ("cpvox", cpvox_bytes(2, extent="extent 1 inf"), 4),
+    ("cpvox", cpvox_bytes(2, size="size 2"), 3),
+    ("cpvox", cpvox_bytes(2, extent="box 1 1"), 4),
+    ("cpvox", cpvox_bytes(2, extent="extent 1"), 4),
 ])
 def test_impossible_header_size_is_a_config_error_naming_its_line(tmp_path, kind, text, line):
     path = tmp_path / f"f.{kind}"

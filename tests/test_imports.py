@@ -55,6 +55,7 @@ SCRIPT = textwrap.dedent('''
     before = set(sys.modules)
     assert cli.run("verify", cfgs["ball"], Path("verify"), 0, quiet=True) == 0
     assert cli.run("oracle3d", cfgs["bump"], Path("oracle"), 0, quiet=True) == 0
+    assert cli.run("continue", cfgs["spheroid"], Path("continue"), 0, quiet=True) == 0
     assert loaded() == [], f"the pipelines loaded {loaded()}"
     late = sorted(name for name in set(sys.modules) - before if name.startswith("scipy"))
     assert late == [], f"the pipelines imported {late} after set-up"

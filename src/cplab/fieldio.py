@@ -22,7 +22,8 @@ payload of any other length is a ConfigError naming the file and both
 byte counts.
 
 Either reader raises a ConfigError naming the line for a header line
-without its keyword or its values, or with a value that no grid has: a
+without its keyword or its values, with a value that is not a number of
+its kind, or with a value that no grid has: a
 dimension n below 2, fewer than 2 nodes or voxels a side, an even nz (no
 equator line), an extent that is not finite and positive or a zmin
 other than -zmax, or a t outside [0, 1].
@@ -64,7 +65,11 @@ def _keyed(path, lineno: int, line: str, key: str, kind, count: int) -> list:
     tokens = line.split()
     if tokens[:1] != [key] or len(tokens) <= count:
         raise ConfigError(f"{path}:{lineno}: expected '{key}' and {count} value(s), got {line!r}")
-    return [kind(tok) for tok in tokens[1:count + 1]]
+    try:
+        return [kind(tok) for tok in tokens[1:count + 1]]
+    except ValueError:
+        raise ConfigError(f"{path}:{lineno}: '{key}' needs {count} {kind.__name__} value(s), "
+                          f"got {line!r}") from None
 
 
 def _parse_rows(path, rows: list[str], first_line: int, ncols: int) -> np.ndarray:
@@ -210,12 +215,13 @@ def _symmetric_coords(extent: float, N: int) -> np.ndarray:
 
 
 def write_voxels(v: VoxelField, path) -> None:
-    vals = np.where(v.mask, v.values, np.nan)
+    # Written from this array's own buffer: no copy on a little-endian machine.
+    vals = np.where(v.mask, v.values, np.nan).astype(VOXEL_DTYPE, copy=False)
     R = float(v.xs[-1])
     a0 = float(v.zs[-1])
     with open(path, "wb") as fh:
         fh.write(f"CPVOX 2\nN {v.N}\nextent {fmt(R)} {fmt(a0)}\ndata\n".encode())
-        fh.write(vals.astype(VOXEL_DTYPE).tobytes())
+        fh.write(vals.data)
 
 
 def read_voxels(path) -> VoxelField:

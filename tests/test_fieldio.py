@@ -285,6 +285,8 @@ def write_sized(path, data):
     ("cpfield", cpfield_text(3, 3, t="time 1"), 6),
     ("cpfield", cpfield_text(3, 3, n="n"), 3),
     ("cpfield", cpfield_text(3, 3, grid="grid 3"), 4),
+    ("cpfield", cpfield_text(3, 3, n="n three"), 3),
+    ("cpfield", cpfield_text(3, 3, extent="extent 1 x 1"), 5),
     ("cpvox", cpvox_bytes(1), 3),
     ("cpvox", cpvox_bytes(0), 3),
     ("cpvox", cpvox_bytes(-2), 3),
@@ -295,6 +297,7 @@ def write_sized(path, data):
     ("cpvox", cpvox_bytes(2, size="size 2"), 3),
     ("cpvox", cpvox_bytes(2, extent="box 1 1"), 4),
     ("cpvox", cpvox_bytes(2, extent="extent 1"), 4),
+    ("cpvox", cpvox_bytes(2, size="N many"), 3),
 ])
 def test_impossible_header_size_is_a_config_error_naming_its_line(tmp_path, kind, text, line):
     path = tmp_path / f"f.{kind}"

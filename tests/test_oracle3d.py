@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -163,6 +165,63 @@ def test_scan_equals_the_ndimage_scan(field, ball_torsion_vox, monkeypatch):
     monkeypatch.setattr(o3, "_clusters", reference_clusters)
     assert repr(clusters) == repr(o3.scan_critical_voxels(v))
     assert len(clusters) == (1 if field == "spindle" else 2)
+
+
+def roll_marks(v):
+    """Reference: the critical-voxel marks from whole-box np.roll differences.
+
+    The rolled copies wrap around the box, but the marks they give there
+    lie outside `core`, which keeps only voxels whose six neighbours are
+    inside and drops the box's outer layer.
+    """
+    m = v.mask
+    core = m.copy()
+    core[1:-1, 1:-1, 1:-1] &= (m[2:, 1:-1, 1:-1] & m[:-2, 1:-1, 1:-1]
+                               & m[1:-1, 2:, 1:-1] & m[1:-1, :-2, 1:-1]
+                               & m[1:-1, 1:-1, 2:] & m[1:-1, 1:-1, :-2])
+    core[[0, -1], :, :] = False
+    core[:, [0, -1], :] = False
+    core[:, :, [0, -1]] = False
+    scale = max(1.0, float(np.abs(v.values[m]).max(initial=0.0)))
+    mark = core.copy()
+    for axis, h in ((2, v.spacings[0]), (1, v.spacings[1]), (0, v.spacings[2])):
+        vp = np.roll(v.values, -1, axis=axis)
+        vm = np.roll(v.values, 1, axis=axis)
+        dplus = vp - v.values
+        dminus = v.values - vm
+        dplus[np.abs(dplus) <= o3._TIE_REL * scale] = 0.0
+        dminus[np.abs(dminus) <= o3._TIE_REL * scale] = 0.0
+        centered = (vp - vm) / (2.0 * h)
+        mark &= (dplus * dminus <= 0.0) | (np.abs(centered) <= h * h * scale)
+    return mark
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(4, 20), seed=st.integers(0, 2 ** 32 - 1), inside=st.floats(0.5, 1.0),
+       levels=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 50.0]))
+def test_sliced_scan_marks_what_the_rolled_scan_marks(N, seed, inside, levels, scale):
+    # Few value levels give exact ties; a nudge of a few ulps of
+    # max(1, scale) lies within _TIE_REL and is a tie in both formulations.
+    rng = np.random.default_rng(seed)
+    mask = rng.random((N, N, N)) < inside
+    values = scale * rng.integers(0, levels + 1, (N, N, N)) / levels
+    nudge = rng.random((N, N, N)) < 0.1
+    values[nudge] += rng.integers(-4, 5, np.count_nonzero(nudge)) * np.spacing(max(scale, 1.0))
+    xs = o3._symmetric_coords(1.0, N)
+    v = o3.VoxelField(N, xs, xs, o3._symmetric_coords(0.5, N), mask, values)
+    assert np.array_equal(o3._critical_marks(v), roll_marks(v))
+
+
+def test_compare_in_blocks_is_the_one_batch_comparison(ball_torsion_vox, torsion_ball_65,
+                                                       monkeypatch):
+    _, v = ball_torsion_vox
+    _, u, _, _ = torsion_ball_65
+    blocked = o3.compare_with_axisymmetric(v, u)
+    monkeypatch.setattr(o3, "_COMPARE_POINTS", v.mask.size)
+    one_batch = o3.compare_with_axisymmetric(v, u)
+    monkeypatch.setattr(o3, "_COMPARE_POINTS", 7)
+    assert np.array(blocked).tobytes() == np.array(one_batch).tobytes()
+    assert np.array(o3.compare_with_axisymmetric(v, u)).tobytes() == np.array(blocked).tobytes()
 
 
 def test_compare_with_meridian(ball_torsion_vox, torsion_ball_65):
@@ -332,13 +391,14 @@ def test_scan_ignores_roundoff_perturbations(size, ball_torsion_vox):
 def test_prolongation_is_trilinear(name):
     # Rows sum to exactly 1 and reproduce the index coordinates exactly
     # (the coarse point K sits at fine index 2K), so P reproduces x, y
-    # and z at every inside voxel; P.T is the stored restriction.
+    # and z at every inside voxel. P is the one stored transfer of its
+    # level; the restriction is its transpose, a view.
     op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS[name]), 24)
     mask = op.mask
     assert len(op.transfers) >= 1
-    for P, R in op.transfers:
+    for P in op.transfers:
         P_ref, coarse = o3._prolongation(mask)
-        assert (P != P_ref).nnz == 0 and (R != P.T).nnz == 0
+        assert (P != P_ref).nnz == 0
         assert np.all(np.add.reduceat(P.data, P.indptr[:-1]) == 1.0)
         for fine, coarse_at in zip(np.nonzero(mask), np.nonzero(coarse)):
             assert np.array_equal(P @ (2.0 * coarse_at), fine.astype(float))
@@ -377,10 +437,33 @@ def test_solve_leaves_the_operator_unchanged():
 def test_blocked_galerkin_is_the_plain_product():
     # At N = 48 the spindle's first coarse level has more than one block of rows.
     op = o3._VoxelOperator(dm.MeridianDomain(3, STENCIL_DOMAINS["spindle"]), 48)
-    P, R = op.transfers[0]
+    P = op.transfers[0]
+    R = P.T.tocsr()
     assert R.shape[0] > o3._GALERKIN_ROWS
     A = -op.L
-    blocked, plain = o3._galerkin(R, A, P), (R @ A) @ P
+    blocked, plain = o3._galerkin(P, A), (R @ A) @ P
     for a, b in zip((blocked.data, blocked.indices, blocked.indptr),
                     (plain.data, plain.indices, plain.indptr)):
         assert np.array_equal(a, b)
+
+
+MiB = 2 ** 20
+
+
+def test_oracle_working_set_on_the_n64_spindle(spindle_torsion_129):
+    # tracemalloc counts every numpy array, and scipy.sparse builds its
+    # arrays through numpy, so these peaks do not depend on the machine.
+    # Measured: 20.5 MiB for the solve and 11.8 MiB for the verdict, which
+    # holds the solve's field; the bounds leave about 5% above that.
+    d, _, u, _, _ = spindle_torsion_129
+    tracemalloc.start()
+    try:
+        v = o3.solve_3d(d, nlin.constant(1.0), 64)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        o3.oracle_verdict(v, u)
+        verdict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 21.5 * MiB
+    assert verdict_peak <= 12.4 * MiB

@@ -164,16 +164,20 @@ class RunConfig:
         raise self._error("nonlinearity", "form", f"{form!r} is unknown")
 
     def grid_shape(self, d: dom.MeridianDomain):
-        """(nr, nz) with nz defaulted to the isotropic hr = hz aspect."""
+        """(nr, nz) with nz defaulted to the isotropic hr = hz aspect.
+
+        The grid spans [0, R] x [-height, height] (`MeridianDomain.height`).
+        """
         nr = self.get("grid", "nr")
         nz = self.get("grid", "nz")
         if nz is None:
             hr = d.profile.R / (nr - 1)
+            height = d.height
             try:
-                nz = 2 * max(4, int(round(d.profile.a0 / hr))) + 1
+                nz = 2 * max(4, int(round(height / hr))) + 1
             except (ArithmeticError, ValueError):
                 raise ConfigError(f"{self.path}: no isotropic nz for a domain of "
-                                  f"{d.profile.a0:g} x {d.profile.R:g}; set [grid] nz") from None
+                                  f"{height:g} x {d.profile.R:g}; set [grid] nz") from None
         return nr, nz
 
     def validate(self):

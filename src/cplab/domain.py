@@ -164,6 +164,8 @@ class MeridianDomain:
     It also carries the homotopy from the ball B_a, a = profile.a0 (t = 0),
     to itself (t = 1): the profile g_t of `profile_at`, its first zero
     `first_zero(t)` and the one grid box `homotopy_box` that holds them all.
+    `height`, the body's z half-extent, is the one z extent that this box,
+    the voxel oracle's box and the isotropic default nz read.
     """
 
     n: int
@@ -198,13 +200,17 @@ class MeridianDomain:
         return max(a, R)
 
     @property
+    def height(self) -> float:
+        """The body's z half-extent: `profile_height` of g, which may peak off the axis."""
+        return profile_height(self.profile, self.profile.R)
+
+    @property
     def homotopy_box(self) -> tuple[float, float]:
         """(rmax, zmax) of the one grid box that holds every g_t, t in [0, 1].
 
-        g_t <= t max g + (1 - t) a, and g may peak off the axis, above a.
+        g_t <= t max g + (1 - t) a, and a = g(0) <= max g.
         """
-        prof = self.profile
-        return max(prof.a0, prof.R), max(prof.a0, profile_height(prof, prof.R))
+        return max(self.profile.a0, self.profile.R), self.height
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,21 @@
 """File formats: CPFIELD / CPVOX field persistence and CSV emission.
 
-CPFIELD is plain ASCII with a fixed header and one data line per z
-level, values printed with 17 significant digits so that
-write -> read -> write round-trips byte-identically and runs with the
-same configuration produce byte-identical artifacts. Exterior nodes are
-written as `nan`.
+Both field formats share one layout: optional leading `#` comment lines,
+a magic line (`CPFIELD 2`, `CPVOX 2`), the format's ASCII header lines,
+a `data` line and then the values as raw little-endian IEEE-754 doubles
+(`PAYLOAD_DTYPE`), z-major, exterior nodes or voxels `nan`. The payload
+is exactly 8 bytes per value, written and read without any text
+conversion, so write -> read -> write is byte-identical and every double
+comes back bitwise. `_write` and `_read` serve both formats.
 
-`write_field` and `heatmap_csv` format a whole block of rows with one
-%-format call and `read_field` parses the data block with one
-`np.loadtxt`; the bytes are those of `fmt` applied value by value, and
-the parsed values are those of `float` applied token by token. A data
-line with the wrong number of values or a token that is not a number
-raises ConfigError naming the file and the line's 1-based number (header
-and comment lines counted).
+CPFIELD stores a meridian field: header lines `n`, `grid nr nz`,
+`extent rmax zmin zmax` and `t`, then nz x nr values. CPVOX stores a
+voxel field: `N` and `extent R zmax`, then N^3 values.
 
-CPVOX 2 has an ASCII header of the same kind and then, after its `data`
-line, the N^3 voxel values as raw little-endian IEEE-754 doubles, z-major,
-exterior voxels `nan`: exactly 8 N^3 bytes, written and read without any
-text conversion, so write -> read -> write is byte-identical too. A
-payload of any other length is a ConfigError naming the file and both
-byte counts.
-
-Either reader raises a ConfigError naming the line for a header line
-without its keyword or its values, with a value that is not a number of
-its kind, or with a value that no grid has: a
+A reader raises a ConfigError for a file of any other version, for a
+payload of any other length (naming both byte counts), and, naming the
+line, for a header line without its keyword or its values, with a value
+that is not a number of its kind, or with a value that no grid has: a
 dimension n below 2, fewer than 2 nodes or voxels a side, an even nz (no
 equator line), an extent that is not finite and positive or a zmin
 other than -zmax, or a t outside [0, 1].
@@ -32,6 +24,7 @@ other than -zmax, or a t outside [0, 1].
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +32,8 @@ import numpy as np
 from .domain import MeridianDomain, MeridianGrid, build_grid, node_axes
 from .errors import ConfigError, GeometryViolationError
 from .solver import Field
+
+PAYLOAD_DTYPE = "<f8"  # the payload of both formats: little-endian IEEE-754 doubles
 
 
 def fmt(x) -> str:
@@ -60,6 +55,18 @@ def _format_rows(block: np.ndarray, sep: str = " ") -> str:
     return ((sep.join(["%.17g"] * ncols) + "\n") * nrows) % tuple(block.ravel().tolist())
 
 
+# -- The shared layout ----------------------------------------------------------
+
+
+def _write(path, comments, header, values: np.ndarray) -> None:
+    """Comment lines, header lines and `data`, then `values` as the raw payload."""
+    head = "".join(line.rstrip("\n") + "\n" for line in (*comments, *header, "data"))
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        # Written from this array's own buffer: no copy on a little-endian machine.
+        fh.write(np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE).data)
+
+
 def _keyed(path, lineno: int, line: str, key: str, kind, count: int) -> list:
     """The first `count` values after `key` on header line `lineno`, as `kind`."""
     tokens = line.split()
@@ -72,29 +79,43 @@ def _keyed(path, lineno: int, line: str, key: str, kind, count: int) -> list:
                           f"got {line!r}") from None
 
 
-def _parse_rows(path, rows: list[str], first_line: int, ncols: int) -> np.ndarray:
-    """The data lines `rows` as a (len(rows), ncols) array.
+def _read(path, magic: str, keys) -> tuple[list, list, int, memoryview]:
+    """Split a field file into its comments, header values and payload.
 
-    `first_line` is the 1-based line number of rows[0] in the file. A
-    line with the wrong number of values or a token that is not a number
-    raises ConfigError naming that line.
+    `keys` holds the (keyword, kind, count) of each header line between
+    the magic line and `data`. Returns the leading '#' lines, the values
+    of each header line (`_keyed`), the 1-based line number of the first
+    header line and the payload bytes after `data`.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    comments, lines, pos = [], [], 0
+    while len(lines) < len(keys) + 2 and (end := raw.find(b"\n", pos)) >= 0:
+        line = raw[pos:end].decode("utf-8", "replace")
+        pos = end + 1
+        if lines or not line.startswith("#"):
+            lines.append(line)
+        else:
+            comments.append(line)
+    first = len(comments) + 2
     try:
-        vals = np.loadtxt(rows, dtype=float, ndmin=2, comments=None)
-        if vals.shape == (len(rows), ncols):
-            return vals
-    except ValueError:
-        pass
-    # Only a malformed block gets here: find its first bad line.
-    for line, row in enumerate(rows, start=first_line):
-        found = len(row.split())
-        if found != ncols:
-            raise ConfigError(f"{path}:{line}: expected {ncols} values, found {found}")
-        try:
-            np.loadtxt([row], dtype=float, comments=None)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line}: {exc}") from None
-    raise ConfigError(f"{path}: malformed data block")
+        if lines[0] != magic:
+            raise ConfigError(f"{path}: expected '{magic}' header")
+        values = [_keyed(path, first + k, lines[k + 1], *key) for k, key in enumerate(keys)]
+        if lines[len(keys) + 1] != "data":
+            raise ConfigError(f"{path}: missing 'data' marker")
+    except IndexError as exc:
+        raise ConfigError(f"{path}: malformed {magic.split()[0]} header: {exc}") from exc
+    return comments, values, first, memoryview(raw)[pos:]
+
+
+def _payload(path, payload: memoryview, shape: tuple) -> np.ndarray:
+    """The payload as a read-only array of `shape`; any other length is a ConfigError."""
+    expected, found = 8 * math.prod(shape), len(payload)
+    if found != expected:
+        raise ConfigError(f"{path}: expected {expected} payload bytes after 'data', "
+                          f"found {found}")
+    return np.frombuffer(payload, dtype=PAYLOAD_DTYPE).reshape(shape)
 
 
 # -- CPFIELD ------------------------------------------------------------------
@@ -102,17 +123,10 @@ def _parse_rows(path, rows: list[str], first_line: int, ncols: int) -> np.ndarra
 
 def write_field(f: Field, path, comments=()) -> None:
     g = f.grid
-    vals = np.where(g.inside, f.values, np.nan)
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(line.rstrip("\n") + "\n")
-        fh.write("CPFIELD 1\n")
-        fh.write(f"n {f.n}\n")
-        fh.write(f"grid {g.nr} {g.nz}\n")
-        fh.write(f"extent {fmt(g.rmax)} {fmt(-g.zmax)} {fmt(g.zmax)}\n")
-        fh.write(f"t {fmt(g.t)}\n")
-        fh.write("data\n")
-        fh.write(_format_rows(vals))
+    _write(path, comments,
+           ["CPFIELD 2", f"n {f.n}", f"grid {g.nr} {g.nz}",
+            f"extent {fmt(g.rmax)} {fmt(-g.zmax)} {fmt(g.zmax)}", f"t {fmt(g.t)}"],
+           np.where(g.inside, f.values, np.nan))
 
 
 def read_field(path):
@@ -126,36 +140,18 @@ def read_field(path):
     geometry-free uses (round trips, heat maps, the census) are sound.
     `on_domain` restores the true grid for checks.
     """
-    comments = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    k = 0
-    while k < len(lines) and lines[k].startswith("#"):
-        comments.append(lines[k])
-        k += 1
-    try:
-        if lines[k] != "CPFIELD 1":
-            raise ConfigError(f"{path}: expected 'CPFIELD 1' header")
-        (n,) = _keyed(path, k + 2, lines[k + 1], "n", int, 1)
-        if n < 2:
-            raise ConfigError(f"{path}:{k + 2}: n {n} needs a dimension n >= 2")
-        nr, nz = _keyed(path, k + 3, lines[k + 2], "grid", int, 2)
-        if nr < 2 or nz < 2 or nz % 2 == 0:
-            raise ConfigError(f"{path}:{k + 3}: grid {nr} {nz} needs nr >= 2 and an odd nz >= 3")
-        rmax, zmin, zmax = _keyed(path, k + 4, lines[k + 3], "extent", float, 3)
-        if not (0.0 < rmax < np.inf and 0.0 < zmax < np.inf and zmin == -zmax):
-            raise ConfigError(f"{path}:{k + 4}: extent needs finite rmax, zmax > 0, zmin = -zmax")
-        (t,) = _keyed(path, k + 5, lines[k + 4], "t", float, 1)
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"{path}:{k + 5}: t {t:g} must lie in [0, 1]")
-        if lines[k + 5] != "data":
-            raise ConfigError(f"{path}: missing 'data' marker")
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed CPFIELD header: {exc}") from exc
-    rows = lines[k + 6:k + 6 + nz]
-    if len(rows) != nz:
-        raise ConfigError(f"{path}: expected {nz} data lines")
-    vals = _parse_rows(path, rows, k + 7, nr)
+    comments, header, line, payload = _read(
+        path, "CPFIELD 2", (("n", int, 1), ("grid", int, 2), ("extent", float, 3), ("t", float, 1)))
+    (n,), (nr, nz), (rmax, zmin, zmax), (t,) = header
+    if n < 2:
+        raise ConfigError(f"{path}:{line}: n {n} needs a dimension n >= 2")
+    if nr < 2 or nz < 2 or nz % 2 == 0:
+        raise ConfigError(f"{path}:{line + 1}: grid {nr} {nz} needs nr >= 2 and an odd nz >= 3")
+    if not (0.0 < rmax < np.inf and 0.0 < zmax < np.inf and zmin == -zmax):
+        raise ConfigError(f"{path}:{line + 2}: extent needs finite rmax, zmax > 0, zmin = -zmax")
+    if not 0.0 <= t <= 1.0:
+        raise ConfigError(f"{path}:{line + 3}: t {t:g} must lie in [0, 1]")
+    vals = _payload(path, payload, (nz, nr))
     inside = ~np.isnan(vals)
     grid = MeridianGrid(*node_axes(nr, nz, rmax, zmax), inside,
                         *(np.ones((nz, nr)) for _ in range(4)), t=t)
@@ -190,7 +186,11 @@ def on_domain(f: Field, d: MeridianDomain) -> Field:
 
 @dataclass
 class VoxelField:
-    """Values on voxel centers of [-R, R]^2 x [-a0, a0]; outside = 0."""
+    """Values on voxel centers of [-R, R]^2 x [-zmax, zmax]; outside = 0.
+
+    R is the profile's first zero and zmax the body's half-height
+    (`MeridianDomain.height`), the two values of the CPVOX `extent` line.
+    """
 
     N: int
     xs: np.ndarray
@@ -205,9 +205,6 @@ class VoxelField:
                 self.zs[1] - self.zs[0])
 
 
-VOXEL_DTYPE = "<f8"  # the CPVOX 2 payload: little-endian IEEE-754 doubles
-
-
 def _symmetric_coords(extent: float, N: int) -> np.ndarray:
     # (i - (N-1)/2) * dx is bitwise antisymmetric under i -> N-1-i.
     dx = 2.0 * extent / (N - 1)
@@ -215,48 +212,21 @@ def _symmetric_coords(extent: float, N: int) -> np.ndarray:
 
 
 def write_voxels(v: VoxelField, path) -> None:
-    # Written from this array's own buffer: no copy on a little-endian machine.
-    vals = np.where(v.mask, v.values, np.nan).astype(VOXEL_DTYPE, copy=False)
-    R = float(v.xs[-1])
-    a0 = float(v.zs[-1])
-    with open(path, "wb") as fh:
-        fh.write(f"CPVOX 2\nN {v.N}\nextent {fmt(R)} {fmt(a0)}\ndata\n".encode())
-        fh.write(vals.data)
+    _write(path, (), ["CPVOX 2", f"N {v.N}", f"extent {fmt(v.xs[-1])} {fmt(v.zs[-1])}"],
+           np.where(v.mask, v.values, np.nan))
 
 
 def read_voxels(path) -> VoxelField:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # Leading '#' lines, then the four header lines; the payload follows.
-    k, lines, pos = 0, [], 0
-    while len(lines) < 4 and (end := raw.find(b"\n", pos)) >= 0:
-        line = raw[pos:end].decode("latin-1")
-        pos = end + 1
-        if lines or not line.startswith("#"):
-            lines.append(line)
-        else:
-            k += 1
-    try:
-        if lines[0] != "CPVOX 2":
-            raise ConfigError(f"{path}: expected 'CPVOX 2' header")
-        (N,) = _keyed(path, k + 2, lines[1], "N", int, 1)
-        if N < 2:
-            raise ConfigError(f"{path}:{k + 2}: N {N} needs at least 2 voxels a side")
-        R, a0 = _keyed(path, k + 3, lines[2], "extent", float, 2)
-        if not (0.0 < R < np.inf and 0.0 < a0 < np.inf):
-            raise ConfigError(f"{path}:{k + 3}: extent needs finite R, a0 > 0")
-        if lines[3] != "data":
-            raise ConfigError(f"{path}: missing 'data' marker")
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed CPVOX header: {exc}") from exc
-    expected, found = 8 * N ** 3, len(raw) - pos
-    if found != expected:
-        raise ConfigError(f"{path}: expected {expected} payload bytes after 'data', "
-                          f"found {found}")
-    vals = np.frombuffer(raw, dtype=VOXEL_DTYPE, offset=pos).reshape(N, N, N)
+    _, header, line, payload = _read(path, "CPVOX 2", (("N", int, 1), ("extent", float, 2)))
+    (N,), (R, zmax) = header
+    if N < 2:
+        raise ConfigError(f"{path}:{line}: N {N} needs at least 2 voxels a side")
+    if not (0.0 < R < np.inf and 0.0 < zmax < np.inf):
+        raise ConfigError(f"{path}:{line + 1}: extent needs finite R, zmax > 0")
+    vals = _payload(path, payload, (N, N, N))
     mask = ~np.isnan(vals)
     return VoxelField(N, _symmetric_coords(R, N), _symmetric_coords(R, N),
-                      _symmetric_coords(a0, N), mask, np.where(mask, vals, 0.0))
+                      _symmetric_coords(zmax, N), mask, np.where(mask, vals, 0.0))
 
 
 # -- CSV emission --------------------------------------------------------------

@@ -119,13 +119,17 @@ class _VoxelOperator:
 
     def __init__(self, d: MeridianDomain, N: int):
         R = d.profile.R
-        a0 = d.profile.a0
         xs = _symmetric_coords(R, N)
         ys = _symmetric_coords(R, N)
-        zs = _symmetric_coords(a0, N)
+        zs = _symmetric_coords(d.height, N)
         # The profile depends on the radius only: one (y, x) plane of it.
         g = np.asarray(d.profile(np.hypot(ys[:, None], xs[None, :])), float)
         mask = np.abs(zs)[:, None, None] < g
+        # The box holds the body, so no voxel on its faces is inside. The
+        # end coordinates can fall an ulp short of the extents, and the
+        # profile can peak between the samples of `profile_height`.
+        for face in (0, -1):
+            mask[face] = mask[:, face] = mask[:, :, face] = False
         self.xs, self.ys, self.zs = xs, ys, zs
         self.mask = mask
         self.h = (xs[1] - xs[0], ys[1] - ys[0], zs[1] - zs[0])

@@ -250,7 +250,8 @@ def test_criterion_08_homotopy_completion_in_dimension_5(tmp_path):
                          "--quiet"])
     continue_status = main(["continue", "--config", str(cfg), "--out",
                             str(tmp_path / "continue"), "--quiet"])
-    eig_head = (tmp_path / "eigen" / "eigenfield.cpfield").read_text().splitlines()[0]
+    eig_path = tmp_path / "eigen" / "eigenfield.cpfield"
+    eig_head = eig_path.read_bytes().split(b"\n", 1)[0].decode()
     lam_target = float(eig_head.split("=")[1])
     rows = (tmp_path / "continue" / "continuation.csv").read_text().splitlines()[1:]
     no_oracle = not (tmp_path / "continue" / "oracle_compare.csv").exists()  # n = 3 only

@@ -5,6 +5,7 @@ from cplab import fieldio
 from cplab import solver as sv
 from cplab.cli import main
 from cplab.config import parse_config
+from cplab.domain import build_grid
 from cplab.errors import ConfigError
 
 TORSION_BALL = """
@@ -50,6 +51,19 @@ def test_parse_grid_aspect_default(tmp_path):
     nr, nz = cfg.grid_shape(d)
     assert nr == 49
     assert nz == 97  # 2 * (a0 / hr) + 1 for the unit ball
+
+
+# A bump whose height 1.125 at r = 1/2 exceeds g(0) = 1.
+OFF_AXIS_BUMP = TORSION_BALL.replace("kind = ball\na = 1.0", "kind = bump\ncoeffs = 1 0 1 0 -2")
+
+
+def test_grid_aspect_default_spans_the_height_of_a_body_that_peaks_off_the_axis(tmp_path):
+    text = OFF_AXIS_BUMP.replace("nr = 49\nnz = 99\n", "nr = 97\n")
+    cfg = parse_config(write_config(tmp_path, text))
+    d = cfg.build_domain()
+    grid = build_grid(d, *cfg.grid_shape(d))
+    assert (grid.nr, grid.nz) == (97, 217)
+    assert grid.hz == pytest.approx(grid.hr, rel=1e-12)
 
 
 def test_gelfand_negative_lambda_range_error(tmp_path):
@@ -119,7 +133,7 @@ def test_census_eigen_verify_subcommands(tmp_path, capsys):
     assert main(["eigen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert (out / "census.csv").read_text().startswith("r,z,on_axis,type,grad_residual,eig1,eig2,eig3")
-    eig_head = (out / "eigenfield.cpfield").read_text().splitlines()[0]
+    eig_head = (out / "eigenfield.cpfield").read_bytes().split(b"\n", 1)[0].decode()
     assert eig_head.startswith("# eigen lambda1=")
     ver = (out / "verification.csv").read_text()
     assert ver.startswith("check,margin,tolerance,pass")
@@ -248,6 +262,15 @@ def test_oracle3d_subcommand(tmp_path):
     assert (out / "oracle.cpvox").exists()
     head = (out / "oracle_compare.csv").read_text().splitlines()
     assert head[0] == "linf_rel,cp_offset_cells,rotation_witness,mirror_witness,max_value"
+
+
+def test_oracle3d_holds_a_body_that_peaks_off_the_axis(tmp_path):
+    text = OFF_AXIS_BUMP.replace("nr = 49\nnz = 99\n", "nr = 97\nnz = 97\n")
+    cfg = write_config(tmp_path, text + "\n[oracle]\nN = 48\n")
+    out = tmp_path / "out"
+    assert main(["oracle3d", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    header, row = (out / "oracle_compare.csv").read_text().splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["linf_rel"]) < 1e-2
 
 
 def test_oracle3d_refuses_n_other_than_3_before_solving(tmp_path, capsys, monkeypatch):

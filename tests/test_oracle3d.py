@@ -318,6 +318,23 @@ STENCIL_DOMAINS = {"ball": dm.ball(1.0), "spheroid": dm.spheroid(1.0, 0.5),
                    "spindle": dm.polynomial_bump([1, 0, -2, 0, 1])}
 
 
+@st.composite
+def tabulated_profiles(draw):
+    """(knots, values) of a profile on [0, 1] with a zero at r = 1: monotone or not."""
+    inner = draw(st.lists(st.floats(0.05, 0.95), max_size=4, unique=True))
+    knots = [0.0, *sorted(inner), 1.0]
+    return knots, [draw(st.floats(0.2, 2.0)) for _ in knots[:-1]] + [0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tabulated_profiles(), st.integers(4, 17))
+@example(([0.0, 1.0], [0.9, 0.0]), 11)  # the end z coordinate rounds an ulp inside 0.9
+def test_no_inside_voxel_lies_on_a_z_face_of_the_box(profile, N):
+    # Non-simple (non-monotone) profiles are accepted: the oracle serves them too.
+    mask = o3._VoxelOperator(dm.MeridianDomain(3, dm.tabulated(*profile)), N).mask
+    assert not mask[0].any() and not mask[-1].any()
+
+
 @pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))
 def test_csr_operator_is_the_slicing_stencil(name):
     d = dm.MeridianDomain(3, STENCIL_DOMAINS[name])

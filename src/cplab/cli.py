@@ -117,7 +117,8 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if report.passed else 1
 
     if subcommand == "continue":
-        d, f, nr, nz = _problem(cfg)
+        d, f = cfg.build_domain(), cfg.build_nonlinearity()
+        nr, nz = cfg.grid_shape(d, d.homotopy_box)  # the box of every homotopy grid
         sink = None
         if cfg.get("output", "emit_fields"):
             fd = out / "fields"

@@ -163,21 +163,20 @@ class RunConfig:
             raise self._error("nonlinearity", "form", f"= {form}: {exc}") from None
         raise self._error("nonlinearity", "form", f"{form!r} is unknown")
 
-    def grid_shape(self, d: dom.MeridianDomain):
-        """(nr, nz) with nz defaulted to the isotropic hr = hz aspect.
+    def grid_shape(self, d: dom.MeridianDomain, box=None):
+        """(nr, nz); an unset nz is `domain.isotropic_nz` on `box`, the box the grids span.
 
-        The grid spans [0, R] x [-height, height] (`MeridianDomain.height`).
+        None stands for the body's own `MeridianDomain.box`.
         """
         nr = self.get("grid", "nr")
         nz = self.get("grid", "nz")
         if nz is None:
-            hr = d.profile.R / (nr - 1)
-            height = d.height
+            box = d.box if box is None else box
             try:
-                nz = 2 * max(4, int(round(height / hr))) + 1
+                nz = dom.isotropic_nz(nr, box)
             except (ArithmeticError, ValueError):
                 raise ConfigError(f"{self.path}: no isotropic nz for a domain of "
-                                  f"{height:g} x {d.profile.R:g}; set [grid] nz") from None
+                                  f"{box[1]:g} x {box[0]:g}; set [grid] nz") from None
         return nr, nz
 
     def validate(self):

@@ -11,6 +11,9 @@ The homotopy family interpolates the profile between the ball of radius
 a = g(0) (t = 0) and the target profile (t = 1):
 
     g_t(r) = t*g(r) + (1-t)*sqrt(a^2 - r^2)
+
+The meridian grid and the voxel oracle take the body's geometry from here:
+`inside`, `bisect`, and the boxes of `MeridianDomain` with `isotropic_nz`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidProfileError, ResolutionTooCoarseError
 
-_BISECT_STEPS = 45  # 2^-45 < 1e-13 relative arm tolerance; theta in [2^-46, 1 - 2^-46]
+BISECT_STEPS = 45  # 2^-45 < 1e-13 relative arm tolerance; theta in [2^-46, 1 - 2^-46]
 MIN_NODES = 9  # fewest grid nodes along r or z
 MAX_NODES = 1025 * 1025  # most meridian grid nodes nr * nz a config may ask for: desk scale
 
@@ -164,8 +167,8 @@ class MeridianDomain:
     It also carries the homotopy from the ball B_a, a = profile.a0 (t = 0),
     to itself (t = 1): the profile g_t of `profile_at`, its first zero
     `first_zero(t)` and the one grid box `homotopy_box` that holds them all.
-    `height`, the body's z half-extent, is the one z extent that this box,
-    the voxel oracle's box and the isotropic default nz read.
+    Its zmax is the body's half-height, as in the body's own grid `box`,
+    which the voxel oracle spans too.
     """
 
     n: int
@@ -176,10 +179,8 @@ class MeridianDomain:
             raise ValueError("spatial dimension must be >= 2")
 
     def inside(self, r, z):
-        """Membership test: 0 <= r < R and |z| < g(r)."""
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return (r >= 0) & (np.abs(z) < self.profile(r))
+        """Membership of the points (r, z), r >= 0, in the body: `inside` of g(r) and z."""
+        return inside(self.profile(r), z)
 
     def profile_at(self, r, t: float):
         """g_t(r) = t*g(r) + (1-t)*sqrt(a^2 - r^2), both parts zero-extended."""
@@ -200,9 +201,9 @@ class MeridianDomain:
         return max(a, R)
 
     @property
-    def height(self) -> float:
-        """The body's z half-extent: `profile_height` of g, which may peak off the axis."""
-        return profile_height(self.profile, self.profile.R)
+    def box(self) -> tuple[float, float]:
+        """(R, `profile_height` of g): the body's own grid box, whatever r g peaks at."""
+        return self.profile.R, profile_height(self.profile, self.profile.R)
 
     @property
     def homotopy_box(self) -> tuple[float, float]:
@@ -210,7 +211,18 @@ class MeridianDomain:
 
         g_t <= t max g + (1 - t) a, and a = g(0) <= max g.
         """
-        return max(self.profile.a0, self.profile.R), self.height
+        return max(self.profile.a0, self.profile.R), self.box[1]
+
+
+def isotropic_nz(nr: int, box) -> int:
+    """The odd nz, at least MIN_NODES, with hz = hr on the grid box (rmax, zmax)."""
+    hr = box[0] / (nr - 1)
+    return 2 * max((MIN_NODES - 1) // 2, int(round(box[1] / hr))) + 1
+
+
+def inside(g_r, z):
+    """The membership rule of the body {|z| < g(r)}, given g_r = g(r): its one statement."""
+    return np.abs(z) < g_r
 
 
 @dataclass(frozen=True)
@@ -353,7 +365,7 @@ def build_grid(d: MeridianDomain, nr: int, nz: int, *, t: float = 1.0,
     if not np.isfinite(g0) or g0 <= 0:
         raise InvalidProfileError("profile must be positive at r = 0")
     rmax = float(rmax) if rmax is not None else R_t
-    zmax = float(zmax) if zmax is not None else max(g0, profile_height(g, R_t))
+    zmax = float(zmax) if zmax is not None else profile_height(g, R_t)
 
     rs, zs = node_axes(nr, nz, rmax, zmax)
     gvals = np.asarray(g(rs), dtype=float)
@@ -361,7 +373,7 @@ def build_grid(d: MeridianDomain, nr: int, nz: int, *, t: float = 1.0,
         raise InvalidProfileError("profile returned non-finite values on the grid")
 
     # Every arm starts full; the bisection below shortens the cut ones.
-    grid = MeridianGrid(rs, zs, np.abs(zs)[:, None] < gvals[None, :],
+    grid = MeridianGrid(rs, zs, inside(gvals[None, :], zs[:, None]),
                         *(np.ones((nz, nr)) for _ in range(4)), t=float(t), g=g)
     hr, hz = grid.hr, grid.hz
     if 2.0 * g0 < 3.0 * hz or R_t < 3.0 * hr:
@@ -373,24 +385,23 @@ def build_grid(d: MeridianDomain, nr: int, nz: int, *, t: float = 1.0,
                                    full_arms(grid.inside),
                                    (hr, -hr, 0.0, 0.0), (0.0, 0.0, hz, -hz)):
         jj, ii = np.nonzero(grid.inside & ~full)
-        if jj.size == 0:
+        if jj.size == 0:  # a W arm of a monotone profile is never cut
             continue
         r0, z0 = rs[ii], zs[jj]
-        if dz == 0.0:  # a horizontal arm: |z| stays, r moves
-            z_abs = np.abs(z0)
-            inside_at = lambda s: z_abs < g(np.maximum(r0 + s * dr, 0.0))
+        if dz == 0.0:  # a horizontal arm: z stays, r moves
+            inside_at = lambda s: inside(g(np.maximum(r0 + s * dr, 0.0)), z0)
         else:  # a vertical arm: r stays, so g is read once per node
             g_r0 = g(r0)
-            inside_at = lambda s: np.abs(z0 + s * dz) < g_r0
-        theta[jj, ii] = _bisect(inside_at, jj.size)
+            inside_at = lambda s: inside(g_r0, z0 + s * dz)
+        theta[jj, ii] = bisect(inside_at, jj.size)
     return grid
 
 
-def _bisect(inside_at, size: int) -> np.ndarray:
-    """The midpoint of the final bracket of the inside/outside transition on [0, 1]."""
+def bisect(inside_at, size: int) -> np.ndarray:
+    """Cut-arm fractions of `size` arms: midpoints of the last bracket of `inside_at` on [0, 1]."""
     lo = np.zeros(size)
     hi = np.ones(size)
-    for _ in range(_BISECT_STEPS):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         ok = inside_at(mid)
         lo = np.where(ok, mid, lo)

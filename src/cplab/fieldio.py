@@ -188,8 +188,8 @@ def on_domain(f: Field, d: MeridianDomain) -> Field:
 class VoxelField:
     """Values on voxel centers of [-R, R]^2 x [-zmax, zmax]; outside = 0.
 
-    R is the profile's first zero and zmax the body's half-height
-    (`MeridianDomain.height`), the two values of the CPVOX `extent` line.
+    (R, zmax) is the body's own box `MeridianDomain.box`: the profile's first
+    zero and the body's half-height, the two values of the CPVOX `extent` line.
     """
 
     N: int

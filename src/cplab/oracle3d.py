@@ -4,7 +4,9 @@ Solves -Lap u = f(x, u) on an N^3 voxel grid over the domain's bounding
 box with a 7-point embedded-boundary stencil, then scans for discrete
 critical points. The implementation deliberately shares no stencil,
 Newton or linear-solver code with the meridian solver: an oracle must be
-able to fail independently. Agreement between the two — values, critical
+able to fail independently. What it shares with the meridian grid is the
+definition of the body, from `domain`: the membership rule, the cut-arm
+bisection and the box. Agreement between the two — values, critical
 point count and location, and the symmetry witnesses of the raw voxel
 solution — is what backs the meridian results.
 
@@ -44,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .domain import MeridianDomain
+from .domain import MeridianDomain, bisect
 from .errors import OracleFailureError, OracleMismatchError
 from .fieldio import VoxelField, _symmetric_coords
 from .interp import Bicubic
@@ -59,7 +61,6 @@ N_MAX = 96  # voxels per axis: desk scale
 TOL_NEWTON = 1e-8
 _CG_TOL_REL = 1e-10
 _CG_MAX_ITER = 400
-_BISECT = 45
 # Multigrid hierarchy: coarsen until a level has at most _COARSEST
 # unknowns, and smooth the coarsest with _COARSE_SWEEPS l1-Jacobi sweeps.
 _COARSEST = 300
@@ -118,13 +119,11 @@ class _VoxelOperator:
     """
 
     def __init__(self, d: MeridianDomain, N: int):
-        R = d.profile.R
-        xs = _symmetric_coords(R, N)
-        ys = _symmetric_coords(R, N)
-        zs = _symmetric_coords(d.height, N)
-        # The profile depends on the radius only: one (y, x) plane of it.
-        g = np.asarray(d.profile(np.hypot(ys[:, None], xs[None, :])), float)
-        mask = np.abs(zs)[:, None, None] < g
+        rmax, zmax = d.box
+        xs = ys = _symmetric_coords(rmax, N)
+        zs = _symmetric_coords(zmax, N)
+        # The profile depends on the radius only: it is read on one (y, x) plane.
+        mask = d.inside(np.hypot(ys[:, None], xs[None, :]), zs[:, None, None])
         # The box holds the body, so no voxel on its faces is inside. The
         # end coordinates can fall an ulp short of the extents, and the
         # profile can peak between the samples of `profile_height`.
@@ -145,9 +144,6 @@ class _VoxelOperator:
         x_in, y_in, z_in = xs[at[2] - 1], ys[at[1] - 1], zs[at[0] - 1]
         self.r = np.hypot(x_in, y_in)
         self.z = z_in
-
-        def inside_pt(x, y, z):
-            return np.abs(z) < np.asarray(d.profile(np.hypot(x, y)), float)
 
         # Neighbour numbers of the +x, -x, +y, -y, +z, -z arms (-1 where the
         # neighbour is outside); they fix each row's length before any entry
@@ -180,18 +176,11 @@ class _VoxelOperator:
                 # Fractional arm length where the neighbour is outside.
                 th = np.ones(n_in)
                 cut = nbr < 0
-                if cut.any():
-                    dx = np.zeros(3)
-                    dx[axis] = sgn * h
-                    x0, y0, z0 = x_in[cut], y_in[cut], z_in[cut]
-                    lo = np.zeros(x0.size)
-                    hi = np.ones(x0.size)
-                    for _ in range(_BISECT):
-                        mid = 0.5 * (lo + hi)
-                        ok = inside_pt(x0 + mid * dx[2], y0 + mid * dx[1], z0 + mid * dx[0])
-                        lo = np.where(ok, mid, lo)
-                        hi = np.where(ok, hi, mid)
-                    th[cut] = 0.5 * (lo + hi)
+                dx = np.zeros(3)
+                dx[axis] = sgn * h
+                x0, y0, z0 = x_in[cut], y_in[cut], z_in[cut]
+                th[cut] = bisect(lambda s: d.inside(np.hypot(x0 + s * dx[2], y0 + s * dx[1]),
+                                                    z0 + s * dx[0]), x0.size)
                 theta.append(th)
             th_p, th_m = theta
             diag += -2.0 / (th_p * th_m * h * h)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MeridianGrid, neighbours
+from .domain import MeridianGrid, inside, neighbours
 from .errors import (CplabError, GeometryViolationError, IndefiniteOperatorError,
                      InternalContradictionError)
 from .interp import Bicubic, safe_cells, cell_index
@@ -133,12 +133,12 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
     sample (r, z) is the 3-D point (r, 0, ..., 0, z) with r > lambda, and
     its reflection lands at radius |2*lambda - r| with the same z. For a
     monotone profile the reflected region stays inside the domain; this is
-    verified against the grid's profile and a violation raises
-    GeometryViolationError; a grid with no profile (a field from
-    `read_field` that `fieldio.on_domain` has not rebuilt) raises
-    ValueError. Samples whose reflected interpolation stencil touches the
-    boundary are skipped (a grid-width strip, consistent with checking the
-    open reflected set).
+    verified by `domain.inside` on the grid's profile, the rule that made
+    every source inside, and a violation raises GeometryViolationError; a
+    grid with no profile (a field from `read_field` that
+    `fieldio.on_domain` has not rebuilt) raises ValueError. Samples whose
+    reflected interpolation stencil touches the boundary are skipped (a
+    grid-width strip, consistent with checking the open reflected set).
     """
     g = u.grid
     if g.g is None:
@@ -161,8 +161,7 @@ def moving_plane_check(u: Field, lambdas=None) -> float:
         r_src = R[sel]
         z_src = Z[sel]
         r_ref = np.abs(2.0 * lam - r_src)
-        bad = np.abs(z_src) >= np.asarray(g.g(r_ref), float)
-        if np.any(bad & (np.abs(z_src) < np.asarray(g.g(r_src), float))):
+        if not np.all(inside(g.g(r_ref), z_src)):
             raise GeometryViolationError(f"reflection at lambda={lam:g} leaves the domain")
         jc, ic = cell_index(g.rs, g.zs, r_ref, z_src)
         ok = cells[jc, ic]

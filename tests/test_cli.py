@@ -196,6 +196,49 @@ def test_continue_subcommand_with_field_dumps(tmp_path):
     assert (out / "verification.csv").exists()
 
 
+PROLATE_SPHEROID = """
+[domain]
+kind = spheroid
+a = 0.5
+b = 1.0
+n = 3
+
+[nonlinearity]
+form = constant
+c = 1.0
+
+[grid]
+nr = 49
+
+[output]
+emit_fields = true
+
+[oracle]
+N = 16
+
+[run]
+uniqueness_seeds = 1
+"""
+
+
+def test_continue_defaults_nz_to_the_aspect_of_the_homotopy_box(tmp_path):
+    # R = 0.5 < g(0) = 1: the homotopy box is twice as wide as the body's
+    # own, so continue's default nz is half that of solve, and both grids
+    # keep hz = hr.
+    cfg = write_config(tmp_path, PROLATE_SPHEROID)
+    assert main(["continue", "--config", str(cfg), "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    dumps = sorted((tmp_path / "c" / "fields").glob("*.cpfield"))
+    assert dumps
+    for path in dumps:
+        grid = fieldio.read_field(path)[0].grid
+        assert (grid.nr, grid.nz) == (49, 97)
+        assert grid.hz == pytest.approx(grid.hr, rel=1e-12)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    grid = fieldio.read_field(tmp_path / "s" / "u.cpfield")[0].grid
+    assert (grid.nr, grid.nz) == (49, 193)
+    assert grid.hz == pytest.approx(grid.hr, rel=1e-12)
+
+
 FLAT_SPHEROID = """
 [domain]
 kind = spheroid

@@ -240,13 +240,17 @@ def grid_at(d, nr, nz, t):
 @settings(max_examples=60, deadline=None)
 @given(monotone_tabulated(), st.integers(9, 40), st.integers(4, 40), st.floats(0.0, 1.0))
 def test_grid_invariants_on_monotone_tabulated_profiles(prof, nr, half, t):
+    d = dm.MeridianDomain(3, prof)
     try:
-        g = grid_at(dm.MeridianDomain(3, prof), nr, 2 * half + 1, t)
+        g = grid_at(d, nr, 2 * half + 1, t)
     except ResolutionTooCoarseError:
         if t != 0.0:
             raise
         reject()  # the t = 0 ball is narrower than 3 cells of a box as wide as R
     assert g.t == t
+    # Every node's class is the membership rule for g_t at its (R, Z): the
+    # moving-plane check relies on it for its sources.
+    assert np.array_equal(g.inside, dm.inside(d.profile_at(g.R, t), g.Z))
     # The mirror z -> -z is bit-exact, though build_grid bisects both
     # half-planes: coordinates, classes and arms.
     assert np.array_equal(g.zs[::-1], -g.zs)

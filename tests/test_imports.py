@@ -1,9 +1,11 @@
 """Import budget: the SciPy subpackages that no default pipeline uses stay unloaded.
 
 Each check runs in a fresh interpreter, because the test process has
-imported them already.
+imported them already. Also the import contract of the voxel oracle,
+read from its source.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -72,3 +74,31 @@ def test_default_pipelines_load_no_unused_scipy_subpackage(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+# The meridian pipeline that the voxel oracle cross-checks: its stencil,
+# Newton, linear algebra, eigen solve, checks and homotopy.
+MERIDIAN_PIPELINE = {"cplab.solver", "cplab.stability", "cplab.verify", "cplab.continuation"}
+
+
+def imported_modules(path: Path, package: str) -> set:
+    """Every module that the source file at `path`, in `package`, imports by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_voxel_oracle_imports_nothing_of_the_meridian_pipeline():
+    # It shares the body's geometry with `domain`, and nothing it checks.
+    modules = imported_modules(SRC / "cplab" / "oracle3d.py", "cplab")
+    assert "cplab.domain" in modules
+    assert modules & MERIDIAN_PIPELINE == set()

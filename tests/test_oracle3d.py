@@ -288,7 +288,7 @@ def slicing_stencil(d, op):
             dx[axis] = sgn * h
             x0, y0, z0 = X[kk, jj, ii], Y[kk, jj, ii], Z[kk, jj, ii]
             lo, hi = np.zeros(kk.size), np.ones(kk.size)
-            for _ in range(o3._BISECT):
+            for _ in range(dm.BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
                 x, y, z = x0 + mid * dx[2], y0 + mid * dx[1], z0 + mid * dx[0]
                 ok = np.abs(z) < d.profile(np.hypot(x, y))
@@ -331,8 +331,15 @@ def tabulated_profiles(draw):
 @example(([0.0, 1.0], [0.9, 0.0]), 11)  # the end z coordinate rounds an ulp inside 0.9
 def test_no_inside_voxel_lies_on_a_z_face_of_the_box(profile, N):
     # Non-simple (non-monotone) profiles are accepted: the oracle serves them too.
-    mask = o3._VoxelOperator(dm.MeridianDomain(3, dm.tabulated(*profile)), N).mask
+    d = dm.MeridianDomain(3, dm.tabulated(*profile))
+    op = o3._VoxelOperator(d, N)
+    mask = op.mask
     assert not mask[0].any() and not mask[-1].any()
+    # Off the cleared faces, the mask is the membership rule at every voxel centre.
+    Z, Y, X = np.meshgrid(op.zs, op.ys, op.xs, indexing="ij")
+    rule = dm.inside(d.profile(np.hypot(X, Y)), Z)
+    inner = (slice(1, -1),) * 3
+    assert np.array_equal(mask[inner], rule[inner])
 
 
 @pytest.mark.parametrize("name", sorted(STENCIL_DOMAINS))

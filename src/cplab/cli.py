@@ -8,8 +8,7 @@ executed checks pass; module errors exit nonzero with a message on
 stderr. `verify --field <file>` checks a stored CPFIELD (e.g. an
 injected field) instead of solving, on the grid that the config's domain
 gives the file's header. `continue` runs the homotopy, then on its t = 1
-field the `verify` step and, at n = 3, the `oracle3d` step. CPL_THREADS
-caps the threads of the uniqueness multi-start.
+field the `verify` step and, at n = 3, the `oracle3d` step.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ UTF-8, `#` comments, no nesting. SCHEMA gives every key one entry: the
 type its value parses to, its default and its inclusive bounds. Each set
 value is converted to its type once, at parse time, and RunConfig.get
 returns it, or the key's default when it is unset. Unknown keys or
-sections, duplicate keys, values of the wrong type (set keys the run
-does not read included) and non-finite numbers are reported together
-with their line numbers, as are missing required keys; then values
-outside their bounds and the rules no bound expresses (an odd nz, and a
-meridian grid, set or derived, of at most domain.MAX_NODES nodes) are
-hard errors, one at a time. Any file either parses into a RunConfig or
+sections, duplicate keys, values of the wrong type and non-finite
+numbers are reported together with their line numbers, as are missing
+required keys; then values outside their bounds, a [domain] or
+[nonlinearity] key that the configured kind or form does not read
+(READS), and the rules no bound expresses (an odd nz, and a meridian
+grid, set or derived, of at most domain.MAX_NODES nodes) are hard
+errors, one at a time. Any file either parses into a RunConfig or
 raises ConfigError. `[domain] file` is a path: it stays a string here and is
 checked where it is read, by `build_domain` under `kind = tabulated`.
 Example:
@@ -70,6 +71,18 @@ SCHEMA = {
     "run": {"seed": Key(int, 0, low=0),
             "uniqueness_seeds": Key(int, verify.UNIQUENESS_SEEDS, low=1)},
 }
+
+# The keys that each domain kind and nonlinearity form reads, besides
+# `kind`, `n` and `form`, which every one reads. A key of the section that
+# the configured kind or form does not read is an error.
+READS = {
+    ("domain", "kind"): {"ball": {"a"}, "spheroid": {"a", "b"}, "bump": {"coeffs"},
+                         "tabulated": {"file"}},
+    ("nonlinearity", "form"): {"constant": {"c"}, "affine": {"lambda", "c"},
+                               "gelfand": {"lambda"}, "power": {"lambda", "p"},
+                               "separable": {"alpha", "beta", "lambda", "p"}},
+}
+SHARED = {"kind", "n", "form"}
 
 
 def _typed(kind, text: str):
@@ -186,6 +199,11 @@ class RunConfig:
                 raise self._error(section, key, f"must be >= {spec.low}")
             if spec.high is not None and value > spec.high:
                 raise self._error(section, key, f"must be <= {spec.high}{spec.note}")
+        for (section, selector), reads in READS.items():
+            choice = self.get(section, selector)
+            for s, key in self.values:
+                if s == section and choice in reads and key not in reads[choice] | SHARED:
+                    raise self._error(section, key, f"is not read by {selector} = {choice}")
         if self.get("continuation", "t_step0") <= 0:
             raise self._error("continuation", "t_step0", "must be positive")
         nz = self.get("grid", "nz")

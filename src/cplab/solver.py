@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,18 +43,6 @@ logger = logging.getLogger(__name__)
 
 TOL_PDE = 1e-9     # Newton stops at this discrete L-inf residual of the PDE
 MAX_NEWTON = 30    # Newton iterations before a solve counts as unconverged
-
-# Bounds peak memory. It costs no factoring speed: with SciPy 1.17.1 on two
-# cores, 10 factors of the 97x193 ball matrix took 0.45-0.48 s in one thread
-# and 0.40-0.50 s as 5 + 5 in two, CPU time equal to wall time (an earlier
-# measurement had two threads 1.3-1.8x faster). Each factor in flight holds
-# its own L and U: without the lock `cplab verify` with 5 seeds on the 97x193
-# ball ran 0-15% faster and peaked 15% higher in RSS (88.5 -> 102.5 MB).
-# AxisymOperator.solve holds this lock from factor to back-solve, so the
-# threads that share an operator keep at most one factor resident between
-# them. A factor kept by `keep_factor` lives outside the lock and is for
-# one thread only.
-_FACTOR_LOCK = threading.Lock()
 
 
 @dataclass
@@ -186,9 +173,9 @@ class AxisymOperator:
         # rows scaled by -w, on copies of L's index arrays, so that a
         # consumer that sorts them in place (abs() does) leaves L intact.
         # Assembled here, in the thread that builds the operator, so that
-        # pool threads only factor: a matrix assembled in a pool thread
-        # stays in that thread's malloc arena, which raised peak RSS by
-        # 2.3 MB on the 97x97 spheroid homotopy.
+        # the multistart's worker thread only factors: a matrix assembled in
+        # a worker thread stays in that thread's malloc arena, which raised
+        # peak RSS by 2.3 MB on the 97x97 spheroid homotopy.
         L = self.L
         wrow = np.repeat(self.w, np.diff(L.indptr))
         self.B = sp.csr_matrix((-L.data * wrow, L.indices.copy(), L.indptr.copy()),
@@ -223,8 +210,7 @@ class AxisymOperator:
         The factor is reused for an equal `c`, so a Newton solve and an
         eigen solve of the same matrix share one factorization. A different
         system drops the kept factor before it factors, and leaving the
-        block drops it, so at most one kept factor is resident. Not for
-        operators shared between threads.
+        block drops it, so at most one factor is resident.
         """
         self._keeping = True
         try:
@@ -237,9 +223,8 @@ class AxisymOperator:
         """Factor (-Lap - c) once for any number of solves."""
         if not self._keeping:
             return ShiftedFactor(self, c)
-        kept = self._kept
-        if kept is not None and kept.matches(c):
-            return kept
+        if self._kept is not None and self._kept.matches(c):
+            return self._kept
         self._kept = None  # free the old factor before the new one is made
         self._kept = ShiftedFactor(self, c)
         return self._kept
@@ -250,8 +235,7 @@ class AxisymOperator:
         Factor, then solve: see ShiftedFactor, whose IndefiniteOperatorError
         propagates.
         """
-        with _FACTOR_LOCK:
-            return self.factor(c).solve(rhs)
+        return self.factor(c).solve(rhs)
 
 
 class ShiftedFactor:

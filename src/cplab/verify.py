@@ -21,7 +21,6 @@ strict machine-level sign.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,18 +50,6 @@ DERIV_RESIDUAL_C = 4.0
 BULK_PERCENTILE = 10.0
 # Random starts of the uniqueness multistart.
 UNIQUENESS_SEEDS = 5
-
-
-def worker_count() -> int:
-    """Worker cap from CPL_THREADS (default: available cores)."""
-    env = os.environ.get("CPL_THREADS", "")
-    try:
-        n = int(env)
-        if n >= 1:
-            return n
-    except ValueError:
-        pass
-    return os.cpu_count() or 1
 
 
 def eps_disc(grid: MeridianGrid) -> float:
@@ -225,8 +212,8 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     indefinite linearization (IndefiniteOperatorError), is a basin
     failure, not a uniqueness failure, and is reported separately; any
     other error propagates. All solves share one operator: `op` when given
-    (built for this grid and n), else a new one. Its factors are not kept:
-    the pool threads would free each other's.
+    (built for this grid and n), else a new one. The seeds run in seed
+    order, one at a time, so at most one factorization exists at once.
     `seeds` below 1 is a ValueError, raised before any solve.
     """
     if seeds < 1:
@@ -247,7 +234,8 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
             return None
         return f if r.converged else None
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), seeds)) as pool:
+    # One worker runs the seeds in seed order; bench/layers.py traces this executor.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(run, starts))
 
     converged = [base] + [f for f in results if f is not None]

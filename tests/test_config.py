@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cplab.config import SCHEMA, parse_config
+from cplab.config import READS, SCHEMA, SHARED, parse_config
 from cplab.continuation import run_homotopy
 from cplab.errors import ConfigError
 from cplab.verify import run_verification
@@ -44,6 +44,19 @@ VALID = b"[domain]\nkind = ball\na = 1.0\nn = 3\n[nonlinearity]\nform = constant
      r"cfg:5: \[domain\] coeffs = 'abc' is not a list of numbers"),
     (VALID.replace(b"kind = ball", b"kind = bump\ncoeffs = 1 nan 1"),
      r"cfg:3: \[domain\] coeffs = '1 nan 1' is not finite"),
+    (VALID.replace(b"n = 3\n", b"n = 3\nb = 0.5\n"),
+     r"cfg:5: \[domain\] b is not read by kind = ball$"),
+    (VALID.replace(b"a = 1.0", b"a = 1.0\ncoeffs = 1 0 -1"),
+     r"cfg:4: \[domain\] coeffs is not read by kind = ball$"),
+    (VALID.replace(b"kind = ball\na = 1.0", b"kind = bump\ncoeffs = 1 0 -1\nfile = p.dat"),
+     r"cfg:4: \[domain\] file is not read by kind = bump$"),
+    (VALID.replace(b"form = constant\nc = 1.0", b"form = gelfand\nlambda = 1.0\nalpha = 2"),
+     r"cfg:8: \[nonlinearity\] alpha is not read by form = gelfand$"),
+    (VALID.replace(b"form = constant", b"form = gelfand\nlambda = 1.0"),
+     r"cfg:8: \[nonlinearity\] c is not read by form = gelfand$"),
+    (VALID.replace(b"form = constant\nc = 1.0", b"form = gelfand\np = 2\nlambda = 1.0"),
+     r"cfg:7: \[nonlinearity\] p is not read by form = gelfand$"),
+    (VALID + b"lambda = 1.0\n", r"cfg:8: \[nonlinearity\] lambda is not read by form = constant$"),
 ])
 def test_rejected_values_name_their_line(tmp_path, data, message):
     path = tmp_path / "run.cfg"
@@ -154,26 +167,34 @@ def config_bytes(draw):
     """Config files built from SCHEMA sections and keys, with hostile values.
 
     [domain] kind and [nonlinearity] form come first and are usually
-    present, so most examples get past the required-key check.
+    present, so most examples get past the required-key check. Their
+    other keys are usually drawn from those the drawn kind or form reads,
+    so most examples also reach the domain and nonlinearity builders.
     """
     chunks = []
 
-    def section(name, keys):
+    def section(name, entries):
         chunks.append(f"[{name}]\n".encode())
-        for key in keys:
-            value = draw(value_for(key))
+        for key, value in entries:
             chunks.append(f"{key} = {value}\n".encode())
 
-    for name, first in (("domain", "kind"), ("nonlinearity", "form")):
-        rest = sorted(SCHEMA[name].keys() - {first})
-        keys = draw(st.lists(st.sampled_from(rest), max_size=len(rest), unique=True))
-        section(name, ([first] if draw(st.sampled_from([True] * 9 + [False])) else [])
-                + keys)
+    def usually(p=9):
+        return draw(st.sampled_from([True] * p + [False]))
+
+    for (name, first), reads in READS.items():
+        choice = draw(value_for(first))
+        rest = SCHEMA[name].keys() - {first}
+        own = (reads.get(choice, set()) | SHARED) & rest
+        pool = sorted(own if own and usually() else rest)
+        keys = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
+        section(name, ([(first, choice)] if usually() else [])
+                + [(key, draw(value_for(key))) for key in keys])
     others = sorted(SCHEMA.keys() - {"domain", "nonlinearity"})
     for name in draw(st.lists(st.sampled_from(others), max_size=4, unique=True)):
         keys = sorted(SCHEMA[name])
-        section(name, draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True)))
-    if draw(st.sampled_from([False] * 4 + [True])):
+        keys = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
+        section(name, [(key, draw(value_for(key))) for key in keys])
+    if not usually(4):
         at = draw(st.integers(0, len(chunks)))
         chunks.insert(at, draw(st.binary(min_size=1, max_size=4)))
     return b"".join(chunks)
@@ -198,3 +219,16 @@ def test_any_config_parses_or_raises_config_error(tmp_path, data):
         cfg.grid_shape(d)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("section, selector, choice", [
+    pytest.param(section, selector, choice, id=f"{selector}-{choice}")
+    for (section, selector), reads in READS.items() for choice in reads])
+def test_each_kind_and_form_parses_with_the_keys_it_reads(tmp_path, section, selector, choice):
+    (tmp_path / "profile.dat").write_text("0 1\n0.5 0.8\n1 0\n")
+    body = {"domain": "kind = ball\na = 1\n", "nonlinearity": "form = constant\nc = 1\n"}
+    body[section] = f"{selector} = {choice}\n" + "".join(
+        f"{key} = {GOOD[key][0]}\n" for key in sorted(READS[(section, selector)][choice]))
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"[{name}]\n{text}" for name, text in body.items()))
+    assert parse_config(path).get(section, selector) == choice

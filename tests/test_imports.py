@@ -102,3 +102,26 @@ def test_the_voxel_oracle_imports_nothing_of_the_meridian_pipeline():
     modules = imported_modules(SRC / "cplab" / "oracle3d.py", "cplab")
     assert "cplab.domain" in modules
     assert modules & MERIDIAN_PIPELINE == set()
+
+
+# Every setting comes from the config file or the command line.
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path: Path) -> list:
+    """Each place where the source file at `path` reads the process environment."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(f"{path.name}:{node.lineno}: from os import {alias.name}"
+                         for alias in node.names if alias.name in ENVIRONMENT_READS)
+    return found
+
+
+def test_no_module_reads_an_environment_variable():
+    modules = sorted((SRC / "cplab").glob("*.py"))
+    assert modules
+    assert [read for path in modules for read in environment_reads(path)] == []

@@ -346,6 +346,27 @@ def test_kept_factor_is_reused_for_an_equal_system_only(torsion_ball_65):
         assert other is not shifted and other is not kept
 
 
+def test_keep_factor_frees_the_old_factor_before_it_factors(torsion_ball_65, monkeypatch):
+    grid, _, _, _ = torsion_ball_65
+    op = sv.AxisymOperator(grid, 3)
+    c = np.zeros(op.r.size)
+    init = sv.ShiftedFactor.__init__
+    made, old_alive = [], []
+
+    def spy(self, *args):
+        old_alive.append(any(ref() is not None for ref in made))
+        init(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(sv.ShiftedFactor, "__init__", spy)
+    with op.keep_factor():
+        op.factor(c)
+        op.factor(c)
+        op.factor(c - 1.0)
+    # Two factorizations, and the first was dead when the second began.
+    assert old_alive == [False, False]
+
+
 def test_dropping_an_operator_frees_its_kept_factor(torsion_ball_65):
     grid, _, _, _ = torsion_ball_65
     c = np.zeros(int(grid.inside.sum()))

@@ -24,7 +24,7 @@ from .continuation import run_homotopy
 from .domain import build_grid
 from .errors import ConfigError, CplabError
 from .morse import find_critical_points
-from .solver import Field, newton_solve
+from .solver import AxisymOperator, Field, newton_solve
 from .stability import smallest_eigenvalue
 from .verify import run_verification
 
@@ -43,20 +43,26 @@ def _problem(cfg: RunConfig):
 
 
 def _solve_from_config(cfg: RunConfig, unconverged: str | None = None):
-    """The configured problem solved from zero; when `unconverged` is given, a
-    solve that does not converge raises a CplabError with that message."""
+    """The configured problem solved from zero: (d, f, u, rep, op), with op
+    the operator that solved it; a caller with no use for op takes `[:4]`,
+    so that op is freed before what follows (the voxel oracle, say). When
+    `unconverged` is given, a solve that does not converge raises a
+    CplabError with that message."""
     d, f, nr, nz = _problem(cfg)
     grid = build_grid(d, nr, nz)
-    u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n))
+    op = AxisymOperator(grid, d.n)
+    u, rep = newton_solve(grid, d.n, f, Field.zeros(grid, d.n), op=op)
     if unconverged is not None and not rep.converged:
         raise CplabError(unconverged)
-    return d, f, u, rep
+    return d, f, u, rep, op
 
 
-def _verify_step(out: Path, u, f, cfg: RunConfig, seed: int, with_uniqueness=True):
-    """The verification report on u, written to verification.csv."""
+def _verify_step(out: Path, u, f, cfg: RunConfig, seed: int, with_uniqueness=True, op=None):
+    """The verification report on u, written to verification.csv. `op` is
+    the operator that solved u, if any: the multistart then reuses the
+    column order it computed on this thread."""
     report = run_verification(u, f, seeds=cfg.get("run", "uniqueness_seeds"), seed=seed,
-                              with_uniqueness=with_uniqueness)
+                              with_uniqueness=with_uniqueness, op=op)
     (out / "verification.csv").write_text(fieldio.verification_csv(report))
     return report
 
@@ -77,7 +83,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
     out.mkdir(parents=True, exist_ok=True)
 
     if subcommand == "solve":
-        d, f, u, rep = _solve_from_config(cfg)
+        d, f, u, rep = _solve_from_config(cfg)[:4]
         fieldio.write_field(u, out / "u.cpfield")
         (out / "solve_report.csv").write_text(fieldio.solve_report_csv(rep))
         ok = rep.converged and (rep.min_value > 0.0 if f.positive_at_zero else True)
@@ -87,8 +93,8 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if ok else 1
 
     if subcommand == "eigen":
-        d, f, u, rep = _solve_from_config(cfg, "eigen: the base solve did not converge")
-        report = smallest_eigenvalue(u, f)
+        d, f, u, rep, op = _solve_from_config(cfg, "eigen: the base solve did not converge")
+        report = smallest_eigenvalue(u, f, op=op)
         fieldio.write_field(report.eigenfield, out / "eigenfield.cpfield",
                             comments=[f"# eigen lambda1={fieldio.fmt(report.lambda1)}"])
         (out / "eigen_report.csv").write_text(fieldio.stability_csv(report))
@@ -97,7 +103,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if report.stable else 1
 
     if subcommand == "census":
-        d, f, u, rep = _solve_from_config(cfg, "census: the base solve did not converge")
+        d, f, u, rep = _solve_from_config(cfg, "census: the base solve did not converge")[:4]
         census = find_critical_points(u)
         (out / "census.csv").write_text(fieldio.census_csv(census, d.n))
         ok = census.unique_axis_max
@@ -106,12 +112,13 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         return 0 if ok else 1
 
     if subcommand == "verify":
+        op = None
         if field_path:
             d, f, _, _ = _problem(cfg)
             u = fieldio.on_domain(fieldio.read_field(field_path)[0], d)
         else:
-            d, f, u, rep = _solve_from_config(cfg, "verify: the base solve did not converge")
-        report = _verify_step(out, u, f, cfg, seed, with_uniqueness=not field_path)
+            d, f, u, rep, op = _solve_from_config(cfg, "verify: the base solve did not converge")
+        report = _verify_step(out, u, f, cfg, seed, with_uniqueness=not field_path, op=op)
         _say(quiet, str(report))
         return 0 if report.passed else 1
 
@@ -131,7 +138,8 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
         (out / "continuation.csv").write_text(fieldio.continuation_csv(rec))
         ok = rec.completed
         if ok:
-            ok = _verify_step(out, rec.field, f, cfg, seed).passed
+            ok = _verify_step(out, rec.field, f, cfg, seed, op=rec.op).passed
+            rec.op = None  # free the operator before the voxel oracle
             if d.n == 3:
                 ok = _oracle_step(out, d, f, rec.field, cfg)[1] and ok
         _say(quiet, f"continue: reached t={rec.final_t:g} in {len(rec.steps)} steps, "
@@ -141,7 +149,7 @@ def run(subcommand: str, cfg: RunConfig, out: Path, seed: int,
     if subcommand == "oracle3d":
         if cfg.get("domain", "n") != 3:
             raise CplabError("oracle3d requires n = 3")
-        d, f, u, rep = _solve_from_config(cfg, "oracle3d: the meridian solve did not converge")
+        d, f, u, rep = _solve_from_config(cfg, "oracle3d: the meridian solve did not converge")[:4]
         oc, ok = _oracle_step(out, d, f, u, cfg, keep_voxels=True)
         _say(quiet, f"oracle3d: linf_rel={oc['linf_rel']:.3e} "
                     f"offset={oc['cp_offset_cells']:.2f} cells witnesses="

@@ -10,8 +10,9 @@ halves the step and retries from the last good parameter; once the step
 underflows T_STEP_MIN the failing parameter is recorded as
 first_failure_t — the numerical analogue of the infimum at which the
 conclusions would break. A completed run reaches t = 1 with every gate
-green; its record keeps the last accepted field, on which the caller runs
-the full verification suite (and, in three dimensions, the voxel oracle).
+green; its record keeps the last accepted field and its operator, with
+which the caller runs the full verification suite (and, in three
+dimensions, the voxel oracle).
 
 Grid resolution is fixed across t on a bounding box covering the whole
 family, so fields at different t are directly comparable and the warm
@@ -61,6 +62,9 @@ class ContinuationRecord:
     rejections: list = dataclasses.field(default_factory=list)  # (t, reason)
     first_failure_t: float | None = None
     field: Field | None = None  # the last accepted solution
+    # The operator that solved `field`. It has factored, so a verification
+    # on it reuses its column order.
+    op: AxisymOperator | None = None
 
     @property
     def final_t(self) -> float:
@@ -89,16 +93,15 @@ def warm_start_transfer(u_prev: Field, grid_next: MeridianGrid) -> Field:
     return Field(grid_next, np.maximum(u_prev.values, 0.0), u_prev.n)
 
 
-def _solve_and_gate(u0, nl, phi0):
-    """Newton from u0 on its grid, then the per-step gate set.
+def _solve_and_gate(op, u0, nl, phi0):
+    """Newton from u0 on op, the operator of u0's grid, then the per-step gate set.
 
     Returns (failure, u, metrics, eigenfield), failure None when every gate
-    passed; an indefinite Newton linearization is a failure too. One
-    operator serves the grid and keeps its factor from Newton into the
-    eigen gate, so the two share it when they factor the same matrix.
+    passed; an indefinite Newton linearization is a failure too. The
+    operator keeps its factor from Newton into the eigen gate, so the two
+    share it when they factor the same matrix.
     """
     grid = u0.grid
-    op = AxisymOperator(grid, u0.n)
     with op.keep_factor():
         try:
             u, rep = newton_solve(grid, u0.n, nl, u0, op=op)
@@ -133,9 +136,9 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
                  t_step0: float = T_STEP0_DEFAULT, field_sink=None) -> ContinuationRecord:
     """Drive the homotopy from the ball to the target domain.
 
-    The record keeps the steps, rejections and last accepted field. The
-    t = 0 solve must succeed for a catalog nonlinearity; its failure is a
-    setup error, not a recorded one. `field_sink(t, field)` is called for
+    The record keeps the steps, rejections, last accepted field and its
+    operator. The t = 0 solve must succeed for a catalog nonlinearity; its
+    failure is a setup error, not a recorded one. `field_sink(t, field)` is called for
     every accepted step when given.
 
     Each tried grid gets one operator, which keeps its factor across the
@@ -161,7 +164,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             f"thinner than 3 cells of the {nr}x{nz} grid on the target's box "
             f"r <= {rmax:.3g}, |z| <= {zmax:.3g} (hr = {rmax / (nr - 1):.3g}, "
             f"hz = {2 * zmax / (nz - 1):.3g})") from None
-    failure, u, metrics, phi = _solve_and_gate(Field.zeros(grid, n), nl, None)
+    op = AxisymOperator(grid, n)
+    failure, u, metrics, phi = _solve_and_gate(op, Field.zeros(grid, n), nl, None)
     if failure is not None:
         raise CplabError(f"homotopy setup failed on the ball: {failure}")
     record.steps.append(StepRecord(0.0, **metrics, runtime_s=time.perf_counter() - t0))
@@ -183,7 +187,8 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
         grid_next = grid_at(t_next)
         u_start = warm_start_transfer(u, grid_next)
         phi_start = warm_start_transfer(Field(grid, np.abs(phi.values), n), grid_next)
-        failure, u_next, metrics, phi_next = _solve_and_gate(u_start, nl, phi_start)
+        op_next = AxisymOperator(grid_next, n)
+        failure, u_next, metrics, phi_next = _solve_and_gate(op_next, u_start, nl, phi_start)
 
         if failure is None and len(jumps) >= 3:
             jump = abs(metrics["lambda1"] - record.steps[-1].lambda1)
@@ -203,7 +208,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
 
         jumps.append(abs(metrics["lambda1"] - record.steps[-1].lambda1))
         record.steps.append(StepRecord(t_next, **metrics, runtime_s=time.perf_counter() - t_try0))
-        t, grid, u, phi = t_next, grid_next, u_next, phi_next
+        t, grid, u, phi, op = t_next, grid_next, u_next, phi_next, op_next
         if field_sink is not None:
             field_sink(t, u)
         consecutive += 1
@@ -211,7 +216,7 @@ def run_homotopy(target: MeridianDomain, nl: Nonlinearity, nr: int, nz: int,
             step = min(2.0 * step, t_step0)
             consecutive = 0
 
-    record.field = u
+    record.field, record.op = u, op
     return record
 
 

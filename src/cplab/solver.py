@@ -17,12 +17,17 @@ over those nodes: a grid array enters as `values[op.nodes]`, a vector
 leaves as `op.field(v)`. The discrete operator is self-adjoint under the
 axisymmetric volume weight w = r^(n-2) (exactly so in the bulk for n = 2
 and n = 3; cut arms perturb symmetry locally). The operator holds
-B = W(-Lap), L's rows scaled by -w; the weighted operator
-W(-Lap - c) = B - diag(w c) is factored once by sparse LU (SuperLU,
-symmetric mode, diagonal pivots), and every solve is one exact
-back-solve with that factor. The same pivots test definiteness: a
+B = W(-Lap), L's rows scaled by -w, as a CSC matrix; the weighted
+operator W(-Lap - c) = B - diag(w c) is factored once by sparse LU
+(SuperLU, symmetric mode, diagonal pivots), and every solve is one exact
+back-solve with that factor. SuperLU's column order depends on B's
+pattern only, so an operator computes it once, in its first factor, and
+every later factor of that operator is numeric only, bit for bit the
+factor a fresh operator would make. The same pivots test definiteness: a
 nonpositive pivot raises IndefiniteOperatorError — the numerical
-signature of an unstable linearization.
+signature of an unstable linearization. Every function that takes an
+`op=` checks that it was built on the grid and dimension it solves
+(`operator_for`).
 """
 
 from __future__ import annotations
@@ -99,7 +104,10 @@ class AxisymOperator:
     active nodes `nodes`, in the order of np.nonzero(active). Every vector
     the operator takes or returns is over those nodes, as are `r`, `z` and
     the volume weight `w`; `field` makes a Field of one. `B`, the matrix
-    every factor shifts, is L's pattern with each row scaled by -w.
+    every factor shifts, is L's pattern with each row scaled by -w, as CSC
+    in node order. The operator stores one copy of it: in node order until
+    its first factor, which records SuperLU's column order (`_reorder`),
+    and in that order after it, for every later factor to reuse.
     """
 
     def __init__(self, grid: MeridianGrid, n: int, active: np.ndarray | None = None):
@@ -108,6 +116,7 @@ class AxisymOperator:
         self.active = grid.inside if active is None else (grid.inside & active)
         self._keeping = False
         self._kept = None
+        self._order = None  # a _ColumnOrder once the operator has factored
         self._build()
 
     def _coefficients(self):
@@ -170,16 +179,46 @@ class AxisymOperator:
         self.w = w[self.nodes]
         self.cell = hr * hz
         # B = W(-Lap), the weighted Laplacian that every factor shifts: L's
-        # rows scaled by -w, on copies of L's index arrays, so that a
-        # consumer that sorts them in place (abs() does) leaves L intact.
+        # rows scaled by -w, stored once as CSC with its rows sorted in each
+        # column, the matrix SuperLU takes, and `_diag`, the slot of each
+        # column's diagonal entry, where a factor subtracts w c.
         # Assembled here, in the thread that builds the operator, so that
-        # the multistart's worker thread only factors: a matrix assembled in
-        # a worker thread stays in that thread's malloc arena, which raised
-        # peak RSS by 2.3 MB on the 97x97 spheroid homotopy.
+        # the multistart's worker thread only factors: a long-lived array
+        # allocated in a worker thread pins that thread's malloc arena,
+        # which raised peak RSS by 2.3 MB on the 97x97 spheroid homotopy.
+        # The first factor replaces these arrays (`_reorder`), so callers
+        # make that factor on the main thread too: `cplab verify` and
+        # `continue` hand the multistart an operator that has factored.
         L = self.L
         wrow = np.repeat(self.w, np.diff(L.indptr))
-        self.B = sp.csr_matrix((-L.data * wrow, L.indices.copy(), L.indptr.copy()),
-                               shape=L.shape)
+        self._B = sp.csr_matrix((-L.data * wrow, L.indices, L.indptr), shape=L.shape).tocsc()
+        cols = np.repeat(np.arange(nun, dtype=np.int32), np.diff(self._B.indptr))
+        self._diag = np.flatnonzero(self._B.indices == cols).astype(np.int32)
+
+    @property
+    def B(self) -> sp.csc_matrix:
+        """B = W(-Lap) as CSC in node order, its rows sorted in each column."""
+        if self._order is None:
+            return self._B
+        return _permuted(self._B, self._order.inv, self._order.perm)
+
+    def _shifted(self, c: np.ndarray) -> sp.csc_matrix:
+        """B - diag(w c), in B's stored order, for splu."""
+        B, wc = self._B, self.w * c
+        data = B.data.copy()
+        data[self._diag] -= wc if self._order is None else wc[self._order.inv]
+        A = sp.csc_matrix((data, B.indices, B.indptr), shape=B.shape)
+        # No duplicates; in column order the rows must stay unsorted
+        # (`_permuted`), so splu must not sort them.
+        A.has_canonical_format = True
+        return A
+
+    def _reorder(self, perm: np.ndarray):
+        """Store B in SuperLU's column order `perm`, for every later factor."""
+        self._order = order = _ColumnOrder(perm)
+        B, self._B = self._B, _permuted(self._B, order.perm, order.inv)
+        # Each column's diagonal keeps its place within the column.
+        self._diag = self._B.indptr[:-1] + (self._diag - B.indptr[:-1])[order.inv]
 
     def field(self, v: np.ndarray) -> Field:
         """The vector v as a Field, 0 off the active set."""
@@ -238,6 +277,33 @@ class AxisymOperator:
         return self.factor(c).solve(rhs)
 
 
+def _permuted(A: sp.csc_matrix, perm: np.ndarray, inv: np.ndarray) -> sp.csc_matrix:
+    """P A P^T: column j of A becomes column perm[j], its rows renumbered by perm.
+
+    `inv` is the inverse permutation: column k of the result is column
+    inv[k] of A. The rows of each column stay in A's order. From B in node order that
+    keeps them ascending in node numbering and unsorted in the new one,
+    which is what SuperLU visits when it orders B's columns by perm_c
+    itself: factored with NATURAL order, this matrix gives the same L and
+    U bit for bit, where re-sorted rows make the solves drift by about
+    1e-15 relative. Permuting back by the inverse restores A exactly.
+    """
+    counts = np.diff(A.indptr)[inv]
+    indptr = np.zeros_like(A.indptr)
+    np.cumsum(counts, out=indptr[1:])
+    src = np.repeat(A.indptr[inv] - indptr[:-1], counts) + np.arange(A.nnz, dtype=indptr.dtype)
+    rows = perm[A.indices[src]].astype(A.indices.dtype, copy=False)
+    return sp.csc_matrix((A.data[src], rows, indptr), shape=A.shape)
+
+
+class _ColumnOrder:
+    """SuperLU's column order: node i is column perm[i], column k is node inv[k]."""
+
+    def __init__(self, perm: np.ndarray):
+        self.perm = perm.copy()  # SuperLU's perm_c is a view that keeps its factor alive
+        self.inv = np.argsort(self.perm).astype(self.perm.dtype)
+
+
 class ShiftedFactor:
     """Sparse LU of the weighted operator W(-Lap - c).
 
@@ -262,19 +328,39 @@ class ShiftedFactor:
     and the 97x97 spheroid, with the same pivots and a slightly smaller
     factor (one process, OpenBLAS on one thread).
 
-    The factor keeps the weight, not the operator, so an operator that
-    keeps its factor forms no reference cycle with it.
+    The first factor of an operator orders B's columns by minimum degree
+    on the pattern of A^T + A (MMD_AT_PLUS_A) and the operator then stores
+    B in that order (`AxisymOperator._reorder`). The order depends on the
+    pattern only, which every factor of the operator shares, so each
+    later factor hands SuperLU the matrix already in that order with
+    NATURAL order, and its solve permutes w * rhs in and the result out:
+    the same pivots and solves, bit for bit, without the ordering.
+
+    The pivot check reads U's diagonal through `lu.U`. SciPy 1.17's
+    `SuperLU` exposes only `L`, `U`, `nnz`, `perm_c`, `perm_r`, `shape`
+    and `solve`, and the first read of `U` builds and caches CSC copies of
+    both L and U: 4-5 ms and about 6 MB of RSS per live factor of the
+    97x193 ball, whose factor takes 23-31 ms. The API offers no cheaper
+    exact pivot check.
+
+    The factor keeps the weight and the column order, not the operator,
+    so an operator that keeps its factor forms no reference cycle with it.
     """
 
     def __init__(self, op: AxisymOperator, c: np.ndarray):
         self._w = op.w
         self._c = np.broadcast_to(c, op.w.shape).copy()
-        A = op.B - sp.diags(self._w * self._c)
+        self._order = order = op._order
         try:
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           relax=1, panel_size=1, options=dict(SymmetricMode=True))
+            # The shifted matrix is a temporary, freed before U is read.
+            lu = spla.splu(op._shifted(self._c),
+                           permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+                           diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise IndefiniteOperatorError(f"operator is singular ({exc})") from None
+        if order is None:
+            op._reorder(lu.perm_c)
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise IndefiniteOperatorError("operator not positive definite (off-diagonal pivot)")
         pivot = float(lu.U.diagonal().min())
@@ -288,7 +374,24 @@ class ShiftedFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Exact solve of (-Lap - c) x = rhs: one back-solve of W rhs."""
-        return self._lu.solve(self._w * rhs)
+        if self._order is None:
+            return self._lu.solve(self._w * rhs)
+        return self._lu.solve((self._w * rhs)[self._order.inv])[self._order.perm]
+
+
+def operator_for(grid: MeridianGrid, n: int, op: AxisymOperator | None = None) -> AxisymOperator:
+    """`op` when given, else a new operator of `grid` in dimension `n`.
+
+    A given operator must be built on `grid` itself and in dimension `n`:
+    one of another grid, even of the same shape, or of another dimension
+    would solve a different problem, so it is a ValueError.
+    """
+    if op is None:
+        return AxisymOperator(grid, n)
+    if op.grid is not grid or op.n != n:
+        raise ValueError(f"the operator was built on another grid or dimension "
+                         f"(n = {op.n}) than the one given (n = {n})")
+    return op
 
 
 def pde_residual(op: AxisymOperator, nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
@@ -305,9 +408,11 @@ def newton_solve(grid: MeridianGrid, n: int, nl: Nonlinearity, u0: Field,
     does not decrease. The solve converges when that residual falls to
     TOL_PDE and stops unconverged after MAX_NEWTON steps. An indefinite
     linearization propagates out as IndefiniteOperatorError: there is no
-    stable solution to converge to. The field is 0 off op's active nodes.
+    stable solution to converge to. The field is 0 off op's active nodes;
+    `op`, when given, must be built on `grid` in dimension `n`
+    (`operator_for`).
     """
-    op = op or AxisymOperator(grid, n)
+    op = operator_for(grid, n, op)
     u = u0.values[op.nodes]
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess contains non-finite values")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EigenFailureError, IndefiniteOperatorError, UndefinedQuotientError
 from .nonlinearity import Nonlinearity
-from .solver import AxisymOperator, Field, derivative_field
+from .solver import AxisymOperator, Field, derivative_field, operator_for
 
 TOL_EIG = 1e-8
 MAX_EIG_ITER = 200
@@ -90,18 +90,18 @@ def smallest_eigenvalue(u: Field, nl: Nonlinearity, phi0: Field | None = None,
                         op: AxisymOperator | None = None) -> StabilityReport:
     """Inverse power iteration for the first eigenvalue of -Lap - f_u on op.active.
 
-    `op` is the operator to factor, on u's grid and in u's dimension; by
-    default the whole domain's. An operator built with a restricted
-    `active` mask, e.g. `AxisymOperator(grid, n, active=grid.Z > 0)` for
-    the reflection half-domain, gives the eigenvalue on that region,
-    with a Dirichlet line on the removed nodes. The reported lambda1 is
+    `op` is the operator to factor, on u's grid and in u's dimension (else
+    a ValueError); by default the whole domain's. An operator built with a
+    restricted `active` mask, e.g. `AxisymOperator(grid, n,
+    active=grid.Z > 0)` for the reflection half-domain, gives the
+    eigenvalue on that region, with a Dirichlet line on the removed nodes. The reported lambda1 is
     the operator Rayleigh quotient of the last iterate, and its residual
     ||(-Lap - f_u) phi - lambda1 phi|| must fall to TOL_EIG * max(1, |lambda1|)
     within MAX_EIG_ITER steps, or EigenFailureError is raised. The shift
     rule is the module's; when its fallback factor fails too,
     EigenFailureError names the shift. The eigenfield is 0 off op.active.
     """
-    op = op or AxisymOperator(u.grid, u.n)
+    op = operator_for(u.grid, u.n, op)
     c = nl.eval_du(op.r, op.z, u.values[op.nodes])
 
     phi = np.ones(op.w.size) if phi0 is None else phi0.values[op.nodes]

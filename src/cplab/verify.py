@@ -32,7 +32,7 @@ from .errors import (CplabError, GeometryViolationError, IndefiniteOperatorError
 from .interp import Bicubic, safe_cells, cell_index
 from .morse import find_critical_points
 from .nonlinearity import Nonlinearity
-from .solver import AxisymOperator, Field, TOL_PDE, derivative_field, newton_solve
+from .solver import AxisymOperator, Field, TOL_PDE, derivative_field, newton_solve, operator_for
 
 # Calibrated on the torsion ball at the acceptance grids (see
 # tests/test_verify.py): the largest observed derivative error divided by
@@ -175,15 +175,16 @@ def derivative_pde_residual(u: Field, nl: Nonlinearity, direction: str,
     node has four full arms, so Lap v there is the centred five-point
     stencil whatever v holds on the boundary-adjacent nodes, and r >= 3hr:
     the axis, where v is even in r and the radial mode equation
-    degenerates, is never scanned. `op`, when given, is the operator of
-    u's grid and dimension, which the call then does not assemble.
+    degenerates, is never scanned. `op`, when given, must be the operator
+    of u's grid and dimension (`operator_for`), which the call then does
+    not assemble.
     """
     n = u.n
+    op = operator_for(u.grid, n, op)
     dv = derivative_field(u, direction)
     bulk = _bulk_mask(u.grid)
     if not bulk.any():
         return np.nan
-    op = op or AxisymOperator(u.grid, n)
     r, z, scan = op.r, op.z, bulk[op.nodes]
     uv, v = u.values[op.nodes], dv.values[op.nodes]
     fu = nl.eval_du(r, z, uv)
@@ -212,13 +213,17 @@ def uniqueness_multistart(grid: MeridianGrid, n: int, nl: Nonlinearity,
     indefinite linearization (IndefiniteOperatorError), is a basin
     failure, not a uniqueness failure, and is reported separately; any
     other error propagates. All solves share one operator: `op` when given
-    (built for this grid and n), else a new one. The seeds run in seed
-    order, one at a time, so at most one factorization exists at once.
+    (built on this grid and n, or a ValueError), else a new one. The
+    seeds run in seed order, one at a time, so at most one factorization
+    exists at once. They factor in a worker thread, so an `op` that has
+    factored before (as `cplab verify` and `continue` pass) keeps the
+    column order it computed on the caller's thread (see
+    `AxisymOperator._build`).
     `seeds` below 1 is a ValueError, raised before any solve.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    op = op or AxisymOperator(grid, n)
+    op = operator_for(grid, n, op)
     if base is None:
         base, rep = newton_solve(grid, n, nl, Field.zeros(grid, n), op=op)
         if not rep.converged:
@@ -277,7 +282,8 @@ class VerificationReport:
 
 
 def run_verification(u: Field, nl: Nonlinearity, seeds: int = UNIQUENESS_SEEDS,
-                     seed: int = 0, with_uniqueness: bool = True) -> VerificationReport:
+                     seed: int = 0, with_uniqueness: bool = True,
+                     op: AxisymOperator | None = None) -> VerificationReport:
     """Full theorem-conclusion report on a solved field, on its grid and dimension.
 
     Five conclusion lines (symmetry, axial monotonicity, transverse
@@ -289,10 +295,30 @@ def run_verification(u: Field, nl: Nonlinearity, seeds: int = UNIQUENESS_SEEDS,
     (m_r, pct_r) as `monotone_radial` and cannot disagree with it. It stays
     because the row set is the report's CSV contract. `uniqueness`
     fails, with margin nan, when no multistart seed converged.
+
+    One operator serves the residual rows and the multistart: `op` when
+    given (built on u's grid and dimension, or a ValueError), typically
+    the one that solved u, whose column order the multistart then reuses;
+    else a new one.
     """
     grid = u.grid
+    op = operator_for(grid, u.n, op)
     eps = eps_disc(grid)
     rows = []
+
+    # The multistart runs first, though its row comes last: its factors,
+    # made in a worker thread's malloc arena, set the peak memory, and
+    # the main arena's leftovers from the checks below would add to it
+    # (3 MB of peak RSS on the 97x193 ball).
+    uniqueness = None
+    if with_uniqueness:
+        worst, converged, _ = uniqueness_multistart(grid, u.n, nl, seeds=seeds, seed=seed,
+                                                    base=u, op=op)
+        # With no converged seed nothing was compared: the margin is
+        # undefined and the row fails.
+        if converged == 0:
+            worst = np.nan
+        uniqueness = CheckRow("uniqueness", worst, 10.0 * TOL_PDE, worst <= 10.0 * TOL_PDE)
 
     sym = check_axial_symmetry(u)
     rows.append(CheckRow("axial_symmetry", sym, 10.0 * TOL_PDE, sym <= 10.0 * TOL_PDE))
@@ -316,19 +342,11 @@ def run_verification(u: Field, nl: Nonlinearity, seeds: int = UNIQUENESS_SEEDS,
     mp = moving_plane_check(u)
     rows.append(CheckRow("moving_plane", mp, eps, mp <= eps))
 
-    # One operator serves the residual rows and the multistart.
-    op = AxisymOperator(grid, u.n)
     res = max(derivative_pde_residual(u, nl, "z", op=op),
               derivative_pde_residual(u, nl, "r", op=op))
     tol_res = DERIV_RESIDUAL_C * grid.h
     rows.append(CheckRow("derivative_residual", res, tol_res, res <= tol_res))
 
-    if with_uniqueness:
-        worst, converged, _ = uniqueness_multistart(grid, u.n, nl, seeds=seeds, seed=seed,
-                                                    base=u, op=op)
-        # With no converged seed nothing was compared: the margin is
-        # undefined and the row fails.
-        if converged == 0:
-            worst = np.nan
-        rows.append(CheckRow("uniqueness", worst, 10.0 * TOL_PDE, worst <= 10.0 * TOL_PDE))
+    if uniqueness is not None:
+        rows.append(uniqueness)
     return VerificationReport(rows)

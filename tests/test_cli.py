@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -454,3 +456,62 @@ def test_verify_field_on_a_mismatched_domain_exits_1(tmp_path, torsion_ball_65, 
     assert "nan pattern differs from the domain's inside mask" in capsys.readouterr().err
     assert not (out / "verification.csv").exists()
 
+
+
+SPHEROID_GELFAND = """
+[domain]
+kind = spheroid
+a = 1.0
+b = 0.5
+n = 3
+
+[nonlinearity]
+form = gelfand
+lambda = 1.0
+
+[grid]
+nr = 33
+nz = 33
+
+[continuation]
+t_step0 = 0.1
+
+[oracle]
+N = 16
+
+[run]
+uniqueness_seeds = 2
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "continue"])
+def test_each_operator_orders_its_columns_once_on_the_main_thread(tmp_path, monkeypatch,
+                                                                  subcommand):
+    # SuperLU's column ordering (MMD_AT_PLUS_A) runs in the first factor of
+    # each operator only, on the main thread; every later factor, the
+    # multistart's in its worker thread among them, reuses that order.
+    made, building = {}, []
+    init, splu = sv.ShiftedFactor.__init__, sv.spla.splu
+
+    def factor(self, op, c):
+        building.append(op)
+        try:
+            init(self, op, c)
+        finally:
+            building.pop()
+
+    def spied_splu(*args, **kwargs):
+        made.setdefault(building[-1], []).append((kwargs["permc_spec"], threading.get_ident()))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(sv.ShiftedFactor, "__init__", factor)
+    monkeypatch.setattr(sv.spla, "splu", spied_splu)
+    cfg = write_config(tmp_path, SPHEROID_GELFAND)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    caller = threading.get_ident()
+    for calls in made.values():
+        assert calls[0] == ("MMD_AT_PLUS_A", caller)
+        assert all(spec == "NATURAL" for spec, _ in calls[1:])
+    threads = {thread for calls in made.values() for _, thread in calls}
+    assert len(threads) == 2  # the multistart's seeds factor in a worker thread

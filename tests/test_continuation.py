@@ -98,7 +98,13 @@ def test_small_homotopy_completes_and_replays():
     rec1 = run_homotopy(target, nlin.constant(1.0), 49, 65, t_step0=0.1)
     assert rec1.completed
     assert rec1.first_failure_t is None
-    assert run_verification(rec1.field, nlin.constant(1.0), seeds=2, seed=4).passed
+    report = run_verification(rec1.field, nlin.constant(1.0), seeds=2, seed=4)
+    assert report.passed
+    # The record keeps the operator that solved its field, already ordered;
+    # a verification on it gives the same report.
+    assert rec1.op.grid is rec1.field.grid and rec1.op._order is not None
+    assert run_verification(rec1.field, nlin.constant(1.0), seeds=2, seed=4,
+                            op=rec1.op).rows == report.rows
     ts = [s.t for s in rec1.steps]
     assert ts == sorted(ts)
     assert ts[0] == 0.0 and ts[-1] == 1.0

@@ -69,6 +69,14 @@ def test_factor_inertia_brackets_the_first_eigenvalue(torsion_ball_65):
     assert op.solve(np.full(op.r.size, 9.0), rhs).min() > 0.0
     with pytest.raises(IndefiniteOperatorError, match="pivot"):
         op.solve(np.full(op.r.size, 10.5), rhs)
+    # The verdict of a factor that reuses the column order of the
+    # operator's first factor, here one at c = 0.
+    lam = st.smallest_eigenvalue(sv.Field.zeros(grid, 3), nlin.constant(1.0)).lambda1
+    ordered = sv.AxisymOperator(grid, 3)
+    ordered.factor(np.zeros(ordered.r.size))
+    assert ordered._order is not None
+    with pytest.raises(IndefiniteOperatorError, match="pivot"):
+        ordered.factor(np.full(ordered.r.size, 1.05 * lam))
 
 
 THRESHOLD_CASES = [(2, 49, 97, None), (3, 65, 129, None), (4, 49, 97, None),
@@ -144,6 +152,64 @@ def test_column_factor_agrees_with_default_supernodes(profile, nr, nz, n):
     with pytest.raises(IndefiniteOperatorError):
         sv.ShiftedFactor(op, 1.05 * lam)
     assert default_supernode_factor(op, 1.05 * lam) is None
+
+
+ORDER_PROFILES = {"ball": dm.ball(1.0), "spheroid": dm.spheroid(1.0, 0.5),
+                  "bump": dm.polynomial_bump([1, 0, -2, 0, 1])}
+
+
+def factor_or_error(op, c):
+    """op's factor of c, or the message of the IndefiniteOperatorError it raised."""
+    try:
+        return op.factor(c)
+    except IndefiniteOperatorError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.sampled_from(sorted(ORDER_PROFILES)), hst.sampled_from([3, 4, 5]),
+       hst.integers(9, 33), hst.floats(0.0, 25.0), hst.integers(0, 2 ** 32 - 1))
+def test_a_reordered_factor_is_bitwise_a_fresh_one(kind, n, nr, scale, seed):
+    # An operator's second factor reuses the column order of its first; it
+    # must solve bit for bit like a fresh operator's first factor of the
+    # same c, and raise the same error where that one raises.
+    grid = dm.build_grid(dm.MeridianDomain(n, ORDER_PROFILES[kind]), nr, 2 * nr - 1)
+    rng = np.random.default_rng(seed)
+    op, fresh = sv.AxisymOperator(grid, n), sv.AxisymOperator(grid, n)
+    c0, c = rng.uniform(0.0, scale, (2, op.r.size))
+    factor_or_error(op, c0)
+    assert op._order is not None
+    ordered, first = factor_or_error(op, c), factor_or_error(fresh, c)
+    if isinstance(first, str):
+        assert ordered == first
+        return
+    assert first._order is None and ordered._order is op._order
+    rhs = rng.standard_normal(op.r.size)
+    assert_bitwise(ordered.solve(rhs), first.solve(rhs))
+    assert_bitwise(ordered._lu.U.diagonal().min(), first._lu.U.diagonal().min())
+
+
+def test_an_ordered_operator_keeps_each_columns_rows_in_bs_order(torsion_ball_65):
+    # After its first factor the operator stores P B P^T: column perm[j] is
+    # B's column j, its rows renumbered by perm and kept in B's order, so
+    # ascending in node numbering and not in the new one. Later factors
+    # leave that layout unsorted, and B in node order comes back exactly.
+    grid, _, _, _ = torsion_ball_65
+    op = sv.AxisymOperator(grid, 3)
+    B = op.B.copy()
+    c = np.random.default_rng(0).uniform(0.0, 5.0, op.r.size)
+    op.factor(c)
+    order, A = op._order, op._B
+    cols = np.repeat(np.arange(op.r.size), np.diff(A.indptr))
+    same_column = np.diff(cols) == 0
+    assert np.all(np.diff(order.inv[A.indices])[same_column] > 0)
+    assert np.any(np.diff(A.indices)[same_column] < 0)
+    assert np.array_equal(A.indices[op._diag], np.arange(op.r.size))
+    indices = A.indices.copy()
+    op.factor(c + 1.0)
+    assert np.array_equal(op._B.indices, indices)
+    assert_bitwise(op.B.data, B.data)
+    assert np.array_equal(op.B.indices, B.indices) and np.array_equal(op.B.indptr, B.indptr)
 
 
 def test_torsion_one_newton_step(torsion_ball_65):

@@ -409,6 +409,32 @@ def test_run_verification_assembles_one_operator(gelfand_ball_65, monkeypatch):
     assert report.row("derivative_residual").margin == residual
 
 
+def test_an_operator_of_another_grid_or_dimension_is_refused():
+    # The operator of the bench spheroid's t = 0 homotopy ball, handed to a
+    # solve on the t = 1 grid of the same shape: Newton would converge on
+    # the ball (max 1/24) and return a field on the ball's grid, where the
+    # spheroid's torsion max is 1/12. Every entry point that takes an
+    # operator refuses it, and one of another dimension.
+    d = dm.MeridianDomain(3, dm.spheroid(1.0, 0.5))
+    rmax, zmax = d.homotopy_box
+    g0, g1 = (dm.build_grid(d, 33, 33, t=t, rmax=rmax, zmax=zmax) for t in (0.0, 1.0))
+    assert g0.inside.shape == g1.inside.shape
+    nl = nlin.constant(1.0)
+    u1, _ = sv.newton_solve(g1, 3, nl, sv.Field.zeros(g1, 3))
+    assert u1.max_inside() == pytest.approx(1.0 / 12.0, rel=1e-9)
+    entry_points = {
+        "newton_solve": lambda op: sv.newton_solve(g1, 3, nl, sv.Field.zeros(g1, 3), op=op),
+        "uniqueness_multistart": lambda op: vf.uniqueness_multistart(g1, 3, nl, seeds=1, op=op),
+        "derivative_pde_residual": lambda op: vf.derivative_pde_residual(u1, nl, "z", op=op),
+        "smallest_eigenvalue": lambda op: stability.smallest_eigenvalue(u1, nl, op=op),
+        "run_verification": lambda op: vf.run_verification(u1, nl, seeds=1, op=op),
+    }
+    for op in (sv.AxisymOperator(g0, 3), sv.AxisymOperator(g1, 4)):
+        for name, call in entry_points.items():
+            with pytest.raises(ValueError, match="another grid or dimension"):
+                call(op)
+
+
 @st.composite
 def masks_2d(draw):
     """Boolean masks up to 14x14, mostly one value with scattered flips."""
